@@ -22,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 MAX_TABLE_ARITY = 20
 MAX_POLY_ARITY = 63
@@ -61,12 +61,19 @@ def vars_of(mask: int) -> frozenset[int]:
     return frozenset(b + 1 for b in bits_of(mask))
 
 
-def _toggle(acc: set[int], value: int) -> None:
-    # GF(2): equal monomials cancel in pairs.
-    if value in acc:
-        acc.discard(value)
-    else:
-        acc.add(value)
+def fold(mask: int, images: Sequence[int]) -> int:
+    """The OR of ``images[b]`` over the set bits ``b`` of ``mask``.
+
+    ``images`` holds bit masks, so this applies a per-bit substitution to
+    one mask: a monomial under a variable map, an edge under a vertex map,
+    a pair mask under a vertex permutation.
+    """
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= images[low.bit_length() - 1]
+        mask ^= low
+    return out
 
 
 def map_monomials(monomials: Iterable[int], images: list[int]) -> frozenset[int]:
@@ -77,12 +84,12 @@ def map_monomials(monomials: Iterable[int], images: list[int]) -> frozenset[int]
     """
     acc: set[int] = set()
     for m in monomials:
-        im = 0
-        while m:
-            low = m & -m
-            im |= images[low.bit_length() - 1]
-            m ^= low
-        _toggle(acc, im)
+        im = fold(m, images)
+        # GF(2): equal monomials cancel in pairs
+        if im in acc:
+            acc.discard(im)
+        else:
+            acc.add(im)
     return frozenset(acc)
 
 
@@ -156,9 +163,6 @@ class Zhegalkin:
     @classmethod
     def from_sets(cls, arity: int, monomials: Iterable[Iterable[int]]) -> "Zhegalkin":
         return cls(arity, frozenset(mask_of(mono) for mono in monomials))
-
-    def monomial_sets(self) -> frozenset[frozenset[int]]:
-        return frozenset(vars_of(m) for m in self.monomials)
 
     def evaluate(self, point: int) -> int:
         """Pointwise value; the point is a bitmask of true variables."""
@@ -301,7 +305,10 @@ def _identify_masks(monomials: frozenset[int], bi: int, bj: int) -> frozenset[in
     for m in monomials:
         if m & jbit:
             m = (m ^ jbit) | ibit
-        _toggle(acc, m)
+        if m in acc:
+            acc.discard(m)
+        else:
+            acc.add(m)
     return frozenset(acc)
 
 
@@ -321,17 +328,8 @@ def _reduce_masks(monomials: frozenset[int]) -> tuple[frozenset[int], int]:
     images = [0] * (positions[-1] + 1)
     for new, old in enumerate(positions):
         images[old] = 1 << new
-    reduced = frozenset(_remap_bijective(m, images) for m in monomials)
+    reduced = frozenset(fold(m, images) for m in monomials)
     return reduced, ess
-
-
-def _remap_bijective(mask: int, images: list[int]) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= images[low.bit_length() - 1]
-        mask ^= low
-    return out
 
 
 def _invariant_key(monomials: frozenset[int]) -> tuple:
@@ -353,7 +351,7 @@ def _canonical_reduced(reduced: frozenset[int], ess: int) -> tuple[int, ...]:
     best: Optional[tuple[int, ...]] = None
     for perm in itertools.permutations(range(ess)):
         images = [1 << p for p in perm]
-        cur = tuple(sorted(_remap_bijective(m, images) for m in reduced))
+        cur = tuple(sorted(fold(m, images) for m in reduced))
         if best is None or cur < best:
             best = cur
     assert best is not None
@@ -370,18 +368,6 @@ def canonical_form(poly: Zhegalkin) -> Zhegalkin:
     reduced, ess = _reduce_masks(poly.monomials)
     canon = _canonical_reduced(reduced, ess)
     return Zhegalkin(max(ess, 1), frozenset(canon))
-
-
-def _equivalent_masks(m1: frozenset[int], m2: frozenset[int]) -> bool:
-    r1, e1 = _reduce_masks(m1)
-    r2, e2 = _reduce_masks(m2)
-    if e1 != e2 or len(r1) != len(r2):
-        return False
-    if e1 <= 1:
-        return r1 == r2
-    if _invariant_key(r1) != _invariant_key(r2):
-        return False
-    return _canonical_reduced(r1, e1) == _canonical_reduced(r2, e2)
 
 
 def is_equivalent(f: Zhegalkin, g: Zhegalkin) -> bool:

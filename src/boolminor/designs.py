@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .bfcore import bits_of, popcount
+from .bfcore import fold, popcount
 from .hypergraph import (
     AUTOMORPHISM_MAX_VERTICES,
     Hypergraph,
@@ -23,8 +23,7 @@ from .hypergraph import (
     contract,
     is_2set_transitive,
     is_irreducible_by_contractions,
-    is_isomorphic,
-    _iso_invariant,
+    _all_isomorphic,
 )
 
 
@@ -93,43 +92,25 @@ def delete_pair(h: Hypergraph, pair: tuple[int, int]) -> Hypergraph:
         raise ValueError("deleted vertices must exist")
     e_mask = (1 << (i - 1)) | (1 << (j - 1))
     keep = [v for v in range(n) if not (e_mask >> v) & 1]
-    new_bit = {old: new for new, old in enumerate(keep)}
-    edges = []
-    for e in h.edges:
-        if e & e_mask:
-            continue
-        edges.append(sum(1 << new_bit[b] for b in bits_of(e)))
-    return Hypergraph(n - 2, frozenset(edges))
+    images = [0] * n
+    for new, old in enumerate(keep):
+        images[old] = 1 << new
+    edges = frozenset(fold(e, images) for e in h.edges if not e & e_mask)
+    return Hypergraph(n - 2, edges)
 
 
 def is_minus2_monomorphic(h: Hypergraph) -> bool:
-    """Are all two-point deletions pairwise isomorphic?
-
-    Isomorphy is transitive, so comparing every deletion against the first
-    one decides the whole condition in n(n-1)/2 checks.
-    """
+    """Are all two-point deletions pairwise isomorphic?"""
     n = h.vertex_count
     if n < 2:
         raise ValueError("-2-monomorphy needs at least two vertices")
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    first = delete_pair(h, pairs[0])
-    key = _iso_invariant(first)
-    for pair in pairs[1:]:
-        other = delete_pair(h, pair)
-        if _iso_invariant(other) != key or is_isomorphic(first, other) is None:
-            return False
-    return True
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return _all_isomorphic(delete_pair(h, pair) for pair in pairs)
 
 
 def _contractions_all_isomorphic(h: Hypergraph) -> bool:
-    pairs = list(itertools.combinations(range(1, h.vertex_count + 1), 2))
-    first = contract(h, pairs[0])
-    key = _iso_invariant(first)
-    for pair in pairs[1:]:
-        other = contract(h, pair)
-        if _iso_invariant(other) != key or is_isomorphic(first, other) is None:
-            return False
-    return True
+    pairs = itertools.combinations(range(1, h.vertex_count + 1), 2)
+    return _all_isomorphic(contract(h, pair) for pair in pairs)
 
 
 @dataclass(frozen=True)

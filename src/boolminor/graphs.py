@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .bfcore import bits_of, popcount, support_mask
+from .bfcore import bits_of, fold, popcount, support_mask
 from .hypergraph import Hypergraph, contract, is_isomorphic, support_reduce
 
 
@@ -121,9 +121,7 @@ def components(g: Graph) -> list[int]:
         comp = 1 << v
         frontier = 1 << v
         while frontier:
-            nxt = 0
-            for b in bits_of(frontier):
-                nxt |= nb[b]
+            nxt = fold(frontier, nb)
             frontier = nxt & ~comp
             comp |= nxt
         seen |= comp

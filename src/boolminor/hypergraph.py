@@ -69,12 +69,7 @@ class VertexMap:
         return self.image[v - 1]
 
     def apply_mask(self, mask: int) -> int:
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << (self.image[low.bit_length() - 1] - 1)
-            mask ^= low
-        return out
+        return bfcore.fold(mask, [1 << (t - 1) for t in self.image])
 
     @classmethod
     def identity(cls, n: int) -> "VertexMap":
@@ -116,15 +111,8 @@ def support(h: Hypergraph) -> frozenset[int]:
 
 def support_reduce(h: Hypergraph) -> Hypergraph:
     """Drop isolated vertices, renumbering the support contiguously."""
-    sup = support_mask(h.edges)
-    positions = bits_of(sup)
-    if positions == list(range(h.vertex_count)):
-        return h
-    images = [0] * h.vertex_count
-    for new, old in enumerate(positions):
-        images[old] = 1 << new
-    edges = frozenset(bfcore._remap_bijective(e, images) for e in h.edges)
-    return Hypergraph(len(positions), edges)
+    edges, ess = bfcore._reduce_masks(h.edges)
+    return h if ess == h.vertex_count else Hypergraph(ess, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +197,8 @@ def _vertex_profiles(h: Hypergraph) -> list[tuple[int, ...]]:
 def _match(h1: Hypergraph, h2: Hypergraph, find_all: bool) -> list[tuple[int, ...]]:
     """Backtracking search for edge-preserving vertex bijections h1 -> h2.
 
-    Returns 0-based image tuples; with ``find_all`` every bijection is
+    Returns image tuples of single-bit masks (vertex v+1 goes to vertex
+    w+1 when entry v is ``1 << w``); with ``find_all`` every bijection is
     collected, otherwise the search stops at the first.
     """
     n = h1.vertex_count
@@ -231,18 +220,11 @@ def _match(h1: Hypergraph, h2: Hypergraph, find_all: bool) -> list[tuple[int, ..
     if sorted(prof1) != sorted(prof2):
         return []
 
-    img = [-1] * n
-    pre = [-1] * n
+    # single-bit images both ways, so an edge maps through bfcore.fold
+    img = [0] * n
+    pre = [0] * n
     results: list[tuple[int, ...]] = []
     full = (1 << n) - 1
-
-    def fold(mask: int, table: list[int]) -> int:
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << table[low.bit_length() - 1]
-            mask ^= low
-        return out
 
     def search(assigned: int, image_mask: int) -> bool:
         if assigned == full:
@@ -266,21 +248,19 @@ def _match(h1: Hypergraph, h2: Hypergraph, find_all: bool) -> list[tuple[int, ..
             wbit = 1 << w
             if image_mask & wbit or prof1[v] != prof2[w]:
                 continue
-            img[v] = w
-            pre[w] = v
+            img[v] = wbit
+            pre[w] = vbit
             new_image = image_mask | wbit
-            ok = all(fold(e, img) in edges2 for e in closing)
+            ok = all(bfcore.fold(e, img) in edges2 for e in closing)
             if ok:
                 for e2 in inc2[w]:
-                    if e2 & ~new_image == 0 and fold(e2, pre) not in edges1:
+                    if e2 & ~new_image == 0 and bfcore.fold(e2, pre) not in edges1:
                         ok = False
                         break
             if ok and search(new_assigned, new_image):
-                img[v] = -1
-                pre[w] = -1
+                img[v] = pre[w] = 0
                 return True
-            img[v] = -1
-            pre[w] = -1
+            img[v] = pre[w] = 0
         return False
 
     search(0, 0)
@@ -301,7 +281,7 @@ def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> Optional[VertexMap]:
     if not found:
         return None
     n = h1.vertex_count
-    return VertexMap(n, n, tuple(w + 1 for w in found[0]))
+    return VertexMap(n, n, tuple(b.bit_length() for b in found[0]))
 
 
 def automorphisms(h: Hypergraph) -> list[VertexMap]:
@@ -312,7 +292,7 @@ def automorphisms(h: Hypergraph) -> list[VertexMap]:
         )
     n = h.vertex_count
     return [
-        VertexMap(n, n, tuple(w + 1 for w in found))
+        VertexMap(n, n, tuple(b.bit_length() for b in found))
         for found in sorted(_match(h, h, find_all=True))
     ]
 
@@ -333,13 +313,20 @@ def is_2set_transitive(h: Hypergraph) -> bool:
 # contraction classes and irreducibility
 
 
-def _iso_invariant(h: Hypergraph) -> tuple:
-    return (
-        h.vertex_count,
-        len(h.edges),
-        0 in h.edges,
-        tuple(sorted(map(popcount, h.edges))),
-        tuple(sorted(_vertex_profiles(h))),
+def _all_isomorphic(hs: Iterable[Hypergraph]) -> bool:
+    """Is every hypergraph isomorphic to the first?  Stops at the first miss.
+
+    Isomorphy is transitive, so comparing against the first decides whether
+    all members are pairwise isomorphic.
+    """
+    it = iter(hs)
+    first = next(it, None)
+    if first is None:
+        return True
+    key = bfcore._invariant_key(first.edges)
+    return all(
+        bfcore._invariant_key(h.edges) == key and is_isomorphic(first, h) is not None
+        for h in it
     )
 
 
@@ -355,7 +342,7 @@ def contraction_classes(h: Hypergraph) -> ContractionClassPartition:
     groups: list[tuple[tuple, Hypergraph, list[tuple[int, int]]]] = []
     for pair in pairs:
         he = contract(h, pair)
-        key = _iso_invariant(he)
+        key = bfcore._invariant_key(he.edges)
         for gkey, rep, members in groups:
             if gkey == key and is_isomorphic(rep, he) is not None:
                 members.append(pair)
@@ -396,13 +383,7 @@ def is_irreducible_by_contractions(h: Hypergraph) -> bool:
     contractions = [contract(h, pair) for pair in pairs]
     esses = [popcount(support_mask(he.edges)) for he in contractions]
     top = max(esses)
-    top_hs = [he for he, e in zip(contractions, esses) if e == top]
-    first = top_hs[0]
-    key = _iso_invariant(first)
-    for other in top_hs[1:]:
-        if _iso_invariant(other) != key or is_isomorphic(first, other) is None:
-            return False
-    return True
+    return _all_isomorphic(he for he, e in zip(contractions, esses) if e == top)
 
 
 # ---------------------------------------------------------------------------

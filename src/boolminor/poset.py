@@ -55,10 +55,6 @@ class ClassRecord:
         return self.canon.monomials
 
 
-def _canon_key(poly: Zhegalkin) -> frozenset[int]:
-    return poly.monomials
-
-
 def _maximal_classes(classes: list[Zhegalkin]) -> tuple[Zhegalkin, ...]:
     maximal = []
     for a in classes:
@@ -79,7 +75,7 @@ def lower_covers(canon: Zhegalkin, universe: Iterable[ClassRecord]) -> tuple[Zhe
     known = {r.key() for r in universe}
     one_steps = bfcore.one_step_identification_classes(canon)
     for cls in one_steps:
-        if _canon_key(cls) not in known:
+        if cls.monomials not in known:
             raise ValueError("universe is incomplete: missing a one-step class")
     return _maximal_classes(one_steps)
 
@@ -120,32 +116,8 @@ def _compute_records(max_ess: int) -> tuple[ClassRecord, ...]:
         one_steps = bfcore.one_step_identification_classes(canon)
         covers[key] = _maximal_classes(one_steps)
 
-    # levels by iterative stripping: a class enters the current level once
-    # every class strictly below it has already been assigned
-    strict_lower: dict[frozenset[int], set[frozenset[int]]] = {}
-
-    def lower_set(key: frozenset[int]) -> set[frozenset[int]]:
-        if key in strict_lower:
-            return strict_lower[key]
-        acc: set[frozenset[int]] = set()
-        for cov in covers[key]:
-            ck = _canon_key(cov)
-            acc.add(ck)
-            acc |= lower_set(ck)
-        strict_lower[key] = acc
-        return acc
-
-    levels_map: dict[frozenset[int], int] = {}
-    remaining = set(canons)
-    level = 0
-    while remaining:
-        current = [k for k in remaining if not (lower_set(k) & remaining)]
-        if not current:
-            raise AssertionError("cycle detected while leveling the class poset")
-        for k in current:
-            levels_map[k] = level
-        remaining -= set(current)
-        level += 1
+    layers = _strip_levels({k: [c.monomials for c in cov] for k, cov in covers.items()})
+    levels_map = {k: depth for depth, layer in enumerate(layers) for k in layer}
 
     records = []
     for key, canon in canons.items():
@@ -168,37 +140,44 @@ def _compute_records(max_ess: int) -> tuple[ClassRecord, ...]:
     return tuple(records)
 
 
-def levels(universe: Iterable[ClassRecord]) -> list[tuple[ClassRecord, ...]]:
-    """Partition a downward-closed universe into levels by minimal stripping."""
-    recs = list(universe)
-    by_key = {r.key(): r for r in recs}
+def _strip_levels(
+    covers: dict[frozenset[int], list[frozenset[int]]],
+) -> list[list[frozenset[int]]]:
+    """Level the keys of a ``key -> cover keys`` map by minimal stripping.
+
+    A key enters the current level once every key strictly below it has
+    been placed; cover keys outside the map are ignored.  Each level is
+    ordered by its sorted monomials.
+    """
     strict_lower: dict[frozenset[int], set[frozenset[int]]] = {}
 
-    def lower_set(r: ClassRecord) -> set[frozenset[int]]:
-        key = r.key()
+    def lower_set(key: frozenset[int]) -> set[frozenset[int]]:
         if key in strict_lower:
             return strict_lower[key]
         acc: set[frozenset[int]] = set()
-        for cov in r.lower_covers:
-            ck = _canon_key(cov)
-            acc.add(ck)
-            if ck in by_key:
-                acc |= lower_set(by_key[ck])
+        for ck in covers[key]:
+            if ck in covers:
+                acc.add(ck)
+                acc |= lower_set(ck)
         strict_lower[key] = acc
         return acc
 
-    remaining = {r.key() for r in recs}
-    out: list[tuple[ClassRecord, ...]] = []
+    remaining = set(covers)
+    out: list[list[frozenset[int]]] = []
     while remaining:
-        current = sorted(
-            (k for k in remaining if not (lower_set(by_key[k]) & remaining)),
-            key=sorted,
-        )
+        current = sorted((k for k in remaining if not (lower_set(k) & remaining)), key=sorted)
         if not current:
             raise AssertionError("cycle detected while leveling the class poset")
-        out.append(tuple(by_key[k] for k in current))
+        out.append(current)
         remaining -= set(current)
     return out
+
+
+def levels(universe: Iterable[ClassRecord]) -> list[tuple[ClassRecord, ...]]:
+    """Partition a downward-closed universe into levels by minimal stripping."""
+    by_key = {r.key(): r for r in universe}
+    covers = {k: [c.monomials for c in r.lower_covers] for k, r in by_key.items()}
+    return [tuple(by_key[k] for k in layer) for layer in _strip_levels(covers)]
 
 
 # ---------------------------------------------------------------------------
@@ -251,40 +230,42 @@ def _write_cache(path: str, max_ess: int, records: tuple[ClassRecord, ...]) -> N
 
 
 def _read_cache(path: str, max_ess: int) -> Optional[tuple[ClassRecord, ...]]:
+    """The cached records, or None when the cache is stale or unparsable."""
     from .formats import parse_polynomial
 
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        return None
     if not lines or not lines[0].startswith(_CACHE_HEADER):
         return None
     fields = dict(
-        part.split("=") for part in lines[0][len(_CACHE_HEADER):].split() if "=" in part
+        part.split("=", 1) for part in lines[0][len(_CACHE_HEADER):].split() if "=" in part
     )
     body = [line for line in lines[1:] if line.strip()]
     if fields.get("max_ess") != str(max_ess) or fields.get("count") != str(len(body)):
         return None
-    lines = [lines[0]] + body
     records = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        canon_text, ess_s, gap_s, block_s, level_s, cov_s = line.split("\t")
-        canon = parse_polynomial(canon_text)
-        provisional = level_s.endswith("+")
-        level = int(level_s.rstrip("+"))
-        covs = (
-            tuple(parse_polynomial(c) for c in cov_s.split(";")) if cov_s != "-" else ()
-        )
-        records.append(
-            ClassRecord(
-                canon=canon,
-                ess=int(ess_s),
-                gap=None if gap_s == "-" else int(gap_s),
-                block=Block(block_s),
-                level=level,
-                level_provisional=provisional,
-                lower_covers=covs,
-                irreducible=len(covs) == 1,
+    try:
+        for line in body:
+            canon_text, ess_s, gap_s, block_s, level_s, cov_s = line.split("\t")
+            covs = (
+                tuple(parse_polynomial(c) for c in cov_s.split(";")) if cov_s != "-" else ()
             )
-        )
+            records.append(
+                ClassRecord(
+                    canon=parse_polynomial(canon_text),
+                    ess=int(ess_s),
+                    gap=None if gap_s == "-" else int(gap_s),
+                    block=Block(block_s),
+                    level=int(level_s.rstrip("+")),
+                    level_provisional=level_s.endswith("+"),
+                    lower_covers=covs,
+                    irreducible=len(covs) == 1,
+                )
+            )
+    except ValueError:
+        # a malformed line makes the whole cache stale
+        return None
     return tuple(records)

@@ -67,7 +67,7 @@ def _pool_map(fn, jobs: list, workers: int) -> list:
 
 def _split_range(total: int, pieces: int) -> list[tuple[int, int]]:
     pieces = max(1, min(pieces, total))
-    step = (total + pieces - 1) // pieces
+    step = max(1, (total + pieces - 1) // pieces)
     return [(s, min(s + step, total)) for s in range(0, total, step)]
 
 
@@ -148,30 +148,34 @@ def gap_sweep(max_arity: int = 4, workers: int | None = None) -> VerifyResult:
 # function/hypergraph correspondence sweep
 
 
-def _edge_list(edge_mask: int) -> list[int]:
-    return bits_of(edge_mask)
+def _parity_fold(edges: list[int], image: tuple[int, ...]) -> int:
+    """Edge mask of the parity image of ``edges`` under a 0-based vertex map.
+
+    This is the brute-force oracle's own copy of the substitution: it must
+    stay independent of the bfcore code that the sweeps check against it.
+    """
+    acc = 0
+    for e in edges:
+        im = 0
+        while e:
+            low = e & -e
+            im |= 1 << image[low.bit_length() - 1]
+            e ^= low
+        acc ^= 1 << im
+    return acc
 
 
 def _brute_quotient(edges1: list[int], n1: int, edge_mask2: int, n2: int):
     """First vertex map whose parity-fold of edges1 equals edge_mask2, or None."""
     for image in itertools.product(range(n2), repeat=n1):
-        acc = 0
-        for e in edges1:
-            im = 0
-            mm = e
-            while mm:
-                low = mm & -mm
-                im |= 1 << image[low.bit_length() - 1]
-                mm ^= low
-            acc ^= 1 << im
-        if acc == edge_mask2:
+        if _parity_fold(edges1, image) == edge_mask2:
             return image
     return None
 
 
 def _correspondence_record(n1: int, em1: int, n2: int, em2: int, found, minor) -> dict:
-    h1 = hg.Hypergraph(n1, frozenset(_edge_list(em1)))
-    h2 = hg.Hypergraph(n2, frozenset(_edge_list(em2)))
+    h1 = hg.Hypergraph(n1, frozenset(bits_of(em1)))
+    h2 = hg.Hypergraph(n2, frozenset(bits_of(em2)))
     return {
         "sweep": "correspondence",
         "larger": format_hypergraph_doc(h1),
@@ -183,10 +187,10 @@ def _correspondence_record(n1: int, em1: int, n2: int, em2: int, found, minor) -
 
 def _correspondence_pair(n1: int, em1: int, n2: int, em2: int, check_public: bool):
     """Compare brute-force quotient existence with the polynomial minor test."""
-    edges1 = _edge_list(em1)
+    edges1 = bits_of(em1)
     found = _brute_quotient(edges1, n1, em2, n2)
     p1 = Zhegalkin(n1, frozenset(edges1))
-    p2 = Zhegalkin(n2, frozenset(_edge_list(em2)))
+    p2 = Zhegalkin(n2, frozenset(bits_of(em2)))
     minor = bfcore.is_minor(p2, p1) is not None
     record = None
     if (found is not None) != minor:
@@ -194,7 +198,7 @@ def _correspondence_pair(n1: int, em1: int, n2: int, em2: int, check_public: boo
     elif found is not None and check_public:
         vmap = hg.VertexMap(n1, n2, tuple(t + 1 for t in found))
         h1 = hg.Hypergraph(n1, frozenset(edges1))
-        h2 = hg.Hypergraph(n2, frozenset(_edge_list(em2)))
+        h2 = hg.Hypergraph(n2, frozenset(bits_of(em2)))
         if not hg.verify_quotient_map(vmap, h1, h2):
             record = _correspondence_record(n1, em1, n2, em2, found, minor)
             record["sweep"] = "correspondence-public-check"
@@ -232,16 +236,7 @@ def _correspondence_sample_shard(job: tuple[int, int, int]) -> dict:
         if idx % 3 == 0:
             # force a related pair: fold a random map's image of the larger side
             image = tuple(rng.randrange(n2) for _ in range(n1))
-            acc = 0
-            for e in _edge_list(em1):
-                im = 0
-                mm = e
-                while mm:
-                    low = mm & -mm
-                    im |= 1 << image[low.bit_length() - 1]
-                    mm ^= low
-                acc ^= 1 << im
-            em2 = acc
+            em2 = _parity_fold(bits_of(em1), image)
         else:
             em2 = rng.getrandbits(1 << n2)
         related, record = _correspondence_pair(
@@ -296,7 +291,7 @@ def correspondence_sweep(
 
 
 def _criterion_pair(n: int, em: int):
-    h = hg.Hypergraph(n, frozenset(_edge_list(em)))
+    h = hg.Hypergraph(n, frozenset(bits_of(em)))
     by_contr = hg.is_irreducible_by_contractions(h)
     direct = bfcore.is_irreducible_direct(hg.polynomial_of(h)) is not None
     if by_contr != direct:
@@ -399,25 +394,11 @@ def _transposition_pair_tables(n: int) -> list[list[int]]:
 
 
 def _mask_tables(table: list[int], pair_count: int, lo: int) -> tuple[list[int], list[int]]:
-    tl = [0] * (1 << lo)
-    for m in range(1 << lo):
-        x = 0
-        mm = m
-        while mm:
-            low = mm & -mm
-            x |= 1 << table[low.bit_length() - 1]
-            mm ^= low
-        tl[m] = x
-    hi = pair_count - lo
-    th = [0] * (1 << hi)
-    for m in range(1 << hi):
-        x = 0
-        mm = m
-        while mm:
-            low = mm & -mm
-            x |= 1 << table[lo + low.bit_length() - 1]
-            mm ^= low
-        th[m] = x
+    """Image lookups for the low ``lo`` and the high pair bits of an edge mask."""
+    images = [1 << t for t in table]
+    low, high = images[:lo], images[lo:]
+    tl = [bfcore.fold(m, low) for m in range(1 << lo)]
+    th = [bfcore.fold(m, high) for m in range(1 << (pair_count - lo))]
     return tl, th
 
 
@@ -603,7 +584,7 @@ def graph_sweep(
         total = 1 << pair_count
         rep_of, reps = _orbit_partition(n)
 
-        rep_jobs = [(n, chunk) for chunk in _chunks(reps, workers * 4)]
+        rep_jobs = [(n, reps[s:e]) for s, e in _split_range(len(reps), workers * 4)]
         rep_parts = _pool_map(_rep_oracle_shard, rep_jobs, workers)
         verdicts: dict[int, bool] = {}
         for part in rep_parts:
@@ -688,12 +669,6 @@ def graph_sweep(
     data["property_p_mismatches"] = len(p_failures)
     data["graph_mismatches"] = len(failures)
     return VerifyResult("graphs", lines, all_failures, data)
-
-
-def _chunks(items: list, pieces: int) -> list[list]:
-    pieces = max(1, min(pieces, len(items) or 1))
-    step = (len(items) + pieces - 1) // pieces
-    return [items[s : s + step] for s in range(0, len(items), step)] or [[]]
 
 
 # ===========================================================================

@@ -199,6 +199,20 @@ def test_cli_verify_gap_small(capsys):
     assert out.strip().endswith("ok")
 
 
+@pytest.mark.parametrize(
+    "sweep, sample_line",
+    [
+        ("keylemma", "n=3: 0 sampled hypergraphs checked, irreducible: 0"),
+        ("correspondence", "0 sampled pairs checked (4..5 vertices, seed 271828)"),
+    ],
+)
+def test_cli_verify_zero_samples(capsys, sweep, sample_line):
+    code, out, _ = run_cli(capsys, "verify", sweep, "--max-vertices", "2", "--samples", "0")
+    assert code == 0
+    assert sample_line in out.splitlines()
+    assert out.strip().endswith("ok")
+
+
 def test_verify_deterministic_across_workers():
     one = verify.gap_sweep(3, workers=1)
     two = verify.gap_sweep(3, workers=2)

@@ -152,13 +152,22 @@ def test_export_structured_round_trips_canon():
 def test_cache_round_trip(tmp_path):
     cache = tmp_path / "classes.tsv"
     recs = enumerate_classes(2, cache_path=str(cache))
-    assert cache.exists()
+    written = cache.read_text()
     again = enumerate_classes(2, cache_path=str(cache))
     assert again == recs
-    # stale or foreign cache content is recomputed, not trusted
-    cache.write_text("#something-else\n")
-    fresh = enumerate_classes(2, cache_path=str(cache))
-    assert fresh == recs
+    # stale, foreign or malformed cache content is recomputed and rewritten
+    header = b"#boolminor-classes v1 max_ess=2 count=1\n"
+    for content in (
+        b"#something-else\n",
+        header + b"x1\t1\n",
+        header + b"x1 +\t1\t-\tProjection\t0\t-\n",
+        header + b"x1\t1\t-\tSideways\t0\t-\n",
+        header + b"\xff\xfe\n",
+    ):
+        cache.write_bytes(content)
+        fresh = enumerate_classes(2, cache_path=str(cache))
+        assert fresh == recs
+        assert cache.read_text() == written
 
 
 def test_enumeration_reproducible():
