@@ -5,7 +5,12 @@ steiner-check, poset, verify.  Inputs come from an inline argument, a file
 (--file PATH), or standard input (`-`).  Plain text is the default output;
 ``--format structured`` emits JSON.  Verification failures print one
 machine-readable record per line and exit nonzero; malformed input exits
-with status 2.  Worker counts come from --workers or BOOLMINOR_WORKERS.
+with status 2.
+
+``verify`` passes each sweep only the flags that sweep takes (``_SWEEP_FLAGS``)
+and only those given, so every default lives in the sweep's signature.  A size
+above the sweep's cap or a negative sample count exits 2 before any work.
+Worker counts come from --workers or BOOLMINOR_WORKERS, at most the CPU count.
 """
 
 from __future__ import annotations
@@ -224,30 +229,24 @@ def _cmd_poset(args) -> int:
     return 0
 
 
+# The flags each sweep takes, by keyword.  A flag left unset keeps the
+# sweep's own default; a flag the sweep does not take is ignored.
+_SWEEP_FLAGS = {
+    "gap": ("max_arity", "workers"),
+    "correspondence": ("max_vertices", "samples", "seed", "workers"),
+    "keylemma": ("max_vertices", "samples", "seed", "workers"),
+    "graphs": ("max_vertices", "seed", "workers"),
+    "steiner": (),
+    "poset": ("max_ess", "cache_path", "seed"),
+}
+
+
 def _cmd_verify(args) -> int:
-    kwargs: dict = {}
-    if args.sweep == "gap":
-        kwargs = {"max_arity": args.max_arity, "workers": args.workers}
-    elif args.sweep == "correspondence":
-        kwargs = {
-            "max_vertices": args.max_vertices,
-            "samples": args.samples,
-            "seed": args.seed,
-            "workers": args.workers,
-        }
-    elif args.sweep == "keylemma":
-        kwargs = {
-            "max_vertices": args.max_vertices,
-            "samples": args.samples,
-            "seed": args.seed,
-            "workers": args.workers,
-        }
-    elif args.sweep == "graphs":
-        kwargs = {"max_vertices": args.max_vertices, "workers": args.workers, "seed": args.seed}
-    elif args.sweep == "steiner":
-        kwargs = {}
-    elif args.sweep == "poset":
-        kwargs = {"max_ess": args.max_ess, "cache_path": args.cache, "seed": args.seed}
+    kwargs = {
+        name: getattr(args, name)
+        for name in _SWEEP_FLAGS[args.sweep]
+        if getattr(args, name) is not None
+    }
     result = verify.ALL_SWEEPS[args.sweep](**kwargs)
     if args.format == "structured":
         print(
@@ -326,13 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="run an exhaustive verification sweep")
     p.add_argument("sweep", choices=sorted(verify.ALL_SWEEPS))
-    p.add_argument("--max-arity", type=int, default=4)
-    p.add_argument("--max-vertices", type=int, default=None)
-    p.add_argument("--max-ess", type=int, default=4)
-    p.add_argument("--samples", type=int, default=10_000)
-    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--cache", help="poset record cache file")
+    p.add_argument("--max-arity", type=int)
+    p.add_argument("--max-vertices", type=int)
+    p.add_argument("--max-ess", type=int)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--workers", type=int)
+    p.add_argument("--cache", dest="cache_path", help="poset record cache file")
     p.add_argument("--format", choices=("text", "structured"), default="text")
     p.set_defaults(fn=_cmd_verify)
     return parser
@@ -341,8 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.verb == "verify" and args.max_vertices is None:
-        args.max_vertices = {"correspondence": 3, "keylemma": 4, "graphs": 7}.get(args.sweep, 4)
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -21,9 +21,9 @@ from .hypergraph import (
     Hypergraph,
     automorphisms,
     contract,
-    is_2set_transitive,
     is_irreducible_by_contractions,
     _all_isomorphic,
+    _moves_pairs_transitively,
 )
 
 
@@ -157,7 +157,7 @@ def steiner_report(h: Hypergraph, name: str = "steiner-system") -> SteinerReport
     if h.vertex_count <= AUTOMORPHISM_MAX_VERTICES:
         group = automorphisms(h)
         aut_order: Optional[int] = len(group)
-        two_set: Optional[bool] = is_2set_transitive(h)
+        two_set: Optional[bool] = _moves_pairs_transitively(h.vertex_count, group)
     else:
         aut_order = None
         two_set = None

@@ -15,7 +15,7 @@ import json
 import re
 from typing import Optional
 
-from .bfcore import TruthTable, Zhegalkin, popcount, vars_of
+from .bfcore import MAX_POLY_ARITY, TruthTable, Zhegalkin, popcount, vars_of
 from .graphs import Graph
 from .hypergraph import Hypergraph
 
@@ -62,7 +62,11 @@ def parse_polynomial(text: str, arity: Optional[int] = None) -> Zhegalkin:
                 m = _FACTOR_RE.match(fact)
                 if not m:
                     raise ParseError(f"expected a factor like x3, got {fact!r}", fpos)
-                idx = int(m.group(1))
+                digits = m.group(1).lstrip("0") or "0"
+                # the length test keeps int() off arbitrarily long digit strings
+                if len(digits) > 2 or int(digits) > MAX_POLY_ARITY:
+                    raise ParseError(f"variable indices stop at x{MAX_POLY_ARITY}", fpos)
+                idx = int(digits)
                 if idx < 1:
                     raise ParseError("variable indices start at 1", fpos)
                 mask |= 1 << (idx - 1)

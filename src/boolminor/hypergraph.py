@@ -299,14 +299,15 @@ def automorphisms(h: Hypergraph) -> list[VertexMap]:
 
 def is_2set_transitive(h: Hypergraph) -> bool:
     """Does the automorphism group move any vertex pair to any other?"""
-    n = h.vertex_count
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    if len(pairs) <= 1:
+    return _moves_pairs_transitively(h.vertex_count, automorphisms(h))
+
+
+def _moves_pairs_transitively(n: int, group: list[VertexMap]) -> bool:
+    """Is the orbit of the pair {1, 2} under ``group`` every pair of ``n`` vertices?"""
+    if n < 3:
         return True
-    group = automorphisms(h)
-    a, b = pairs[0]
-    orbit = {frozenset((g.apply_vertex(a), g.apply_vertex(b))) for g in group}
-    return len(orbit) == len(pairs)
+    orbit = {frozenset((g.apply_vertex(1), g.apply_vertex(2))) for g in group}
+    return len(orbit) == n * (n - 1) // 2
 
 
 # ---------------------------------------------------------------------------

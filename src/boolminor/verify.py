@@ -36,14 +36,26 @@ from .formats import (
 DEFAULT_SEED = 271828
 WORKERS_ENV = "BOOLMINOR_WORKERS"
 
+# The largest size each sweep accepts; one more is out of desk reach.
+GAP_MAX_ARITY = 4  # 5 means 2^32 truth tables
+CORRESPONDENCE_MAX_VERTICES = 3  # 4 means about 4*10^9 exhaustive pairs
+KEYLEMMA_MAX_VERTICES = 4  # 5 means 2^32 edge masks
+GRAPHS_MAX_VERTICES = 7  # 8 means a 2 GiB orbit-representative array
+
 
 def resolve_workers(requested: int | None = None) -> int:
-    if requested is not None and requested >= 1:
-        return requested
+    """``requested``, else ``BOOLMINOR_WORKERS``, else 1; at most the CPU count."""
     env = os.environ.get(WORKERS_ENV, "")
-    if env.isdigit() and int(env) >= 1:
-        return int(env)
-    return 1
+    if requested is None or requested < 1:
+        requested = int(env) if env.isdigit() else 1
+    return max(1, min(requested, os.cpu_count() or 1))
+
+
+def _check_range(name: str, value: int, low: int, high: int | None = None) -> None:
+    """Reject a sweep argument before any work is committed."""
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 @dataclass
@@ -63,6 +75,16 @@ def _pool_map(fn, jobs: list, workers: int) -> list:
         return [fn(job) for job in jobs]
     with multiprocessing.Pool(processes=min(workers, len(jobs))) as pool:
         return pool.map(fn, jobs, chunksize=1)
+
+
+def _run_shards(fn, jobs: list, workers: int) -> dict:
+    """Run ``fn`` on every job and add the returned dicts key by key, in job
+    order: ints and Counters sum, failure lists concatenate.  No jobs, no keys."""
+    merged: dict = {}
+    for part in _pool_map(fn, jobs, workers):
+        for key, value in part.items():
+            merged[key] = merged[key] + value if key in merged else value
+    return merged
 
 
 def _split_range(total: int, pieces: int) -> list[tuple[int, int]]:
@@ -113,19 +135,15 @@ def _gap_shard(job: tuple[int, int, int]) -> dict:
 
 def gap_sweep(max_arity: int = 4, workers: int | None = None) -> VerifyResult:
     """Check the gap-two family classification against brute-force gaps."""
+    _check_range("max_arity", max_arity, 1, GAP_MAX_ARITY)
     workers = resolve_workers(workers)
     total = 1 << (1 << max_arity)
     jobs = [(max_arity, s, e) for s, e in _split_range(total, workers * 8)]
-    parts = _pool_map(_gap_shard, jobs, workers)
-    gap_counts: Counter = Counter()
-    family_counts: Counter = Counter()
-    low_ess = 0
-    failures: list[dict] = []
-    for part in parts:
-        gap_counts.update(part["gap_counts"])
-        family_counts.update(part["family_counts"])
-        low_ess += part["low_ess"]
-        failures.extend(part["mismatches"])
+    merged = _run_shards(_gap_shard, jobs, workers)
+    gap_counts = merged["gap_counts"]
+    family_counts = merged["family_counts"]
+    low_ess = merged["low_ess"]
+    failures = merged["mismatches"]
     lines = [f"{total} tables checked"]
     lines.append(f"skipped (fewer than two essential variables): {low_ess}")
     lines.append(
@@ -255,20 +273,22 @@ def correspondence_sweep(
     workers: int | None = None,
 ) -> VerifyResult:
     """Quotient-map existence vs the polynomial minor relation, both directions."""
+    _check_range("max_vertices", max_vertices, 1, CORRESPONDENCE_MAX_VERTICES)
+    _check_range("samples", samples, 0)
     workers = resolve_workers(workers)
     universe_size = sum(1 << (1 << n) for n in range(1, max_vertices + 1))
     jobs = [
         (max_vertices, s, e) for s, e in _split_range(universe_size, workers * 4)
     ]
-    parts = _pool_map(_correspondence_exhaustive_shard, jobs, workers)
-    pairs = sum(p["pairs"] for p in parts)
-    positives = sum(p["positives"] for p in parts)
-    failures = [m for p in parts for m in p["mismatches"]]
+    merged = _run_shards(_correspondence_exhaustive_shard, jobs, workers)
+    pairs = merged["pairs"]
+    positives = merged["positives"]
+    failures = merged["mismatches"]
 
     sample_jobs = [(seed, s, e) for s, e in _split_range(samples, workers * 4)]
-    sparts = _pool_map(_correspondence_sample_shard, sample_jobs, workers)
-    sample_positives = sum(p["positives"] for p in sparts)
-    failures.extend(m for p in sparts for m in p["mismatches"])
+    merged = _run_shards(_correspondence_sample_shard, sample_jobs, workers)
+    sample_positives = merged.get("positives", 0)
+    failures += merged.get("mismatches", [])
 
     lines = [
         f"{pairs} exhaustive pairs checked (hypergraphs on 1..{max_vertices} vertices)",
@@ -304,25 +324,17 @@ def _criterion_pair(n: int, em: int):
     return by_contr, direct, None
 
 
-def _criterion_exhaustive_shard(job: tuple[int, int, int]) -> dict:
-    n, start, stop = job
-    irreducible = 0
-    mismatches = []
-    for em in range(start, stop):
-        by_contr, _, record = _criterion_pair(n, em)
-        irreducible += by_contr
-        if record:
-            mismatches.append(record)
-    return {"checked": stop - start, "irreducible": irreducible, "mismatches": mismatches}
-
-
-def _criterion_sample_shard(job: tuple[int, int, int, int]) -> dict:
+def _criterion_shard(job: tuple[int | None, int, int, int]) -> dict:
+    """Edge masks ``start..stop`` on ``n`` vertices, or with a ``seed`` the
+    seeded samples of those indices."""
     seed, n, start, stop = job
     irreducible = 0
     mismatches = []
     for idx in range(start, stop):
-        rng = random.Random(f"{seed}:keylemma:{idx}")
-        em = rng.getrandbits(1 << n)
+        if seed is None:
+            em = idx
+        else:
+            em = random.Random(f"{seed}:keylemma:{idx}").getrandbits(1 << n)
         by_contr, _, record = _criterion_pair(n, em)
         irreducible += by_contr
         if record:
@@ -341,25 +353,27 @@ def contraction_criterion_sweep(
     A disagreement is a reportable finding: the sweep prints the offending
     hypergraph and fails, deciding neither side.
     """
+    _check_range("max_vertices", max_vertices, 1, KEYLEMMA_MAX_VERTICES)
+    _check_range("samples", samples, 0)
     workers = resolve_workers(workers)
     lines = []
     failures: list[dict] = []
     data: dict = {"per_vertex_count": {}, "seed": seed}
     for n in range(1, max_vertices + 1):
         total = 1 << (1 << n)
-        jobs = [(n, s, e) for s, e in _split_range(total, workers * 4)]
-        parts = _pool_map(_criterion_exhaustive_shard, jobs, workers)
-        checked = sum(p["checked"] for p in parts)
-        irreducible = sum(p["irreducible"] for p in parts)
-        failures.extend(m for p in parts for m in p["mismatches"])
+        jobs = [(None, n, s, e) for s, e in _split_range(total, workers * 4)]
+        merged = _run_shards(_criterion_shard, jobs, workers)
+        checked = merged["checked"]
+        irreducible = merged["irreducible"]
+        failures += merged["mismatches"]
         lines.append(f"n={n}: {checked} hypergraphs checked, irreducible: {irreducible}")
         data["per_vertex_count"][n] = {"checked": checked, "irreducible": irreducible}
     sample_n = max_vertices + 1
     jobs = [(seed, sample_n, s, e) for s, e in _split_range(samples, workers * 4)]
-    parts = _pool_map(_criterion_sample_shard, jobs, workers)
-    checked = sum(p["checked"] for p in parts)
-    irreducible = sum(p["irreducible"] for p in parts)
-    failures.extend(m for p in parts for m in p["mismatches"])
+    merged = _run_shards(_criterion_shard, jobs, workers)
+    checked = merged.get("checked", 0)
+    irreducible = merged.get("irreducible", 0)
+    failures += merged.get("mismatches", [])
     lines.append(
         f"n={sample_n}: {checked} sampled hypergraphs checked, irreducible: {irreducible}"
     )
@@ -447,7 +461,7 @@ def _graph_from_mask(n: int, mask: int, pairs: list[tuple[int, int]]) -> graphs.
     return graphs.Graph(n, frozenset(edges))
 
 
-def _rep_oracle_shard(job: tuple[int, list[int]]) -> list[dict]:
+def _rep_oracle_shard(job: tuple[int, list[int]]) -> dict:
     n, reps = job
     pairs = _pair_list(n)
     out = []
@@ -493,7 +507,7 @@ def _rep_oracle_shard(job: tuple[int, list[int]]) -> list[dict]:
                 "probes": probes,
             }
         )
-    return out
+    return {"rows": out}
 
 
 def _labeled_shard(job) -> dict:
@@ -574,6 +588,8 @@ def graph_sweep(
     spot_samples: int = 200,
 ) -> VerifyResult:
     """Join-irreducible classification and property (P) on all labeled graphs."""
+    _check_range("max_vertices", max_vertices, 1, GRAPHS_MAX_VERTICES)
+    _check_range("spot_samples", spot_samples, 0)
     workers = resolve_workers(workers)
     lines = []
     failures: list[dict] = []
@@ -585,48 +601,44 @@ def graph_sweep(
         rep_of, reps = _orbit_partition(n)
 
         rep_jobs = [(n, reps[s:e]) for s, e in _split_range(len(reps), workers * 4)]
-        rep_parts = _pool_map(_rep_oracle_shard, rep_jobs, workers)
         verdicts: dict[int, bool] = {}
-        for part in rep_parts:
-            for row in part:
-                verdicts[row["rep"]] = row["irreducible"]
-                if row["irreducible"] != row["direct"]:
-                    failures.append(
-                        {
-                            "sweep": "graphs-oracle",
-                            "n": n,
-                            "rep": row["rep"],
-                            "contraction_criterion": row["irreducible"],
-                            "direct_definition": row["direct"],
-                        }
-                    )
-                if row["irreducible"] != row["classify_irreducible"]:
-                    # recorded here and caught again labeled-side
-                    failures.append(
-                        {
-                            "sweep": "graphs-rep",
-                            "n": n,
-                            "rep": row["rep"],
-                            "classified": row["classify"],
-                            "irreducible_oracle": row["irreducible"],
-                        }
-                    )
-                for probe in row["probes"]:
-                    failures.append(
-                        {"sweep": "graphs-probe", "n": n, "rep": row["rep"], "probe": probe}
-                    )
+        for row in _run_shards(_rep_oracle_shard, rep_jobs, workers)["rows"]:
+            verdicts[row["rep"]] = row["irreducible"]
+            if row["irreducible"] != row["direct"]:
+                failures.append(
+                    {
+                        "sweep": "graphs-oracle",
+                        "n": n,
+                        "rep": row["rep"],
+                        "contraction_criterion": row["irreducible"],
+                        "direct_definition": row["direct"],
+                    }
+                )
+            if row["irreducible"] != row["classify_irreducible"]:
+                # recorded here and caught again labeled-side
+                failures.append(
+                    {
+                        "sweep": "graphs-rep",
+                        "n": n,
+                        "rep": row["rep"],
+                        "classified": row["classify"],
+                        "irreducible_oracle": row["irreducible"],
+                    }
+                )
+            for probe in row["probes"]:
+                failures.append(
+                    {"sweep": "graphs-probe", "n": n, "rep": row["rep"], "probe": probe}
+                )
 
-        labeled_jobs = []
-        for start, stop in _split_range(total, workers * 8):
-            labeled_jobs.append((n, start, stop, rep_of[start:stop], verdicts))
-        labeled_parts = _pool_map(_labeled_shard, labeled_jobs, workers)
-        ji_counter: Counter = Counter()
-        p_counter: Counter = Counter()
-        for part in labeled_parts:
-            ji_counter.update(part["ji_counter"])
-            p_counter.update(part["p_counter"])
-            failures.extend(part["mismatches"])
-            p_failures.extend(part["p_mismatches"])
+        labeled_jobs = [
+            (n, start, stop, rep_of[start:stop], verdicts)
+            for start, stop in _split_range(total, workers * 8)
+        ]
+        merged = _run_shards(_labeled_shard, labeled_jobs, workers)
+        ji_counter = merged["ji_counter"]
+        p_counter = merged["p_counter"]
+        failures += merged["mismatches"]
+        p_failures += merged["p_mismatches"]
 
         irreducible_labeled = sum(
             cnt for cls, cnt in ji_counter.items() if cls != "NotIrreducible"
@@ -725,6 +737,8 @@ def poset_sweep(
     seed: int = DEFAULT_SEED,
 ) -> VerifyResult:
     """Structure checks over the enumerated class poset."""
+    # level 0 holds the four one-per-block classes only from ess 1 on
+    _check_range("max_ess", max_ess, 1, poset.MAX_ENUM_ESS)
     records = poset.enumerate_classes(max_ess, cache_path=cache_path)
     by_key = {r.key(): r for r in records}
     failures: list[dict] = []

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from boolminor import designs
+from boolminor import designs, hypergraph
 from boolminor.bfcore import popcount
 from boolminor.designs import (
     DesignParams,
@@ -138,6 +138,21 @@ def test_steiner_report_builtins():
     for rep in reports.values():
         assert rep.consistent
         assert len(rep.lines()) == 4
+
+
+def test_steiner_report_enumerates_the_group_once(monkeypatch):
+    calls = []
+    original = hypergraph.automorphisms
+
+    def counted(h):
+        calls.append(h)
+        return original(h)
+
+    monkeypatch.setattr(designs, "automorphisms", counted)
+    monkeypatch.setattr(hypergraph, "automorphisms", counted)
+    report = steiner_report(designs.fano_plane(), "fano")
+    assert len(calls) == 1
+    assert report.two_set_transitive and report.aut_order == 168
 
 
 def test_steiner_report_rejects_non_steiner():

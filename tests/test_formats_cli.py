@@ -1,5 +1,6 @@
 """Text formats and the command-line front end."""
 
+import inspect
 import json
 import random
 
@@ -46,6 +47,11 @@ def test_parse_errors_have_positions():
         assert hasattr(err.value, "position")
     with pytest.raises(ParseError):
         parse_polynomial("x3", arity=2)
+    # an index above x63 is rejected before 1 << (index - 1) is built
+    for index in ("64", "9" * 30, "9" * 5000):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(f"x1 + x2*x{index}")
+        assert err.value.position == 8
 
 
 def test_print_parse_identity_polynomials():
@@ -250,3 +256,58 @@ def test_cli_requires_one_source(capsys, tmp_path):
     assert code == 2
     code, out, _ = run_cli(capsys, "classify", "--file", str(path))
     assert code == 0 and "irreducible: True" in out
+
+
+# ---------------------------------------------------------------------------
+# sweep arguments, worker counts and the sweep-flag table
+
+
+def test_resolve_workers_clamped_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
+    monkeypatch.delenv(verify.WORKERS_ENV, raising=False)
+    assert verify.resolve_workers(100_000) == 3
+    assert verify.resolve_workers(2) == 2
+    assert verify.resolve_workers(None) == 1
+    monkeypatch.setenv(verify.WORKERS_ENV, "100000")
+    assert verify.resolve_workers(None) == 3
+    assert verify.resolve_workers(0) == 3
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
+    assert verify.resolve_workers(100_000) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("correspondence", "--samples", "-7", "--max-vertices", "1"), "samples must be >= 0"),
+        (("keylemma", "--samples", "-1", "--max-vertices", "1"), "samples must be >= 0"),
+        (("graphs", "--max-vertices", "0"), "max_vertices must be in 1..7"),
+        (("correspondence", "--max-vertices", "0"), "max_vertices must be in 1..3"),
+        (("gap", "--max-arity", "0"), "max_arity must be in 1..4"),
+        (("gap", "--max-arity", "5"), "max_arity must be in 1..4"),
+        (("keylemma", "--max-vertices", "5"), "max_vertices must be in 1..4"),
+        (("correspondence", "--max-vertices", "4"), "max_vertices must be in 1..3"),
+        (("graphs", "--max-vertices", "8"), "max_vertices must be in 1..7"),
+        (("poset", "--max-ess", "0"), "max_ess must be in 1..4"),
+    ],
+)
+def test_cli_verify_rejects_out_of_range(capsys, argv, message):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_sweep_flag_table_matches_sweep_signatures():
+    args = cli.build_parser().parse_args(["verify", "gap"])
+    assert set(cli._SWEEP_FLAGS) == set(verify.ALL_SWEEPS)
+    for sweep, flags in cli._SWEEP_FLAGS.items():
+        params = inspect.signature(verify.ALL_SWEEPS[sweep]).parameters
+        for flag in flags:
+            assert flag in params, (sweep, flag)
+            assert getattr(args, flag) is None, flag
+
+
+def test_cli_verify_keylemma_matches_library(capsys):
+    code, out, _ = run_cli(capsys, "verify", "keylemma", "--max-vertices", "2", "--samples", "5")
+    result = verify.contraction_criterion_sweep(2, 5)
+    assert code == 0
+    assert out.splitlines() == result.lines + ["ok"]
