@@ -13,7 +13,8 @@ and used everywhere:
 * hex serialization of truth tables writes the most significant bit first.
 
 Truth-table operations are capped at arity 20, polynomial-only operations
-at 63 variables (a monomial must fit a machine word).
+at 63 variables (a monomial must fit a machine word), and canonical forms
+and minor tests at 9 essential variables (they walk ess! relabelings).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 MAX_TABLE_ARITY = 20
 MAX_POLY_ARITY = 63
+CANONICAL_MAX_ESS = 9  # 10 means 3.6 million relabelings per canonical form
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +342,14 @@ def _invariant_key(monomials: frozenset[int]) -> tuple:
     return (popcount(sup), tuple(sizes), tuple(degrees))
 
 
+def _check_canonical_ess(ess: int) -> None:
+    """Refuse a factorial canonical-form walk before it starts."""
+    if ess > CANONICAL_MAX_ESS:
+        raise ValueError(
+            f"canonical form is capped at {CANONICAL_MAX_ESS} essential variables, got {ess}"
+        )
+
+
 @lru_cache(maxsize=1 << 16)
 def _canonical_reduced(reduced: frozenset[int], ess: int) -> tuple[int, ...]:
     """Lexicographically least sorted monomial tuple over relabelings.
@@ -366,6 +376,7 @@ def canonical_form(poly: Zhegalkin) -> Zhegalkin:
     Constants canonicalize at arity 1.
     """
     reduced, ess = _reduce_masks(poly.monomials)
+    _check_canonical_ess(ess)
     canon = _canonical_reduced(reduced, ess)
     return Zhegalkin(max(ess, 1), frozenset(canon))
 
@@ -376,19 +387,11 @@ def is_equivalent(f: Zhegalkin, g: Zhegalkin) -> bool:
     Delegates to hypergraph isomorphism on the support-reduced associated
     hypergraphs; functions of different declared arity compare fine.
     """
-    r1, e1 = _reduce_masks(f.monomials)
-    r2, e2 = _reduce_masks(g.monomials)
-    if e1 != e2 or len(r1) != len(r2):
-        return False
-    if e1 <= 1:
-        return r1 == r2
-    if _invariant_key(r1) != _invariant_key(r2):
-        return False
     from . import hypergraph as hg
 
-    h1 = hg.Hypergraph(e1, r1)
-    h2 = hg.Hypergraph(e2, r2)
-    return hg.is_isomorphic(h1, h2) is not None
+    r1, e1 = _reduce_masks(f.monomials)
+    r2, e2 = _reduce_masks(g.monomials)
+    return hg.is_isomorphic(hg.Hypergraph(e1, r1), hg.Hypergraph(e2, r2)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +439,7 @@ def is_minor(g: Zhegalkin, f: Zhegalkin) -> Optional[MinorWitness]:
     yields a polynomial equivalent to g.
     """
     fvars = tuple(sorted(essential_variables(f)))
+    _check_canonical_ess(len(fvars))
     g_reduced, g_ess = _reduce_masks(g.monomials)
     if g_ess > len(fvars):
         return None
@@ -511,6 +515,7 @@ def classify_gap(f: Zhegalkin) -> GapClass:
 def one_step_identification_classes(f: Zhegalkin) -> list[Zhegalkin]:
     """Canonical forms of f with one pair of essential variables identified."""
     fvars = sorted(essential_variables(f))
+    _check_canonical_ess(len(fvars))
     seen: dict[frozenset[int], Zhegalkin] = {}
     for i, j in itertools.combinations(fvars, 2):
         masks = _identify_masks(f.monomials, i - 1, j - 1)

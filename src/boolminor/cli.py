@@ -9,7 +9,8 @@ with status 2.
 
 ``verify`` passes each sweep only the flags that sweep takes (``_SWEEP_FLAGS``)
 and only those given, so every default lives in the sweep's signature.  A size
-above the sweep's cap or a negative sample count exits 2 before any work.
+above the sweep's cap or a negative sample count exits 2 before any work, with
+a message naming the flag.
 Worker counts come from --workers or BOOLMINOR_WORKERS, at most the CPU count.
 """
 
@@ -247,7 +248,14 @@ def _cmd_verify(args) -> int:
         for name in _SWEEP_FLAGS[args.sweep]
         if getattr(args, name) is not None
     }
-    result = verify.ALL_SWEEPS[args.sweep](**kwargs)
+    try:
+        result = verify.ALL_SWEEPS[args.sweep](**kwargs)
+    except ValueError as exc:
+        # a bound message leads with the parameter; name the flag the user typed
+        name, _, rest = str(exc).partition(" ")
+        if name in kwargs:
+            raise ValueError(f"--{name.replace('_', '-')} {rest}") from None
+        raise
     if args.format == "structured":
         print(
             json.dumps(

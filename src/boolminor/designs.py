@@ -19,11 +19,10 @@ from .bfcore import fold, popcount
 from .hypergraph import (
     AUTOMORPHISM_MAX_VERTICES,
     Hypergraph,
-    automorphisms,
     contract,
     is_irreducible_by_contractions,
     _all_isomorphic,
-    _moves_pairs_transitively,
+    _automorphism_summary,
 )
 
 
@@ -154,13 +153,10 @@ def steiner_report(h: Hypergraph, name: str = "steiner-system") -> SteinerReport
     params = design_parameters(h)
     if params is None or params.lambda_ != 1:
         raise ValueError("the report is defined for Steiner systems only")
+    aut_order: Optional[int] = None
+    two_set: Optional[bool] = None
     if h.vertex_count <= AUTOMORPHISM_MAX_VERTICES:
-        group = automorphisms(h)
-        aut_order: Optional[int] = len(group)
-        two_set: Optional[bool] = _moves_pairs_transitively(h.vertex_count, group)
-    else:
-        aut_order = None
-        two_set = None
+        aut_order, two_set = _automorphism_summary(h)
     return SteinerReport(
         name=name,
         params=params,

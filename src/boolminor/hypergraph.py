@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import bfcore
 from .bfcore import Zhegalkin, bits_of, mask_of, popcount, support_mask, vars_of
@@ -194,18 +194,19 @@ def _vertex_profiles(h: Hypergraph) -> list[tuple[int, ...]]:
     return [tuple(sorted(p)) for p in prof]
 
 
-def _match(h1: Hypergraph, h2: Hypergraph, find_all: bool) -> list[tuple[int, ...]]:
-    """Backtracking search for edge-preserving vertex bijections h1 -> h2.
+def _isomorphisms(h1: Hypergraph, h2: Hypergraph) -> Iterator[tuple[int, ...]]:
+    """Lazily yield every edge-preserving vertex bijection h1 -> h2.
 
-    Returns image tuples of single-bit masks (vertex v+1 goes to vertex
-    w+1 when entry v is ``1 << w``); with ``find_all`` every bijection is
-    collected, otherwise the search stops at the first.
+    Each is an image tuple of single-bit masks (vertex v+1 goes to vertex
+    w+1 when entry v is ``1 << w``), in backtracking search order; a caller
+    that wants one bijection stops after the first.
     """
     n = h1.vertex_count
     if (0 in h1.edges) != (0 in h2.edges):
-        return []
+        return
     if n == 0:
-        return [()]
+        yield ()
+        return
     edges1, edges2 = h1.edges, h2.edges
     inc1: list[list[int]] = [[] for _ in range(n)]
     inc2: list[list[int]] = [[] for _ in range(n)]
@@ -218,18 +219,17 @@ def _match(h1: Hypergraph, h2: Hypergraph, find_all: bool) -> list[tuple[int, ..
     prof1 = _vertex_profiles(h1)
     prof2 = _vertex_profiles(h2)
     if sorted(prof1) != sorted(prof2):
-        return []
+        return
 
     # single-bit images both ways, so an edge maps through bfcore.fold
     img = [0] * n
     pre = [0] * n
-    results: list[tuple[int, ...]] = []
     full = (1 << n) - 1
 
-    def search(assigned: int, image_mask: int) -> bool:
+    def search(assigned: int, image_mask: int) -> Iterator[tuple[int, ...]]:
         if assigned == full:
-            results.append(tuple(img))
-            return not find_all
+            yield tuple(img)
+            return
         # most-constrained vertex first: completing edges prunes hardest
         best_v, best_score = -1, None
         for v in range(n):
@@ -257,14 +257,11 @@ def _match(h1: Hypergraph, h2: Hypergraph, find_all: bool) -> list[tuple[int, ..
                     if e2 & ~new_image == 0 and bfcore.fold(e2, pre) not in edges1:
                         ok = False
                         break
-            if ok and search(new_assigned, new_image):
-                img[v] = pre[w] = 0
-                return True
+            if ok:
+                yield from search(new_assigned, new_image)
             img[v] = pre[w] = 0
-        return False
 
-    search(0, 0)
-    return results
+    yield from search(0, 0)
 
 
 def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> Optional[VertexMap]:
@@ -273,41 +270,48 @@ def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> Optional[VertexMap]:
     Both hypergraphs must have the same vertex count; reduce supports first
     when comparing values with different numbers of isolated vertices.
     """
-    if h1.vertex_count != h2.vertex_count or len(h1.edges) != len(h2.edges):
-        return None
-    if sorted(map(popcount, h1.edges)) != sorted(map(popcount, h2.edges)):
-        return None
-    found = _match(h1, h2, find_all=False)
-    if not found:
-        return None
     n = h1.vertex_count
-    return VertexMap(n, n, tuple(b.bit_length() for b in found[0]))
+    if n != h2.vertex_count or bfcore._invariant_key(h1.edges) != bfcore._invariant_key(h2.edges):
+        return None
+    found = next(_isomorphisms(h1, h2), None)
+    return None if found is None else VertexMap(n, n, tuple(b.bit_length() for b in found))
 
 
-def automorphisms(h: Hypergraph) -> list[VertexMap]:
-    """Every edge-preserving vertex permutation, identity included."""
+def _automorphism_images(h: Hypergraph) -> Iterator[tuple[int, ...]]:
+    """The lazy automorphism search, refused above the vertex cap."""
     if h.vertex_count > AUTOMORPHISM_MAX_VERTICES:
         raise ValueError(
             f"automorphism search is capped at {AUTOMORPHISM_MAX_VERTICES} vertices"
         )
+    return _isomorphisms(h, h)
+
+
+def automorphisms(h: Hypergraph) -> list[VertexMap]:
+    """Every edge-preserving vertex permutation, identity included."""
     n = h.vertex_count
     return [
         VertexMap(n, n, tuple(b.bit_length() for b in found))
-        for found in sorted(_match(h, h, find_all=True))
+        for found in sorted(_automorphism_images(h))
     ]
+
+
+def _automorphism_summary(h: Hypergraph) -> tuple[int, bool]:
+    """|Aut(h)| and whether Aut(h) moves {1, 2} onto every vertex pair.
+
+    One pass over the group keeps only a count and the orbit of {1, 2} as
+    two-bit masks; no group element is stored.
+    """
+    n = h.vertex_count
+    order, orbit = 0, set()
+    for img in _automorphism_images(h):
+        order += 1
+        orbit.add(sum(img[:2]))
+    return order, n < 3 or len(orbit) == n * (n - 1) // 2
 
 
 def is_2set_transitive(h: Hypergraph) -> bool:
     """Does the automorphism group move any vertex pair to any other?"""
-    return _moves_pairs_transitively(h.vertex_count, automorphisms(h))
-
-
-def _moves_pairs_transitively(n: int, group: list[VertexMap]) -> bool:
-    """Is the orbit of the pair {1, 2} under ``group`` every pair of ``n`` vertices?"""
-    if n < 3:
-        return True
-    orbit = {frozenset((g.apply_vertex(1), g.apply_vertex(2))) for g in group}
-    return len(orbit) == n * (n - 1) // 2
+    return _automorphism_summary(h)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +328,7 @@ def _all_isomorphic(hs: Iterable[Hypergraph]) -> bool:
     first = next(it, None)
     if first is None:
         return True
-    key = bfcore._invariant_key(first.edges)
-    return all(
-        bfcore._invariant_key(h.edges) == key and is_isomorphic(first, h) is not None
-        for h in it
-    )
+    return all(is_isomorphic(first, h) is not None for h in it)
 
 
 def _support_pairs(h: Hypergraph) -> list[tuple[int, int]]:
@@ -340,18 +340,17 @@ def contraction_classes(h: Hypergraph) -> ContractionClassPartition:
     pairs = _support_pairs(h)
     if not pairs:
         raise ValueError("contraction classes need a support of at least two vertices")
-    groups: list[tuple[tuple, Hypergraph, list[tuple[int, int]]]] = []
+    groups: list[tuple[Hypergraph, list[tuple[int, int]]]] = []
     for pair in pairs:
         he = contract(h, pair)
-        key = bfcore._invariant_key(he.edges)
-        for gkey, rep, members in groups:
-            if gkey == key and is_isomorphic(rep, he) is not None:
+        for rep, members in groups:
+            if is_isomorphic(rep, he) is not None:
                 members.append(pair)
                 break
         else:
-            groups.append((key, he, [pair]))
+            groups.append((he, [pair]))
     classes = []
-    for _, rep, members in groups:
+    for rep, members in groups:
         poly = polynomial_of(rep)
         classes.append(
             ContractionClass(

@@ -83,7 +83,7 @@ def lower_covers(canon: Zhegalkin, universe: Iterable[ClassRecord]) -> tuple[Zhe
 def enumerate_classes(max_ess: int, cache_path: Optional[str] = None) -> tuple[ClassRecord, ...]:
     """Canonicalize all truth tables on ``max_ess`` variables and build records."""
     if not 0 <= max_ess <= MAX_ENUM_ESS:
-        raise ValueError(f"class enumeration is capped at ess {MAX_ENUM_ESS}")
+        raise ValueError(f"max_ess must be in 0..{MAX_ENUM_ESS}, got {max_ess}")
     if cache_path and os.path.exists(cache_path):
         cached = _read_cache(cache_path, max_ess)
         if cached is not None:

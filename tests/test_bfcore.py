@@ -187,12 +187,32 @@ def test_equivalence_examples():
     a = poly(4, (1, 3), (1, 4), (1, 3, 4))
     b = poly(4, (1, 4), (2,), (1, 2, 4))
     assert not is_equivalent(a, b)
+    # constants and single-variable functions go through the same gate
+    assert is_equivalent(poly(1, ()), poly(3, ()))
+    assert is_equivalent(poly(1, (1,), ()), poly(3, (2,), ()))
+    assert not is_equivalent(Zhegalkin(2, frozenset()), poly(2, ()))
+    assert not is_equivalent(poly(2, (1,), ()), poly(2, (2,)))
 
 
 def test_canonical_form_examples():
     assert canonical_form(poly(3, (2, 3))) == poly(2, (1, 2))
     assert canonical_form(poly(2, (1, 2), (2,))) == poly(2, (1, 2), (1,))
     assert canonical_form(poly(7, ())) == poly(1, ())
+
+
+def test_canonical_cap_refuses_before_work():
+    cap = bfcore.CANONICAL_MAX_ESS
+    over = poly(cap + 1, *[(i, i % (cap + 1) + 1) for i in range(1, cap + 2)])
+    for call in (
+        lambda: canonical_form(over),
+        lambda: is_minor(poly(2, (1, 2)), over),
+        lambda: bfcore.one_step_identification_classes(over),
+        lambda: is_irreducible_direct(over),
+    ):
+        with pytest.raises(ValueError, match=f"capped at {cap} essential variables"):
+            call()
+    # dummy variables do not count toward the cap
+    assert canonical_form(Zhegalkin(cap + 5, frozenset([1 << (cap + 4)]))) == poly(1, (1,))
 
 
 def test_canonical_form_idempotent_and_class_constant():

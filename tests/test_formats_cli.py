@@ -3,6 +3,7 @@
 import inspect
 import json
 import random
+import time
 
 import pytest
 
@@ -293,7 +294,28 @@ def test_resolve_workers_clamped_to_cpu_count(monkeypatch):
 def test_cli_verify_rejects_out_of_range(capsys, argv, message):
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 2 and out == ""
-    assert err.startswith("error: ") and message in err
+    # the sweep's message names its parameter; the CLI names the flag typed
+    name, _, bound = message.partition(" ")
+    flag = "--" + name.replace("_", "-")
+    assert flag in argv
+    assert err.startswith(f"error: {flag} {bound}, got ")
+
+
+@pytest.mark.parametrize("value", ["-1", "5"])
+def test_cli_poset_rejects_out_of_range(capsys, value):
+    code, out, err = run_cli(capsys, "poset", f"--max-ess={value}")
+    assert code == 2 and out == ""
+    assert err == f"error: max_ess must be in 0..4, got {value}\n"
+
+
+@pytest.mark.parametrize("verb", ["classify", "irreducible"])
+def test_cli_canonical_cap_fails_fast(capsys, verb):
+    cycle12 = " + ".join(f"x{i}*x{i % 12 + 1}" for i in range(1, 13))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, verb, cycle12)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "capped at 9 essential variables, got 12" in err
 
 
 def test_sweep_flag_table_matches_sweep_signatures():

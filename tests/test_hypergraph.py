@@ -4,8 +4,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from boolminor import bfcore, designs
+from boolminor import bfcore, designs, hypergraph
 from boolminor.bfcore import TruthTable, Zhegalkin, popcount, support_mask
 from boolminor.graphs import complete, path
 from boolminor.hypergraph import (
@@ -248,6 +250,25 @@ def test_fano_automorphism_group_order():
 def test_automorphism_cap():
     with pytest.raises(ValueError):
         automorphisms(H(14))
+    with pytest.raises(ValueError):
+        is_2set_transitive(H(14))
+
+
+@given(st.data())
+def test_streamed_group_summary_matches_enumeration(data):
+    n = data.draw(st.integers(0, 6))
+    h = Hypergraph(n, data.draw(st.frozensets(st.integers(0, (1 << n) - 1), max_size=12)))
+    group = automorphisms(h)
+    orbit = {frozenset(g.image[:2]) for g in group}
+    pair_transitive = n < 3 or len(orbit) == n * (n - 1) // 2
+    assert hypergraph._automorphism_summary(h) == (len(group), pair_transitive)
+    assert is_2set_transitive(h) == pair_transitive
+
+    relabel = VertexMap(n, n, tuple(data.draw(st.permutations(range(1, n + 1)))))
+    h2 = Hypergraph(n, frozenset(relabel.apply_mask(e) for e in h.edges))
+    found = is_isomorphic(h, h2)
+    assert found is not None
+    assert frozenset(found.apply_mask(e) for e in h.edges) == h2.edges
 
 
 def test_2set_transitivity():
