@@ -52,8 +52,9 @@ def mask_of(variables: Iterable[int]) -> int:
     """Bitmask of 1-based variable indices."""
     m = 0
     for v in variables:
-        if v < 1:
-            raise ValueError(f"variable index must be >= 1, got {v}")
+        # checked before the shift: a huge index would build a huge int
+        if not 1 <= v <= MAX_POLY_ARITY:
+            raise ValueError(f"variable index must be in 1..{MAX_POLY_ARITY}, got {v}")
         m |= 1 << (v - 1)
     return m
 
@@ -160,7 +161,7 @@ class Zhegalkin:
         top = 1 << self.arity
         for m in self.monomials:
             if not 0 <= m < top:
-                raise ValueError(f"monomial {m:#x} names a variable beyond arity {self.arity}")
+                raise ValueError(f"monomial names x{m.bit_length()}, beyond arity {self.arity}")
 
     @classmethod
     def from_sets(cls, arity: int, monomials: Iterable[Iterable[int]]) -> "Zhegalkin":
@@ -294,13 +295,11 @@ def identify(poly: Zhegalkin, i: int, j: int) -> Zhegalkin:
         raise ValueError("degenerate identification: the variables must differ")
     if not (1 <= i <= poly.arity and 1 <= j <= poly.arity):
         raise ValueError("identified variables must not exceed the arity")
-    sigma = {v: v for v in range(1, poly.arity + 1)}
-    sigma[j] = i
-    return substitute(poly, sigma, poly.arity)
+    return Zhegalkin(poly.arity, _identify_masks(poly.monomials, i - 1, j - 1))
 
 
 def _identify_masks(monomials: frozenset[int], bi: int, bj: int) -> frozenset[int]:
-    # 0-based bit positions; fast path used by the sweeps below.
+    """The one pair identification: bit ``bj`` into bit ``bi`` (0-based), over GF(2)."""
     acc: set[int] = set()
     jbit = 1 << bj
     ibit = 1 << bi
@@ -512,18 +511,26 @@ def classify_gap(f: Zhegalkin) -> GapClass:
     return GapClass(GapTag.GAP_ONE)
 
 
+def _one_step_groups(
+    monomials: frozenset[int],
+) -> dict[tuple[tuple[int, ...], int], list[tuple[int, int]]]:
+    """Support pairs (1-based, ascending) grouped by the (canonical tuple, ess)
+    of their identification; groups keep the order of their first pair."""
+    groups: dict[tuple[tuple[int, ...], int], list[tuple[int, int]]] = {}
+    sup = support_mask(monomials)
+    for i, j in itertools.combinations([b + 1 for b in bits_of(sup)], 2):
+        reduced, ess = _reduce_masks(_identify_masks(monomials, i - 1, j - 1))
+        _check_canonical_ess(ess)
+        groups.setdefault((_canonical_reduced(reduced, ess), ess), []).append((i, j))
+    return groups
+
+
 def one_step_identification_classes(f: Zhegalkin) -> list[Zhegalkin]:
     """Canonical forms of f with one pair of essential variables identified."""
-    fvars = sorted(essential_variables(f))
-    _check_canonical_ess(len(fvars))
-    seen: dict[frozenset[int], Zhegalkin] = {}
-    for i, j in itertools.combinations(fvars, 2):
-        masks = _identify_masks(f.monomials, i - 1, j - 1)
-        reduced, ess = _reduce_masks(masks)
-        canon = frozenset(_canonical_reduced(reduced, ess))
-        if canon not in seen:
-            seen[canon] = Zhegalkin(max(ess, 1), canon)
-    return sorted(seen.values(), key=lambda p: (essential_arity(p), sorted(p.monomials)))
+    _check_canonical_ess(essential_arity(f))
+    groups = _one_step_groups(f.monomials)
+    classes = [Zhegalkin(max(ess, 1), frozenset(canon)) for canon, ess in groups]
+    return sorted(classes, key=lambda p: (essential_arity(p), sorted(p.monomials)))
 
 
 def is_irreducible_direct(f: Zhegalkin) -> Optional[Zhegalkin]:

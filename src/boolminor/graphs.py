@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .bfcore import bits_of, fold, popcount, support_mask
+from .bfcore import bits_of, fold, mask_of, popcount, support_mask
 from .hypergraph import Hypergraph, contract, is_isomorphic, support_reduce
 
 
@@ -28,8 +28,7 @@ class Graph(Hypergraph):
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Graph":
-        edges = frozenset((1 << (a - 1)) | (1 << (b - 1)) for a, b in pairs)
-        return cls(n, edges)
+        return cls(n, frozenset(mask_of(pair) for pair in pairs))
 
     def edge_pairs(self) -> list[tuple[int, int]]:
         out = []
@@ -224,19 +223,16 @@ class PropertyPClass:
     n: Optional[int] = None
 
 
-class ClassificationError(RuntimeError):
-    """An exhaustive sweep met a value the family classification cannot place."""
-
-
 def classify_property_p(g: Graph) -> Optional[PropertyPClass]:
-    """Which of the four families a property-(P) graph belongs to.
+    """Which of the four property-(P) families g is: K_n, Path3, C4 or C5.
 
-    Returns None when (P) fails.  The single-vertex graph satisfies (P)
-    vacuously but belongs to no family and also returns None; the
-    classification concerns graphs with at least two vertices.
+    The family is read off the edge count, the degree sequence and
+    connectivity alone, without testing (P); any other graph returns None.
+    So comparing the result with :func:`satisfies_property_p` checks both
+    directions of the theorem that, on at least two vertices, these four
+    families are exactly the graphs with (P).  The single-vertex graph
+    satisfies (P) vacuously but belongs to no family and returns None.
     """
-    if not satisfies_property_p(g):
-        return None
     n = g.vertex_count
     if n < 2:
         return None
@@ -249,9 +245,7 @@ def classify_property_p(g: Graph) -> Optional[PropertyPClass]:
         return PropertyPClass(PropertyPKind.C4)
     if n == 5 and degrees == [2] * 5 and is_connected(g):
         return PropertyPClass(PropertyPKind.C5)
-    raise ClassificationError(
-        f"graph satisfies (P) but matches no family: n={n} edges={sorted(g.edges)}"
-    )
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ edge = the constant monomial 1).  The module carries the minor machinery on
 the hypergraph side: quotient maps, pair contraction, isomorphism and
 automorphism search, and the contraction-class irreducibility test.
 
+Contracting a pair is identifying two variables: ``contract`` and
+``ess_drop_analysis`` run on ``bfcore._identify_masks``, and
+``contraction_classes`` is ``bfcore``'s one-step grouping with its pairs.
+
 Isolated vertices are kept; support reduction is an explicit step.
 """
 
@@ -40,7 +44,7 @@ class Hypergraph:
         top = 1 << self.vertex_count
         for e in self.edges:
             if not 0 <= e < top:
-                raise ValueError(f"edge {e:#x} names a vertex beyond {self.vertex_count}")
+                raise ValueError(f"edge names vertex {e.bit_length()}, beyond {self.vertex_count}")
 
     @classmethod
     def from_sets(cls, vertex_count: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
@@ -146,18 +150,13 @@ def compose_quotients(m1: VertexMap, m2: VertexMap) -> VertexMap:
 # contraction of a vertex pair
 
 
-def _collapse_images(n: int, i: int, j: int) -> list[int]:
-    lo, hi = min(i, j), max(i, j)
-    out = []
-    for v in range(1, n + 1):
-        if v == i or v == j:
-            new = lo
-        elif v > hi:
-            new = v - 1
-        else:
-            new = v
-        out.append(new)
-    return out
+def _check_pair(n: int, i: int, j: int) -> tuple[int, int]:
+    """The pair ascending, once it names two distinct vertices of 1..n."""
+    if i == j:
+        raise ValueError("contraction needs two distinct vertices")
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError("contracted vertices must exist")
+    return min(i, j), max(i, j)
 
 
 def collapse_map(n: int, i: int, j: int) -> VertexMap:
@@ -166,19 +165,17 @@ def collapse_map(n: int, i: int, j: int) -> VertexMap:
     The merged vertex takes index min(i,j); vertices above max(i,j) shift
     down by one so the vertex set stays contiguous.
     """
-    if i == j:
-        raise ValueError("contraction needs two distinct vertices")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError("contracted vertices must exist")
-    return VertexMap(n, n - 1, tuple(_collapse_images(n, i, j)))
+    lo, hi = _check_pair(n, i, j)
+    return VertexMap(n, n - 1, tuple(lo if v in (i, j) else v - (v > hi) for v in range(1, n + 1)))
 
 
 def contract(h: Hypergraph, pair: tuple[int, int]) -> Hypergraph:
-    """Identify the two vertices of ``pair``; edges cancel by parity."""
+    """Identify the two vertices of ``pair``, numbered as :func:`collapse_map` maps them."""
     i, j = pair
-    cmap = collapse_map(h.vertex_count, i, j)
-    images = [1 << (t - 1) for t in cmap.image]
-    return Hypergraph(h.vertex_count - 1, bfcore.map_monomials(h.edges, images))
+    lo, hi = _check_pair(h.vertex_count, i, j)
+    below = (1 << (hi - 1)) - 1
+    merged = bfcore._identify_masks(h.edges, lo - 1, hi - 1)
+    return Hypergraph(h.vertex_count - 1, frozenset(m & below | (m >> 1) & ~below for m in merged))
 
 
 # ---------------------------------------------------------------------------
@@ -336,31 +333,21 @@ def _support_pairs(h: Hypergraph) -> list[tuple[int, int]]:
 
 
 def contraction_classes(h: Hypergraph) -> ContractionClassPartition:
-    """Partition the support pairs by isomorphism of their contractions."""
-    pairs = _support_pairs(h)
-    if not pairs:
+    """Partition the support pairs by isomorphism of their contractions.
+
+    Contractions of one hypergraph share a vertex count, so they are
+    isomorphic exactly when their canonical forms agree: the classes are the
+    one-step identification classes together with their pairs.
+    """
+    sup = support(h)
+    if len(sup) < 2:
         raise ValueError("contraction classes need a support of at least two vertices")
-    groups: list[tuple[Hypergraph, list[tuple[int, int]]]] = []
-    for pair in pairs:
-        he = contract(h, pair)
-        for rep, members in groups:
-            if is_isomorphic(rep, he) is not None:
-                members.append(pair)
-                break
-        else:
-            groups.append((he, [pair]))
-    classes = []
-    for rep, members in groups:
-        poly = polynomial_of(rep)
-        classes.append(
-            ContractionClass(
-                pairs=tuple(sorted(members)),
-                canon=bfcore.canonical_form(poly),
-                ess=len(support(rep)),
-            )
-        )
+    classes = [
+        ContractionClass(tuple(pairs), Zhegalkin(max(ess, 1), frozenset(canon)), ess)
+        for (canon, ess), pairs in bfcore._one_step_groups(h.edges).items()
+    ]
     classes.sort(key=lambda c: c.pairs[0])
-    return ContractionClassPartition(support=support(h), classes=tuple(classes))
+    return ContractionClassPartition(support=sup, classes=tuple(classes))
 
 
 def lemma_condition_holds(partition: ContractionClassPartition) -> bool:
@@ -410,16 +397,17 @@ class EssDropReport:
 
 def ess_drop_analysis(h: Hypergraph, pair: tuple[int, int]) -> EssDropReport:
     i, j = pair
-    he = contract(h, pair)
+    lo, hi = _check_pair(h.vertex_count, i, j)
+    # no renumbering: vertex v stays at bit v-1, the merged vertex at lo
+    after_sup = support_mask(bfcore._identify_masks(h.edges, lo - 1, hi - 1))
     sup_before = support_mask(h.edges)
-    drop = popcount(sup_before) - popcount(support_mask(he.edges))
+    drop = popcount(sup_before) - popcount(after_sup)
 
     e_mask = (1 << (i - 1)) | (1 << (j - 1))
     ibit, jbit = 1 << (i - 1), 1 << (j - 1)
     edges = h.edges
 
-    le_new_bit = min(i, j) - 1
-    le_isolated = not (support_mask(he.edges) >> le_new_bit) & 1
+    le_isolated = not (after_sup >> (lo - 1)) & 1
 
     # merged vertex isolated iff every residue F meets an even number of
     # the three possible donors F|{i}, F|{j}, F|{i,j}
@@ -431,13 +419,9 @@ def ess_drop_analysis(h: Hypergraph, pair: tuple[int, int]) -> EssDropReport:
 
     isolated: list[int] = []
     conditions: list[tuple[int, bool]] = []
-    collapse = _collapse_images(h.vertex_count, i, j)
-    after_sup = support_mask(he.edges)
     for b in bits_of(sup_before):
         v = b + 1
-        if v in (i, j):
-            continue
-        if (after_sup >> (collapse[v - 1] - 1)) & 1:
+        if v in (i, j) or after_sup >> b & 1:
             continue
         isolated.append(v)
         vbit = 1 << b

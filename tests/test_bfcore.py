@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from boolminor import bfcore
+from boolminor import bfcore, hypergraph
 from boolminor.bfcore import (
     GapTag,
     MinorWitness,
@@ -29,6 +29,7 @@ from boolminor.bfcore import (
     truth_table_from_zhegalkin,
     zhegalkin_from_truth_table,
 )
+from boolminor.hypergraph import Hypergraph
 
 
 def poly(arity, *monos):
@@ -68,6 +69,8 @@ def test_truth_table_validation():
         TruthTable(2, 16)
     with pytest.raises(ValueError):
         TruthTable(21, 0)
+    with pytest.raises(ValueError, match="names x3, beyond arity 2"):
+        Zhegalkin(2, frozenset([0b100]))
     t = TruthTable.from_bits([0, 1, 1, 0])
     assert t.arity == 2 and t.bits == 0b0110
     assert t.values() == [0, 1, 1, 0]
@@ -208,6 +211,8 @@ def test_canonical_cap_refuses_before_work():
         lambda: is_minor(poly(2, (1, 2)), over),
         lambda: bfcore.one_step_identification_classes(over),
         lambda: is_irreducible_direct(over),
+        # every contraction of one 11-vertex block keeps 10 essential variables
+        lambda: hypergraph.contraction_classes(Hypergraph.from_sets(cap + 2, [range(1, cap + 3)])),
     ):
         with pytest.raises(ValueError, match=f"capped at {cap} essential variables"):
             call()

@@ -190,6 +190,18 @@ def test_cli_input_errors(capsys):
     assert code == 2 and "error:" in err
     code, _, err = run_cli(capsys, "gap", "x1")
     assert code == 2
+    # vertex indices are checked before any mask is built from them
+    big = "1" * 31
+    for argv, message in (
+        (("graph-classify", "3: 1-5"), "edge names vertex 5, beyond 3"),
+        (("graph-classify", "3: 1-100000000"), "must be in 1..63, got 100000000"),
+        (("graph-classify", f"3: 1-{big}"), "must be in 1..63"),
+        (("iso", f'{{"n": 3, "edges": [[{big}]]}}', "3: 1-2"), "must be in 1..63"),
+        (("graph-classify", "3: 1-0"), "must be in 1..63, got 0"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and message in err
+        assert len(err) < 200 and "Traceback" not in err
 
 
 def test_cli_poset_export(capsys, tmp_path):

@@ -160,10 +160,12 @@ def test_collapse_map_is_quotient_onto_contraction():
             h = Hypergraph(n, frozenset(bfcore.bits_of(em)))
             for i, j in itertools.combinations(range(1, n + 1), 2):
                 assert verify_quotient_map(collapse_map(n, i, j), h, contract(h, (i, j)))
-    for _ in range(50):
-        h = random_hypergraph(rng, 5)
-        i, j = sorted(rng.sample(range(1, 6), 2))
-        assert verify_quotient_map(collapse_map(5, i, j), h, contract(h, (i, j)))
+    # collapse_map is the one route to a contraction that skips _identify_masks
+    for n in range(4, 9):
+        for _ in range(25):
+            h = random_hypergraph(rng, n)
+            i, j = rng.sample(range(1, n + 1), 2)
+            assert verify_quotient_map(collapse_map(n, i, j), h, contract(h, (i, j)))
 
 
 def test_contract_matches_identify_via_tables():
@@ -194,8 +196,15 @@ def test_contract_matches_identify_via_tables():
 
 
 def test_contract_rejects_degenerate_pair():
-    with pytest.raises(ValueError):
-        contract(H(3, (1, 2)), (2, 2))
+    h = H(3, (1, 2))
+    for pair, message in (((2, 2), "two distinct"), ((0, 1), "must exist"), ((1, 4), "must exist")):
+        for call in (
+            lambda: contract(h, pair),
+            lambda: collapse_map(3, *pair),
+            lambda: ess_drop_analysis(h, pair),
+        ):
+            with pytest.raises(ValueError, match=message):
+                call()
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +323,38 @@ def test_contraction_classes_composite_has_two_top_classes():
     part = contraction_classes(composite)
     top = max(c.ess for c in part.classes)
     assert sum(1 for c in part.classes if c.ess == top) >= 2
+
+
+def isomorphism_classes(h):
+    """Support pairs grouped by isomorphism of their contractions, pair by pair."""
+    groups = []
+    for pair in itertools.combinations(sorted(support(h)), 2):
+        he = contract(h, pair)
+        for rep, members in groups:
+            if is_isomorphic(rep, he) is not None:
+                members.append(pair)
+                break
+        else:
+            groups.append((he, [pair]))
+    return [
+        (tuple(members), bfcore.canonical_form(polynomial_of(rep)), len(support(rep)))
+        for rep, members in groups
+    ]
+
+
+def test_contraction_classes_match_isomorphism_grouping():
+    rng = random.Random(59)
+    cases = [
+        Hypergraph(n, frozenset(bfcore.bits_of(em))) for n in (2, 3) for em in range(1 << (1 << n))
+    ]
+    for n in (4, 5, 6):
+        for _ in range(30):
+            sparse = rng.sample(range(1 << n), rng.randrange(1, 2 * n))
+            cases += [random_hypergraph(rng, n), Hypergraph(n, frozenset(sparse))]
+    for h in cases:
+        if len(support(h)) >= 2:
+            got = [(c.pairs, c.canon, c.ess) for c in contraction_classes(h).classes]
+            assert got == isomorphism_classes(h)
 
 
 def test_contraction_classes_requires_support():
