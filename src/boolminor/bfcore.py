@@ -14,7 +14,8 @@ and used everywhere:
 
 Truth-table operations are capped at arity 20, polynomial-only operations
 at 63 variables (a monomial must fit a machine word), and canonical forms
-and minor tests at 9 essential variables (they walk ess! relabelings).
+and minor tests at 9 essential variables (their searches grow with the tied
+partial relabelings, up to ess! of them).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 MAX_TABLE_ARITY = 20
 MAX_POLY_ARITY = 63
-CANONICAL_MAX_ESS = 9  # 10 means 3.6 million relabelings per canonical form
+CANONICAL_MAX_ESS = 9  # checked at entry; near-symmetric sets tie most partial relabelings
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +55,10 @@ def mask_of(variables: Iterable[int]) -> int:
     for v in variables:
         # checked before the shift: a huge index would build a huge int
         if not 1 <= v <= MAX_POLY_ARITY:
-            raise ValueError(f"variable index must be in 1..{MAX_POLY_ARITY}, got {v}")
+            # the echo is bounded too: a 4,000-digit index would fill the error line
+            big = isinstance(v, int) and abs(v) >= 10**20
+            shown = f"a {v.bit_length()}-bit integer" if big else v
+            raise ValueError(f"variable index must be in 1..{MAX_POLY_ARITY}, got {shown}")
         m |= 1 << (v - 1)
     return m
 
@@ -342,29 +346,87 @@ def _invariant_key(monomials: frozenset[int]) -> tuple:
 
 
 def _check_canonical_ess(ess: int) -> None:
-    """Refuse a factorial canonical-form walk before it starts."""
+    """Refuse a canonical form above the cap before its search starts."""
     if ess > CANONICAL_MAX_ESS:
         raise ValueError(
             f"canonical form is capped at {CANONICAL_MAX_ESS} essential variables, got {ess}"
         )
 
 
+def _lower_twins(reduced: frozenset[int], ess: int) -> list[int]:
+    """Per variable bit, the mask of smaller bits it is a twin of.
+
+    Bits u and v are twins when swapping them fixes the monomial set.
+    Twinship is an equivalence relation, since (u w) = (u v)(v w)(u v).
+    """
+    lower = [0] * ess
+    for v in range(ess):
+        for u in range(v):
+            swap = 1 << u | 1 << v
+            if all(m ^ swap in reduced for m in reduced if (m >> u ^ m >> v) & 1):
+                lower[v] |= 1 << u
+    return lower
+
+
 @lru_cache(maxsize=1 << 16)
 def _canonical_reduced(reduced: frozenset[int], ess: int) -> tuple[int, ...]:
     """Lexicographically least sorted monomial tuple over relabelings.
 
-    ``reduced`` must already use bits 0..ess-1.
+    ``reduced`` must already use bits 0..ess-1.  Old variables are placed on
+    new bits 0, 1, 2, ... in turn.  Every relabeled set has the same size,
+    so the least sorted tuple is the one whose lowest differing element is
+    its own; once new bits 0..k-1 are placed, every image element below 2^k
+    is fixed.  Placing old bit o on new bit k adds the block of monomials
+    inside the placed bits plus o, each with bit k set.  A depth-first
+    search follows only the least blocks of each node, ties included, cuts
+    every path whose blocks exceed those of the least complete path found
+    so far, and of a twin class tries only the smallest unplaced member.
     """
     if ess <= 1:
         return tuple(sorted(reduced))
-    best: Optional[tuple[int, ...]] = None
-    for perm in itertools.permutations(range(ess)):
-        images = [1 << p for p in perm]
-        cur = tuple(sorted(fold(m, images) for m in reduced))
-        if best is None or cur < best:
-            best = cur
-    assert best is not None
-    return best
+    lower_twins = _lower_twins(reduced, ess)
+    sentinel = (1 << ess,)  # ends each block: a block that extends a tied one is the lesser
+    path: list[tuple[int, ...]] = []
+    best: list[tuple[int, ...]] = []
+
+    def place(k: int, unplaced: int, pending: tuple[tuple[int, int], ...]) -> None:
+        # pending: per unfinished monomial, its unplaced old bits and the
+        # image of its placed ones
+        nonlocal best
+        kbit = 1 << k
+        last: dict[int, list[int]] = {}  # monomials with one unplaced bit left, by that bit
+        for rest, img in pending:
+            if not rest & (rest - 1):
+                last.setdefault(rest, []).append(img | kbit)
+        least: Optional[tuple[int, ...]] = None
+        for o in bits_of(unplaced):
+            if unplaced & lower_twins[o]:
+                continue
+            ob = 1 << o
+            block = tuple(sorted(last.get(ob, ()))) + sentinel
+            if least is None or block < least:
+                least, ties = block, [ob]
+            elif block == least:
+                ties.append(ob)
+        path.append(least)
+        if not best or path <= best[: k + 1]:
+            if k == ess - 1:
+                best = path.copy()
+            else:
+                for ob in ties:
+                    place(
+                        k + 1,
+                        unplaced ^ ob,
+                        tuple(
+                            (rest ^ ob, img | kbit) if rest & ob else (rest, img)
+                            for rest, img in pending
+                            if rest != ob
+                        ),
+                    )
+        path.pop()
+
+    place(0, (1 << ess) - 1, tuple((m, 0) for m in reduced if m))
+    return tuple([0] * (0 in reduced) + [m for block in best for m in block[:-1]])
 
 
 def canonical_form(poly: Zhegalkin) -> Zhegalkin:

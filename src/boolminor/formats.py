@@ -15,9 +15,9 @@ import json
 import re
 from typing import Optional
 
-from .bfcore import MAX_POLY_ARITY, TruthTable, Zhegalkin, popcount, vars_of
+from .bfcore import MAX_POLY_ARITY, MAX_TABLE_ARITY, TruthTable, Zhegalkin, popcount, vars_of
 from .graphs import Graph
-from .hypergraph import Hypergraph
+from .hypergraph import MAX_VERTICES, Hypergraph
 
 
 class ParseError(ValueError):
@@ -26,6 +26,22 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+def _shown(text: str) -> str:
+    """``text`` for an error message, cut to 20 characters."""
+    return text if len(text) <= 20 else f"{text[:20]}... ({len(text)} characters)"
+
+
+def _bounded_int(digits: str, limit: int, message: str, position: int) -> int:
+    """The value of a digit string; above ``limit``, a ParseError with ``message``.
+
+    The length test keeps int() off arbitrarily long digit strings.
+    """
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(limit)) or int(digits) > limit:
+        raise ParseError(message, position)
+    return int(digits)
 
 
 # ---------------------------------------------------------------------------
@@ -61,12 +77,10 @@ def parse_polynomial(text: str, arity: Optional[int] = None) -> Zhegalkin:
                 fact = factor.strip()
                 m = _FACTOR_RE.match(fact)
                 if not m:
-                    raise ParseError(f"expected a factor like x3, got {fact!r}", fpos)
-                digits = m.group(1).lstrip("0") or "0"
-                # the length test keeps int() off arbitrarily long digit strings
-                if len(digits) > 2 or int(digits) > MAX_POLY_ARITY:
-                    raise ParseError(f"variable indices stop at x{MAX_POLY_ARITY}", fpos)
-                idx = int(digits)
+                    raise ParseError(f"expected a factor like x3, got {_shown(fact)!r}", fpos)
+                idx = _bounded_int(
+                    m.group(1), MAX_POLY_ARITY, f"variable indices stop at x{MAX_POLY_ARITY}", fpos
+                )
                 if idx < 1:
                     raise ParseError("variable indices start at 1", fpos)
                 mask |= 1 << (idx - 1)
@@ -106,7 +120,9 @@ def parse_truth_table(text: str, arity: Optional[int] = None) -> TruthTable:
     s = text.strip()
     m = _TT_RE.match(s)
     if m:
-        return TruthTable(int(m.group(2)), int(m.group(1), 16))
+        pos = len(text) - len(text.lstrip()) + m.start(2)
+        arity = _bounded_int(m.group(2), MAX_TABLE_ARITY, f"arity must be in 1..{MAX_TABLE_ARITY}", pos)
+        return TruthTable(arity, int(m.group(1), 16))
     if s.startswith("tt:") and arity is not None:
         return TruthTable(arity, int(s[3:].strip(), 16))
     raise ParseError("expected 'tt:<hex> arity=<n>'", 0)
@@ -135,6 +151,10 @@ def parse_hypergraph_doc(text: str) -> Hypergraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid hypergraph document: {exc.msg}", exc.pos) from exc
+    except ValueError as exc:  # an integer past Python's int-string limit
+        raise ParseError("invalid hypergraph document: a number is too long", 0) from exc
+    except RecursionError as exc:
+        raise ParseError("invalid hypergraph document: nested too deeply", 0) from exc
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise ParseError("hypergraph document needs fields 'n' and 'edges'", 0)
     n = doc["n"]
@@ -161,16 +181,19 @@ def parse_graph(text: str) -> Graph:
     m = _GRAPH_LINE_RE.match(s)
     if not m:
         raise ParseError("expected 'n: i-j, k-l, ...' or a hypergraph document", 0)
-    n = int(m.group(1))
+    n = _bounded_int(m.group(1), MAX_VERTICES, f"vertex count must be in 0..{MAX_VERTICES}", 0)
     rest = m.group(2).strip()
+    bad_index = f"vertex index must be in 1..{MAX_POLY_ARITY}, got "
     pairs = []
     if rest:
         for item in rest.split(","):
             part = item.strip()
             em = re.match(r"^(\d+)\s*-\s*(\d+)$", part)
+            pos = text.find(part)
             if not em:
-                raise ParseError(f"expected an edge like 2-5, got {part!r}", text.find(part))
-            pairs.append((int(em.group(1)), int(em.group(2))))
+                raise ParseError(f"expected an edge like 2-5, got {_shown(part)!r}", pos)
+            a, b = (_bounded_int(d, MAX_POLY_ARITY, bad_index + _shown(d), pos) for d in em.groups())
+            pairs.append((a, b))
     try:
         return Graph.from_pairs(n, pairs)
     except (TypeError, ValueError) as exc:

@@ -192,12 +192,21 @@ def test_cli_input_errors(capsys):
     assert code == 2
     # vertex indices are checked before any mask is built from them
     big = "1" * 31
+    huge = "9" * 5000
     for argv, message in (
         (("graph-classify", "3: 1-5"), "edge names vertex 5, beyond 3"),
         (("graph-classify", "3: 1-100000000"), "must be in 1..63, got 100000000"),
         (("graph-classify", f"3: 1-{big}"), "must be in 1..63"),
         (("iso", f'{{"n": 3, "edges": [[{big}]]}}', "3: 1-2"), "must be in 1..63"),
         (("graph-classify", "3: 1-0"), "must be in 1..63, got 0"),
+        # digit strings past Python's int-string limit never reach int()
+        (("classify", f"tt:F arity={huge}"), "arity must be in 1..20"),
+        (("graph-classify", f"{huge}: 1-2"), "vertex count must be in 0..63"),
+        (("graph-classify", f"3: 1-{huge}"), "must be in 1..63"),
+        (("iso", f'{{"n": 3, "edges": [[{huge}]]}}', "3: 1-2"), "a number is too long"),
+        # a rejected index is echoed in bounded form
+        (("iso", f'{{"n": 3, "edges": [[{"1" * 4000}]]}}', "3: 1-2"), "must be in 1..63"),
+        (("iso", '{"n": 3, "edges": ' + "[" * 100000, "3: 1-2"), "nested too deeply"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and message in err

@@ -18,3 +18,11 @@ def test_traced_names_resolve():
         if not callable(getattr(importlib.import_module(f"boolminor.{module}"), name, None))
     ]
     assert not missing
+
+
+def test_canonical_cache_info_hook():
+    # the tracer's other hook: it reads the canonical-form cache counters
+    from boolminor import bfcore
+
+    info = bfcore._canonical_reduced.cache_info()
+    assert isinstance(info.hits, int) and isinstance(info.misses, int)
