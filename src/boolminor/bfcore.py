@@ -21,6 +21,7 @@ partial relabelings, up to ess! of them).
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -337,12 +338,15 @@ def _reduce_masks(monomials: frozenset[int]) -> tuple[frozenset[int], int]:
     return reduced, ess
 
 
-def _invariant_key(monomials: frozenset[int]) -> tuple:
-    """A cheap permutation-invariant fingerprint used to prune comparisons."""
-    sizes = sorted(popcount(m) for m in monomials)
-    sup = support_mask(monomials)
-    degrees = sorted(sum(1 for m in monomials if m >> b & 1) for b in bits_of(sup))
-    return (popcount(sup), tuple(sizes), tuple(degrees))
+def _vertex_profiles(monomials: Iterable[int], n: int) -> list[tuple[int, ...]]:
+    """Per variable bit 0..n-1, the ascending sizes of the monomials through it:
+    the one permutation-invariant fingerprint, compared sorted."""
+    prof: list[list[int]] = [[] for _ in range(n)]
+    for m in monomials:
+        size = popcount(m)
+        for b in bits_of(m):
+            prof[b].append(size)
+    return [tuple(sorted(p)) for p in prof]
 
 
 def _check_canonical_ess(ess: int) -> None:
@@ -506,8 +510,8 @@ def is_minor(g: Zhegalkin, f: Zhegalkin) -> Optional[MinorWitness]:
         return None
     if not fvars:
         return MinorWitness(()) if g_reduced == f.monomials else None
-    g_key = (len(g_reduced), _invariant_key(g_reduced))
-    g_canon = _canonical_reduced(g_reduced, g_ess) if g_ess > 1 else tuple(sorted(g_reduced))
+    g_key = (len(g_reduced), sorted(_vertex_profiles(g_reduced, g_ess)))
+    g_canon = _canonical_reduced(g_reduced, g_ess)
     for blocks in _partitions(fvars, max(g_ess, 1)):
         images = [0] * f.arity
         for block in blocks:
@@ -516,10 +520,9 @@ def is_minor(g: Zhegalkin, f: Zhegalkin) -> Optional[MinorWitness]:
                 images[v - 1] = rep
         candidate = map_monomials(f.monomials, images)
         c_reduced, c_ess = _reduce_masks(candidate)
-        if c_ess != g_ess or (len(c_reduced), _invariant_key(c_reduced)) != g_key:
+        if c_ess != g_ess or (len(c_reduced), sorted(_vertex_profiles(c_reduced, c_ess))) != g_key:
             continue
-        c_canon = _canonical_reduced(c_reduced, c_ess) if c_ess > 1 else tuple(sorted(c_reduced))
-        if c_canon == g_canon:
+        if _canonical_reduced(c_reduced, c_ess) == g_canon:
             return MinorWitness(blocks)
     return None
 
@@ -617,3 +620,57 @@ def is_irreducible_direct(f: Zhegalkin) -> Optional[Zhegalkin]:
         if is_minor(other, champion) is None:
             return None
     return champion
+
+
+# ---------------------------------------------------------------------------
+# orbits under point permutations
+
+
+def _mask_tables(table: list[int], width: int, lo: int) -> tuple[list[int], list[int]]:
+    """Image lookups for the low ``lo`` and the high bits of a ``width``-bit vector
+    whose bit k moves to bit ``table[k]``."""
+    images = [1 << t for t in table]
+    low, high = images[:lo], images[lo:]
+    tl = [fold(m, low) for m in range(1 << lo)]
+    th = [fold(m, high) for m in range(1 << (width - lo))]
+    return tl, th
+
+
+def _orbit_partition(positions: Sequence[int], n: int) -> tuple[array, list[int]]:
+    """Orbit minimum of every vector, and the minima ascending, under the
+    permutations of points 0..n-1; bit k of a vector stands for the point-set
+    mask ``positions[k]`` (pair masks: labeled graphs; all subsets: ANF
+    vectors).  Breadth-first search along the adjacent transpositions."""
+    width = len(positions)
+    index = {p: k for k, p in enumerate(positions)}
+    lo = min(width, 11)
+    lomask = (1 << lo) - 1
+    tables = []
+    for k in range(n - 1):
+        swapped = [1 << v for v in range(n)]
+        swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
+        tables.append(_mask_tables([index[fold(p, swapped)] for p in positions], width, lo))
+    total = 1 << width
+    rep_of = array("l", [0]) * total
+    visited = bytearray(total)
+    reps = []
+    for m0 in range(total):
+        if visited[m0]:
+            continue
+        visited[m0] = 1
+        rep_of[m0] = m0
+        reps.append(m0)
+        frontier = [m0]
+        while frontier:
+            nxt = []
+            for m in frontier:
+                ml = m & lomask
+                mh = m >> lo
+                for tl, th in tables:
+                    nm = tl[ml] | th[mh]
+                    if not visited[nm]:
+                        visited[nm] = 1
+                        rep_of[nm] = m0
+                        nxt.append(nm)
+            frontier = nxt
+    return rep_of, reps

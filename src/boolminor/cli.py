@@ -25,6 +25,7 @@ from . import bfcore, designs, graphs, poset, verify
 from . import hypergraph as hg
 from .formats import (
     ParseError,
+    _shown,
     format_hypergraph_doc,
     format_polynomial,
     format_truth_table,
@@ -276,11 +277,22 @@ def _cmd_verify(args) -> int:
 # argument wiring
 
 
+def _int_flag(text: str) -> int:
+    """Every integer flag's type: past 20 digits it is refused before int(),
+    and a refused value is echoed cut short."""
+    if len(text.strip().lstrip("+-")) > 20:
+        raise argparse.ArgumentTypeError(f"expected at most 20 digits, got {_shown(text)!r}")
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)!r}") from None
+
+
 def _add_io(sub, with_arity: bool = True) -> None:
     sub.add_argument("input", nargs="?", help="inline input, or '-' for stdin")
     sub.add_argument("--file", help="read the input from a file")
     if with_arity:
-        sub.add_argument("--arity", type=int, help="declared arity override")
+        sub.add_argument("--arity", type=_int_flag, help="declared arity override")
     sub.add_argument("--format", choices=("text", "structured"), default="text")
 
 
@@ -325,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_steiner_check)
 
     p = subs.add_parser("poset", help="enumerate classes; export DOT or records")
-    p.add_argument("--max-ess", type=int, default=4)
+    p.add_argument("--max-ess", type=_int_flag, default=4)
     p.add_argument("--cache", help="record cache file (resumable enumeration)")
     p.add_argument("--out", help="write the export to a path")
     p.add_argument("--export-format", choices=("dot", "structured"), default="dot")
@@ -333,12 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="run an exhaustive verification sweep")
     p.add_argument("sweep", choices=sorted(verify.ALL_SWEEPS))
-    p.add_argument("--max-arity", type=int)
-    p.add_argument("--max-vertices", type=int)
-    p.add_argument("--max-ess", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
+    p.add_argument("--max-arity", type=_int_flag)
+    p.add_argument("--max-vertices", type=_int_flag)
+    p.add_argument("--max-ess", type=_int_flag)
+    p.add_argument("--samples", type=_int_flag)
+    p.add_argument("--seed", type=_int_flag)
+    p.add_argument("--workers", type=_int_flag)
     p.add_argument("--cache", dest="cache_path", help="poset record cache file")
     p.add_argument("--format", choices=("text", "structured"), default="text")
     p.set_defaults(fn=_cmd_verify)

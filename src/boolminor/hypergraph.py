@@ -182,21 +182,13 @@ def contract(h: Hypergraph, pair: tuple[int, int]) -> Hypergraph:
 # isomorphism and automorphisms
 
 
-def _vertex_profiles(h: Hypergraph) -> list[tuple[int, ...]]:
-    prof: list[list[int]] = [[] for _ in range(h.vertex_count)]
-    for e in h.edges:
-        size = popcount(e)
-        for b in bits_of(e):
-            prof[b].append(size)
-    return [tuple(sorted(p)) for p in prof]
-
-
 def _isomorphisms(h1: Hypergraph, h2: Hypergraph) -> Iterator[tuple[int, ...]]:
     """Lazily yield every edge-preserving vertex bijection h1 -> h2.
 
     Each is an image tuple of single-bit masks (vertex v+1 goes to vertex
     w+1 when entry v is ``1 << w``), in backtracking search order; a caller
-    that wants one bijection stops after the first.
+    that wants one bijection stops after the first.  Nothing is searched
+    unless the constant terms and the sorted vertex profiles agree.
     """
     n = h1.vertex_count
     if (0 in h1.edges) != (0 in h2.edges):
@@ -205,6 +197,10 @@ def _isomorphisms(h1: Hypergraph, h2: Hypergraph) -> Iterator[tuple[int, ...]]:
         yield ()
         return
     edges1, edges2 = h1.edges, h2.edges
+    prof1 = bfcore._vertex_profiles(edges1, n)
+    prof2 = bfcore._vertex_profiles(edges2, n)
+    if sorted(prof1) != sorted(prof2):
+        return
     inc1: list[list[int]] = [[] for _ in range(n)]
     inc2: list[list[int]] = [[] for _ in range(n)]
     for e in edges1:
@@ -213,10 +209,6 @@ def _isomorphisms(h1: Hypergraph, h2: Hypergraph) -> Iterator[tuple[int, ...]]:
     for e in edges2:
         for b in bits_of(e):
             inc2[b].append(e)
-    prof1 = _vertex_profiles(h1)
-    prof2 = _vertex_profiles(h2)
-    if sorted(prof1) != sorted(prof2):
-        return
 
     # single-bit images both ways, so an edge maps through bfcore.fold
     img = [0] * n
@@ -268,7 +260,7 @@ def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> Optional[VertexMap]:
     when comparing values with different numbers of isolated vertices.
     """
     n = h1.vertex_count
-    if n != h2.vertex_count or bfcore._invariant_key(h1.edges) != bfcore._invariant_key(h2.edges):
+    if n != h2.vertex_count:
         return None
     found = next(_isomorphisms(h1, h2), None)
     return None if found is None else VertexMap(n, n, tuple(b.bit_length() for b in found))

@@ -1,9 +1,11 @@
 """Desk-scale enumeration of the quotient poset of Boolean function classes.
 
-Every truth table on up to four variables is canonicalized; the distinct
-canonical forms are the equivalence classes.  Each class record carries its
-essential arity, arity gap, parity block, lower covers (the maximal strict
-minors), level, and irreducibility verdict.  The four blocks come from two
+The classes of functions on up to four variables are the orbits of their
+ANF vectors (bit m set when monomial m occurs) under variable permutations:
+``bfcore._orbit_partition`` splits the 2^16 vectors, and one canonical form
+per orbit names each class.  Each class record carries its essential
+arity, arity gap, parity block, lower covers (the maximal strict minors),
+level, and irreducibility verdict.  The four blocks come from two
 minor-invariant bits: the parity of the number of nonconstant monomials and
 the constant term.
 """
@@ -81,7 +83,7 @@ def lower_covers(canon: Zhegalkin, universe: Iterable[ClassRecord]) -> tuple[Zhe
 
 
 def enumerate_classes(max_ess: int, cache_path: Optional[str] = None) -> tuple[ClassRecord, ...]:
-    """Canonicalize all truth tables on ``max_ess`` variables and build records."""
+    """One record per class of functions on ``max_ess`` variables, by orbit."""
     if not 0 <= max_ess <= MAX_ENUM_ESS:
         raise ValueError(f"max_ess must be in 0..{MAX_ENUM_ESS}, got {max_ess}")
     if cache_path and os.path.exists(cache_path):
@@ -96,15 +98,11 @@ def enumerate_classes(max_ess: int, cache_path: Optional[str] = None) -> tuple[C
 
 def _compute_records(max_ess: int) -> tuple[ClassRecord, ...]:
     arity = max(max_ess, 1)
-    size = 1 << arity
     canons: dict[frozenset[int], Zhegalkin] = {}
-    for table_bits in range(1 << size):
-        anf = bfcore._mobius(table_bits, arity)
-        monomials = frozenset(bits_of(anf))
-        reduced, ess = bfcore._reduce_masks(monomials)
+    for anf in bfcore._orbit_partition(range(1 << arity), arity)[1]:
+        reduced, ess = bfcore._reduce_masks(frozenset(bits_of(anf)))
         canon = frozenset(bfcore._canonical_reduced(reduced, ess))
-        if canon not in canons:
-            canons[canon] = Zhegalkin(max(ess, 1), canon)
+        canons[canon] = Zhegalkin(max(ess, 1), canon)
     if max_ess == 0:
         # only the two constants exist below arity 1
         canons = {

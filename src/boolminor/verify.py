@@ -6,11 +6,12 @@ counts are merged deterministically and timing never goes into the output.
 Randomized sampling derives every sample from a fixed default seed.
 
 The labeled-graph sweep decomposes the 2^C(n,2) edge masks into orbits
-under vertex permutations (breadth-first search along adjacent
-transpositions), evaluates the expensive irreducibility oracles once per
-orbit representative, and still runs the structural classifiers on every
-labeled mask; seeded spot samples re-run the oracle on non-representative
-masks to confirm the implementation is labeling-invariant.
+under vertex permutations with ``bfcore._orbit_partition`` (the engine the
+poset enumeration runs on ANF vectors, here fed the pair masks), evaluates
+the expensive irreducibility oracles once per orbit representative, and
+still runs the structural classifiers on every labeled mask; seeded spot
+samples re-run the oracle on non-representative masks to confirm the
+implementation is labeling-invariant.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ import itertools
 import multiprocessing
 import os
 import random
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 
 from . import bfcore, designs, graphs, poset
 from . import hypergraph as hg
-from .bfcore import TruthTable, Zhegalkin, bits_of, popcount
+from .bfcore import TruthTable, Zhegalkin, _orbit_partition, bits_of, popcount
 from .formats import (
     format_graph_line,
     format_hypergraph_doc,
@@ -385,80 +385,13 @@ def contraction_criterion_sweep(
 # labeled-graph sweep
 
 
-def _pair_list(n: int) -> list[tuple[int, int]]:
-    return list(itertools.combinations(range(n), 2))
+def _pair_list(n: int) -> list[int]:
+    """Pair masks of vertices 0..n-1; bit k of an edge mask is the k-th pair."""
+    return [1 << a | 1 << b for a, b in itertools.combinations(range(n), 2)]
 
 
-def _transposition_pair_tables(n: int) -> list[list[int]]:
-    pairs = _pair_list(n)
-    index = {p: i for i, p in enumerate(pairs)}
-    tables = []
-    for k in range(n - 1):
-        def swap(v: int) -> int:
-            if v == k:
-                return k + 1
-            if v == k + 1:
-                return k
-            return v
-
-        tables.append(
-            [index[tuple(sorted((swap(a), swap(b))))] for a, b in pairs]
-        )
-    return tables
-
-
-def _mask_tables(table: list[int], pair_count: int, lo: int) -> tuple[list[int], list[int]]:
-    """Image lookups for the low ``lo`` and the high pair bits of an edge mask."""
-    images = [1 << t for t in table]
-    low, high = images[:lo], images[lo:]
-    tl = [bfcore.fold(m, low) for m in range(1 << lo)]
-    th = [bfcore.fold(m, high) for m in range(1 << (pair_count - lo))]
-    return tl, th
-
-
-def _orbit_partition(n: int) -> tuple[array, list[int]]:
-    """Orbit representative (the orbit minimum) for every labeled edge mask."""
-    pair_count = n * (n - 1) // 2
-    total = 1 << pair_count
-    rep_of = array("l", [0]) * total
-    if n == 1:
-        return rep_of, [0]
-    lo = min(pair_count, 11)
-    lomask = (1 << lo) - 1
-    tables = [_mask_tables(t, pair_count, lo) for t in _transposition_pair_tables(n)]
-    visited = bytearray(total)
-    reps = []
-    for m0 in range(total):
-        if visited[m0]:
-            continue
-        visited[m0] = 1
-        rep_of[m0] = m0
-        reps.append(m0)
-        frontier = [m0]
-        while frontier:
-            nxt = []
-            for m in frontier:
-                ml = m & lomask
-                mh = m >> lo
-                for tl, th in tables:
-                    nm = tl[ml] | th[mh]
-                    if not visited[nm]:
-                        visited[nm] = 1
-                        rep_of[nm] = m0
-                        nxt.append(nm)
-            frontier = nxt
-    return rep_of, reps
-
-
-def _graph_from_mask(n: int, mask: int, pairs: list[tuple[int, int]]) -> graphs.Graph:
-    edges = []
-    mm = mask
-    while mm:
-        low = mm & -mm
-        a, b = pairs[low.bit_length() - 1]
-        edges.append((1 << a) | (1 << b))
-        mm ^= low
-    return graphs.Graph(n, frozenset(edges))
+def _graph_from_mask(n: int, mask: int, pairs: list[int]) -> graphs.Graph:
+    return graphs.Graph(n, frozenset(pairs[k] for k in bits_of(mask)))
 
 
 def _rep_oracle_shard(job: tuple[int, list[int]]) -> dict:
@@ -596,9 +529,9 @@ def graph_sweep(
     p_failures: list[dict] = []
     data: dict = {"per_vertex_count": {}, "seed": seed}
     for n in range(1, max_vertices + 1):
-        pair_count = n * (n - 1) // 2
-        total = 1 << pair_count
-        rep_of, reps = _orbit_partition(n)
+        pairs = _pair_list(n)
+        total = 1 << len(pairs)
+        rep_of, reps = _orbit_partition(pairs, n)
 
         rep_jobs = [(n, reps[s:e]) for s, e in _split_range(len(reps), workers * 4)]
         verdicts: dict[int, bool] = {}
@@ -665,7 +598,7 @@ def graph_sweep(
         rng = random.Random(f"{seed}:spot:{n}")
         for _ in range(min(spot_samples, total)):
             m = rng.randrange(total)
-            g = _graph_from_mask(n, m, _pair_list(n))
+            g = _graph_from_mask(n, m, pairs)
             if hg.is_irreducible_by_contractions(g) != verdicts[rep_of[m]]:
                 failures.append(
                     {

@@ -9,6 +9,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolminor import bfcore, hypergraph
 from boolminor.bfcore import (
@@ -257,6 +259,41 @@ def test_minor_witness_blocks_cover_essentials():
     w = is_minor(poly(4, (1, 4), (2,), (1, 2, 4)), composite)
     flat = sorted(v for block in w.blocks for v in block)
     assert flat == [1, 2, 3, 4]
+
+
+def check_witness(f, g, expect_minor):
+    """A witness of ``is_minor(g, f)``, applied to f, must give g back."""
+    w = is_minor(g, f)
+    assert w is not None or not expect_minor
+    if w is None:
+        return
+    sigma = {v: v for v in range(1, f.arity + 1)}
+    for block in w.blocks:
+        for v in block:
+            sigma[v] = block[0]
+    assert is_equivalent(substitute(f, sigma, f.arity), g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_minor_witness_reproduces_g(data):
+    arity = data.draw(st.integers(1, 6))
+    f = Zhegalkin(arity, data.draw(st.frozensets(st.integers(0, (1 << arity) - 1), max_size=20)))
+    target = data.draw(st.integers(1, 6))
+    if data.draw(st.booleans()):
+        # an image of f under a variable map is a minor of f
+        image = data.draw(st.lists(st.integers(1, target), min_size=arity, max_size=arity))
+        check_witness(f, substitute(f, dict(enumerate(image, 1)), target), True)
+    else:
+        g = Zhegalkin(target, data.draw(st.frozensets(st.integers(0, (1 << target) - 1), max_size=20)))
+        check_witness(f, g, False)
+
+
+def test_witness_where_profiles_tie():
+    # a collapse of f with g's vertex profiles that is not equivalent to g
+    # comes before the witness in the partition order
+    f = Zhegalkin(6, frozenset({0, 1, 2, 3, 4, 9, 11, 34}))
+    check_witness(f, substitute(f, dict(enumerate([1, 2, 2, 3, 1, 4], 1)), 4), True)
 
 
 def test_minor_reflexive():

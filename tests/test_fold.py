@@ -71,7 +71,7 @@ def test_mask_tables(data):
     pair_count = data.draw(st.integers(1, 10))
     table = data.draw(st.permutations(range(pair_count)))
     lo = data.draw(st.integers(0, pair_count))
-    tl, th = verify._mask_tables(table, pair_count, lo)
+    tl, th = bfcore._mask_tables(table, pair_count, lo)
     assert len(tl) == 1 << lo and len(th) == 1 << (pair_count - lo)
     mask = data.draw(st.integers(0, (1 << pair_count) - 1))
     image = tl[mask & ((1 << lo) - 1)] | th[mask >> lo]

@@ -109,7 +109,10 @@ def test_graph_doc_input():
 
 
 def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:  # argparse refuses a flag by exiting
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -211,6 +214,20 @@ def test_cli_input_errors(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and message in err
         assert len(err) < 200 and "Traceback" not in err
+    # every integer flag refuses a long digit string with a bounded echo;
+    # the usage text argparse prints first takes most of the 1,000 bytes
+    for argv, message in (
+        (("verify", "gap", "--max-arity", huge), "argument --max-arity: expected at most 20 digits"),
+        (("classify", "x1", "--arity", "9" * 4000), "argument --arity: expected at most 20 digits"),
+        (("verify", "keylemma", "--samples", huge), "argument --samples"),
+        (("verify", "graphs", "--seed", "-" + huge), "argument --seed"),
+        (("verify", "gap", "--workers", "x" * 3000), "argument --workers"),
+        (("poset", "--max-ess", huge), "argument --max-ess"),
+        (("verify", "gap", "--max-arity", "abc"), "invalid int value: 'abc'"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and message in err
+        assert len(err) < 1000 and "Traceback" not in err
 
 
 def test_cli_poset_export(capsys, tmp_path):
