@@ -18,13 +18,24 @@ from .hypergraph import Hypergraph, contract, is_isomorphic, support_reduce
 
 
 class Graph(Hypergraph):
-    """A hypergraph with 2-element edges only (no loops, no empty edge)."""
+    """A hypergraph with 2-element edges only (no loops, no empty edge).
+
+    Construction decodes the open neighborhoods once into the read-only
+    tuple ``_nb`` (index 0 = vertex 1), which every classifier reads.  It is
+    not a dataclass field, so equality, hashing and ``repr`` ignore it.
+    """
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        nb = [0] * self.vertex_count
         for e in self.edges:
-            if popcount(e) != 2:
+            low = e & -e
+            high = e ^ low
+            if not high or high & (high - 1):
                 raise ValueError("graph edges must join exactly two distinct vertices")
+            nb[low.bit_length() - 1] |= high
+            nb[high.bit_length() - 1] |= low
+        object.__setattr__(self, "_nb", tuple(nb))
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Graph":
@@ -39,13 +50,11 @@ class Graph(Hypergraph):
 
 
 def neighborhoods(g: Graph) -> list[int]:
-    """Open neighborhood of each vertex as a bitmask (index 0 = vertex 1)."""
-    nb = [0] * g.vertex_count
-    for e in g.edges:
-        a, b = bits_of(e)
-        nb[a] |= 1 << b
-        nb[b] |= 1 << a
-    return nb
+    """Open neighborhood of each vertex as a bitmask (index 0 = vertex 1).
+
+    A fresh list, so changing it leaves the graph's own tuple alone.
+    """
+    return list(g._nb)
 
 
 # ---------------------------------------------------------------------------
@@ -109,23 +118,25 @@ def graph_join(g1: Graph, g2: Graph) -> Graph:
 # connectivity and isolated vertices
 
 
-def components(g: Graph) -> list[int]:
-    """Connected components as vertex bitmasks, sorted by lowest vertex."""
-    nb = neighborhoods(g)
-    seen = 0
+def _components(nb, within: int) -> list[int]:
+    """Connected components of the vertex set ``within`` as bitmasks,
+    sorted by lowest vertex; ``within`` must be closed under ``nb``."""
     out = []
-    for v in range(g.vertex_count):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
+    rest = within
+    while rest:
+        comp = frontier = rest & -rest
         while frontier:
             nxt = fold(frontier, nb)
             frontier = nxt & ~comp
             comp |= nxt
-        seen |= comp
+        rest &= ~comp
         out.append(comp)
     return out
+
+
+def components(g: Graph) -> list[int]:
+    """Connected components as vertex bitmasks, sorted by lowest vertex."""
+    return _components(g._nb, (1 << g.vertex_count) - 1)
 
 
 def is_connected(g: Graph) -> bool:
@@ -156,7 +167,7 @@ class AiDecomposition:
 
 
 def ai_decomposition(g: Graph) -> AiDecomposition:
-    nb = neighborhoods(g)
+    nb = g._nb
     by_nb: dict[int, list[int]] = {}
     for v in range(g.vertex_count):
         by_nb.setdefault(nb[v], []).append(v + 1)
@@ -176,8 +187,7 @@ def ai_decomposition(g: Graph) -> AiDecomposition:
 
 def is_ai_prime(g: Graph) -> bool:
     """No two vertices are nonadjacent with identical neighborhoods."""
-    nb = neighborhoods(g)
-    return len(set(nb)) == g.vertex_count
+    return len(set(g._nb)) == g.vertex_count
 
 
 def lexicographic_sum(components: tuple[tuple[int, ...], ...], quotient: Graph) -> Graph:
@@ -197,15 +207,19 @@ def lexicographic_sum(components: tuple[tuple[int, ...], ...], quotient: Graph) 
 
 
 def satisfies_property_p(g: Graph) -> bool:
-    nb = neighborhoods(g)
+    """Every nonedge {a, b} has a common neighbor of degree two.
+
+    The vertices that share a degree-two neighbor with a are the union of
+    those neighbors' neighborhoods, so each vertex is one fold.
+    """
+    nb = g._nb
     deg2 = 0
     for v, m in enumerate(nb):
         if popcount(m) == 2:
             deg2 |= 1 << v
-    for a, b in itertools.combinations(range(g.vertex_count), 2):
-        if nb[a] >> b & 1:
-            continue
-        if not nb[a] & nb[b] & deg2:
+    full = (1 << g.vertex_count) - 1
+    for a, m in enumerate(nb):
+        if full & ~m & ~(1 << a) & ~fold(m & deg2, nb):
             return False
     return True
 
@@ -238,7 +252,9 @@ def classify_property_p(g: Graph) -> Optional[PropertyPClass]:
         return None
     if len(g.edges) == n * (n - 1) // 2:
         return PropertyPClass(PropertyPKind.COMPLETE, n)
-    degrees = sorted(popcount(m) for m in neighborhoods(g))
+    if n > 5:
+        return None
+    degrees = sorted(popcount(m) for m in g._nb)
     if n == 3 and degrees == [1, 1, 2]:
         return PropertyPClass(PropertyPKind.PATH3)
     if n == 4 and degrees == [2, 2, 2, 2] and is_connected(g):
@@ -303,47 +319,52 @@ class JIGraphClass:
         return self.kind.value
 
 
-def _multipartite_parts(g: Graph) -> Optional[list[int]]:
-    """Sorted part sizes when g is complete multipartite, else None.
+def _multipartite_parts(nb, within: int) -> Optional[list[int]]:
+    """Sorted part sizes when the vertices ``within`` induce a complete
+    multipartite graph, else None; ``within`` must be closed under ``nb``.
 
     In a complete multipartite graph the part of v is exactly the set of
     non-neighbors of v (v included), so consistency of those sets is the
     whole test.
     """
-    n = g.vertex_count
-    full = (1 << n) - 1
-    nb = neighborhoods(g)
     parts: dict[int, int] = {}
-    for v in range(n):
-        pm = full & ~nb[v]
-        parts[pm] = parts.get(pm, 0) | (1 << v)
-    covered = 0
+    rest = within
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        pm = within & ~nb[bit.bit_length() - 1]
+        parts[pm] = parts.get(pm, 0) | bit
     for pm, members in parts.items():
         if pm != members:
             return None
-        covered |= pm
-    if covered != full:
-        return None
     return sorted(popcount(pm) for pm in parts)
 
 
 def classify_join_irreducible(g: Graph) -> JIGraphClass:
-    """Match the isolated-vertex-free core against the six irreducible families."""
-    core = reduce_isolated(g)
-    if not core.edges:
+    """Match the isolated-vertex-free core against the six irreducible families.
+
+    The core is the mask of vertices with a nonzero neighborhood; no
+    support-reduced graph is built.
+    """
+    nb = g._nb
+    core = 0
+    for v, m in enumerate(nb):
+        if m:
+            core |= 1 << v
+    if not core:
         return JIGraphClass(JIKind.NOT_IRREDUCIBLE)
-    comps = components(core)
+    comps = _components(nb, core)
     if len(comps) > 1:
         for comp in comps:
-            inside = sum(1 for e in core.edges if e & comp == e)
-            if popcount(comp) != 3 or inside != 3:
+            # three vertices with degree sum 6 are a triangle
+            if popcount(comp) != 3 or sum(popcount(nb[v]) for v in bits_of(comp)) != 6:
                 return JIGraphClass(JIKind.NOT_IRREDUCIBLE)
         return JIGraphClass(JIKind.DISJOINT_TRIANGLES, (len(comps),))
-    sizes = _multipartite_parts(core)
+    sizes = _multipartite_parts(nb, core)
     if sizes is not None:
         r = len(sizes)
         if all(s == 1 for s in sizes):
-            return JIGraphClass(JIKind.COMPLETE, (core.vertex_count,))
+            return JIGraphClass(JIKind.COMPLETE, (r,))
         if r == 3 and sizes[0] == sizes[1] == 1 and sizes[2] >= 2:
             return JIGraphClass(JIKind.K2_JOIN_EMPTY, (sizes[2],))
         if r == 2 and sizes[0] < sizes[1]:
@@ -351,8 +372,7 @@ def classify_join_irreducible(g: Graph) -> JIGraphClass:
         if r >= 2 and sizes[0] == sizes[-1] >= 2:
             return JIGraphClass(JIKind.BALANCED_MULTIPARTITE, (r, sizes[0]))
         return JIGraphClass(JIKind.NOT_IRREDUCIBLE)
-    nb = neighborhoods(core)
-    if core.vertex_count == 5 and all(popcount(m) == 2 for m in nb):
+    if popcount(core) == 5 and all(popcount(m) == 2 for m in nb if m):
         return JIGraphClass(JIKind.C5)
     return JIGraphClass(JIKind.NOT_IRREDUCIBLE)
 

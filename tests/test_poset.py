@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from boolminor import bfcore, poset
+from boolminor import bfcore, cli, poset
 from boolminor.bfcore import TruthTable, Zhegalkin, zhegalkin_from_truth_table
 from boolminor.formats import parse_polynomial
 from boolminor.poset import (
@@ -149,22 +149,60 @@ def test_export_structured_round_trips_canon():
         assert parse_polynomial(text) == r.canon
 
 
-def test_cache_round_trip(tmp_path):
+def test_cache_round_trip(tmp_path, capsys):
     cache = tmp_path / "classes.tsv"
     recs = enumerate_classes(2, cache_path=str(cache))
     written = cache.read_text()
     again = enumerate_classes(2, cache_path=str(cache))
     assert again == recs
-    # stale, foreign or malformed cache content is recomputed and rewritten
+    head, body = written.split("\n", 1)
+    assert head.startswith("#boolminor-classes v2 max_ess=2 count=12 crc32=")
+    # a cache whose lines all parse is still stale when its body no longer
+    # matches the header's checksum, or when it predates the checksum
+    lines = body.splitlines()
+    fields = lines[-1].split("\t")
+    level = fields[4].rstrip("+")
+    fields[4] = fields[4].replace(level, str((int(level) + 1) % 10))
+    tampered = "\n".join(lines[:-1] + ["\t".join(fields)]) + "\n"
+    assert poset._read_cache(str(cache), 2) == recs
+    argv = ["verify", "poset", "--max-ess", "2", "--cache", str(cache)]
+    assert cli.main(argv) == 0
+    clean_out = capsys.readouterr().out
+    stale = (
+        head + "\n" + tampered,
+        f"#boolminor-classes v1 max_ess=2 count=12\n{body}",
+        head.replace("v2", "v1", 1) + "\n" + body,
+    )
+    for content in stale:
+        cache.write_text(content)
+        assert poset._read_cache(str(cache), 2) is None
+        assert enumerate_classes(2, cache_path=str(cache)) == recs
+        assert cache.read_text() == written
+        cache.write_text(content)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == clean_out
+        assert cache.read_text() == written
+    # stale, foreign or malformed cache content is recomputed and rewritten;
+    # each malformed body sits under a v2 header whose checksum matches it,
+    # so it reaches the line parser
+    def v2(body):
+        crc = poset._checksum(body).encode()
+        return b"#boolminor-classes v2 max_ess=2 count=1 crc32=" + crc + b"\n" + body
+
     header = b"#boolminor-classes v1 max_ess=2 count=1\n"
+    malformed = (
+        b"x1\t1\n",
+        b"x1 +\t1\t-\tProjection\t0\t-\n",
+        b"x1\t1\t-\tSideways\t0\t-\n",
+        b"\xff\xfe\n",
+    )
     for content in (
         b"#something-else\n",
-        header + b"x1\t1\n",
-        header + b"x1 +\t1\t-\tProjection\t0\t-\n",
-        header + b"x1\t1\t-\tSideways\t0\t-\n",
-        header + b"\xff\xfe\n",
+        *(header + body for body in malformed),
+        *(v2(body) for body in malformed),
     ):
         cache.write_bytes(content)
+        assert poset._read_cache(str(cache), 2) is None
         fresh = enumerate_classes(2, cache_path=str(cache))
         assert fresh == recs
         assert cache.read_text() == written
