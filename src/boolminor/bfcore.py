@@ -338,17 +338,6 @@ def _reduce_masks(monomials: frozenset[int]) -> tuple[frozenset[int], int]:
     return reduced, ess
 
 
-def _vertex_profiles(monomials: Iterable[int], n: int) -> list[tuple[int, ...]]:
-    """Per variable bit 0..n-1, the ascending sizes of the monomials through it:
-    the one permutation-invariant fingerprint, compared sorted."""
-    prof: list[list[int]] = [[] for _ in range(n)]
-    for m in monomials:
-        size = popcount(m)
-        for b in bits_of(m):
-            prof[b].append(size)
-    return [tuple(sorted(p)) for p in prof]
-
-
 def _check_canonical_ess(ess: int) -> None:
     """Refuse a canonical form above the cap before its search starts."""
     if ess > CANONICAL_MAX_ESS:
@@ -510,7 +499,6 @@ def is_minor(g: Zhegalkin, f: Zhegalkin) -> Optional[MinorWitness]:
         return None
     if not fvars:
         return MinorWitness(()) if g_reduced == f.monomials else None
-    g_key = (len(g_reduced), sorted(_vertex_profiles(g_reduced, g_ess)))
     g_canon = _canonical_reduced(g_reduced, g_ess)
     for blocks in _partitions(fvars, max(g_ess, 1)):
         images = [0] * f.arity
@@ -520,9 +508,7 @@ def is_minor(g: Zhegalkin, f: Zhegalkin) -> Optional[MinorWitness]:
                 images[v - 1] = rep
         candidate = map_monomials(f.monomials, images)
         c_reduced, c_ess = _reduce_masks(candidate)
-        if c_ess != g_ess or (len(c_reduced), sorted(_vertex_profiles(c_reduced, c_ess))) != g_key:
-            continue
-        if _canonical_reduced(c_reduced, c_ess) == g_canon:
+        if c_ess == g_ess and _canonical_reduced(c_reduced, c_ess) == g_canon:
             return MinorWitness(blocks)
     return None
 

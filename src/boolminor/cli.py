@@ -7,16 +7,17 @@ steiner-check, poset, verify.  Inputs come from an inline argument, a file
 machine-readable record per line and exit nonzero; malformed input exits
 with status 2.
 
-``verify`` passes each sweep only the flags that sweep takes (``_SWEEP_FLAGS``)
-and only those given, so every default lives in the sweep's signature.  A size
-above the sweep's cap or a negative sample count exits 2 before any work, with
-a message naming the flag.
+``verify`` passes each sweep only the flags named in its signature
+(``_SWEEP_PARAMS``), and only those given, so every default lives in the
+sweep's signature.  A size above the sweep's cap or a negative sample count
+exits 2 before any work, with a message naming the flag.
 Worker counts come from --workers or BOOLMINOR_WORKERS, at most the CPU count.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from typing import Optional
@@ -206,15 +207,7 @@ def _cmd_steiner_check(args) -> int:
         _emit(args, [f"not a Steiner system ({found})"], {"steiner": False})
         return 1
     report = designs.steiner_report(h, name)
-    structured = {
-        "params": [params.n, params.k, params.lambda_],
-        "irreducible": report.irreducible,
-        "contractions_isomorphic": report.contractions_isomorphic,
-        "minus2_monomorphic": report.minus2_monomorphic,
-        "two_set_transitive": report.two_set_transitive,
-        "aut_order": report.aut_order,
-        "conditions_agree": report.consistent,
-    }
+    structured = {**report.structured(), "conditions_agree": report.consistent}
     _emit(args, report.lines(), structured)
     return 0 if report.consistent else 1
 
@@ -231,23 +224,20 @@ def _cmd_poset(args) -> int:
     return 0
 
 
-# The flags each sweep takes, by keyword.  A flag left unset keeps the
-# sweep's own default; a flag the sweep does not take is ignored.
-_SWEEP_FLAGS = {
-    "gap": ("max_arity", "workers"),
-    "correspondence": ("max_vertices", "samples", "seed", "workers"),
-    "keylemma": ("max_vertices", "samples", "seed", "workers"),
-    "graphs": ("max_vertices", "seed", "workers"),
-    "steiner": (),
-    "poset": ("max_ess", "cache_path", "seed"),
+# Each sweep's parameter names, read from its signature once, at import: a
+# wrapper put in ``verify.ALL_SWEEPS`` later (``perfbench/tracer.py`` puts
+# ``(*args, **kwargs)`` ones there) still gets the flags.
+_SWEEP_PARAMS = {
+    name: tuple(inspect.signature(sweep).parameters)
+    for name, sweep in verify.ALL_SWEEPS.items()
 }
 
 
 def _cmd_verify(args) -> int:
     kwargs = {
         name: getattr(args, name)
-        for name in _SWEEP_FLAGS[args.sweep]
-        if getattr(args, name) is not None
+        for name in _SWEEP_PARAMS[args.sweep]
+        if getattr(args, name, None) is not None
     }
     try:
         result = verify.ALL_SWEEPS[args.sweep](**kwargs)

@@ -135,6 +135,18 @@ class SteinerReport:
     def consistent(self) -> bool:
         return self.irreducible == self.contractions_isomorphic == self.minus2_monomorphic
 
+    def structured(self) -> dict:
+        """The parameters, the three conditions and the group flags as plain data."""
+        p = self.params
+        return {
+            "params": [p.n, p.k, p.lambda_],
+            "irreducible": self.irreducible,
+            "contractions_isomorphic": self.contractions_isomorphic,
+            "minus2_monomorphic": self.minus2_monomorphic,
+            "two_set_transitive": self.two_set_transitive,
+            "aut_order": self.aut_order,
+        }
+
     def lines(self) -> list[str]:
         p = self.params
         ts = "n/a" if self.two_set_transitive is None else str(self.two_set_transitive)

@@ -182,6 +182,17 @@ def contract(h: Hypergraph, pair: tuple[int, int]) -> Hypergraph:
 # isomorphism and automorphisms
 
 
+def _vertex_profiles(edges: Iterable[int], n: int) -> list[tuple[int, ...]]:
+    """Per vertex bit 0..n-1, the ascending sizes of the edges through it:
+    a relabeling-invariant fingerprint, compared sorted."""
+    prof: list[list[int]] = [[] for _ in range(n)]
+    for e in edges:
+        size = popcount(e)
+        for b in bits_of(e):
+            prof[b].append(size)
+    return [tuple(sorted(p)) for p in prof]
+
+
 def _isomorphisms(h1: Hypergraph, h2: Hypergraph) -> Iterator[tuple[int, ...]]:
     """Lazily yield every edge-preserving vertex bijection h1 -> h2.
 
@@ -197,8 +208,8 @@ def _isomorphisms(h1: Hypergraph, h2: Hypergraph) -> Iterator[tuple[int, ...]]:
         yield ()
         return
     edges1, edges2 = h1.edges, h2.edges
-    prof1 = bfcore._vertex_profiles(edges1, n)
-    prof2 = bfcore._vertex_profiles(edges2, n)
+    prof1 = _vertex_profiles(edges1, n)
+    prof2 = _vertex_profiles(edges2, n)
     if sorted(prof1) != sorted(prof2):
         return
     inc1: list[list[int]] = [[] for _ in range(n)]

@@ -5,6 +5,12 @@ whose rendered lines are byte-identical across runs and worker counts:
 counts are merged deterministically and timing never goes into the output.
 Randomized sampling derives every sample from a fixed default seed.
 
+Every sharded phase runs one shard function through ``_run_shards``.  A
+shard returns its counts and its finished failure records, and the records
+are concatenated in job order, so the ``FAIL`` lines come out in the same
+order at any worker count.  A sampled phase runs its exhaustive phase's
+shard with a seed; ``seed=None`` means exhaustive.
+
 The labeled-graph sweep decomposes the 2^C(n,2) edge masks into orbits
 under vertex permutations with ``bfcore._orbit_partition`` (the engine the
 poset enumeration runs on ANF vectors, here fed the pair masks), evaluates
@@ -191,40 +197,13 @@ def _brute_quotient(edges1: list[int], n1: int, edge_mask2: int, n2: int):
     return None
 
 
-def _correspondence_record(n1: int, em1: int, n2: int, em2: int, found, minor) -> dict:
-    h1 = hg.Hypergraph(n1, frozenset(bits_of(em1)))
-    h2 = hg.Hypergraph(n2, frozenset(bits_of(em2)))
-    return {
-        "sweep": "correspondence",
-        "larger": format_hypergraph_doc(h1),
-        "smaller": format_hypergraph_doc(h2),
-        "quotient_map_exists": found is not None,
-        "is_minor": minor,
-    }
-
-
-def _correspondence_pair(n1: int, em1: int, n2: int, em2: int, check_public: bool):
-    """Compare brute-force quotient existence with the polynomial minor test."""
-    edges1 = bits_of(em1)
-    found = _brute_quotient(edges1, n1, em2, n2)
-    p1 = Zhegalkin(n1, frozenset(edges1))
-    p2 = Zhegalkin(n2, frozenset(bits_of(em2)))
-    minor = bfcore.is_minor(p2, p1) is not None
-    record = None
-    if (found is not None) != minor:
-        record = _correspondence_record(n1, em1, n2, em2, found, minor)
-    elif found is not None and check_public:
-        vmap = hg.VertexMap(n1, n2, tuple(t + 1 for t in found))
-        h1 = hg.Hypergraph(n1, frozenset(edges1))
-        h2 = hg.Hypergraph(n2, frozenset(bits_of(em2)))
-        if not hg.verify_quotient_map(vmap, h1, h2):
-            record = _correspondence_record(n1, em1, n2, em2, found, minor)
-            record["sweep"] = "correspondence-public-check"
-    return found is not None, record
-
-
-def _correspondence_exhaustive_shard(job: tuple[int, int, int]) -> dict:
-    max_vertices, start, stop = job
+def _correspondence_shard(job: tuple[int | None, int, int, int]) -> dict:
+    """Larger sides ``start..stop`` of the hypergraphs on 1..``max_vertices``
+    vertices, each against every one of them; or with a ``seed`` the seeded
+    4..5-vertex pairs of those indices.  Brute-force quotient existence must
+    equal the polynomial minor test; every 25th sample also runs a found map
+    through ``verify_quotient_map``."""
+    seed, max_vertices, start, stop = job
     universe = [
         (n, em) for n in range(1, max_vertices + 1) for em in range(1 << (1 << n))
     ]
@@ -232,38 +211,48 @@ def _correspondence_exhaustive_shard(job: tuple[int, int, int]) -> dict:
     pairs = 0
     positives = 0
     for idx in range(start, stop):
-        n1, em1 = universe[idx]
-        for n2, em2 in universe:
-            related, record = _correspondence_pair(n1, em1, n2, em2, check_public=False)
-            pairs += 1
-            positives += related
-            if record:
-                mismatches.append(record)
-    return {"pairs": pairs, "positives": positives, "mismatches": mismatches}
-
-
-def _correspondence_sample_shard(job: tuple[int, int, int]) -> dict:
-    seed, start, stop = job
-    mismatches = []
-    positives = 0
-    for idx in range(start, stop):
-        rng = random.Random(f"{seed}:corr:{idx}")
-        n1 = rng.choice((4, 5))
-        n2 = rng.choice((4, 5))
-        em1 = rng.getrandbits(1 << n1)
-        if idx % 3 == 0:
-            # force a related pair: fold a random map's image of the larger side
-            image = tuple(rng.randrange(n2) for _ in range(n1))
-            em2 = _parity_fold(bits_of(em1), image)
+        if seed is None:
+            n1, em1 = universe[idx]
+            smaller = universe
         else:
-            em2 = rng.getrandbits(1 << n2)
-        related, record = _correspondence_pair(
-            n1, em1, n2, em2, check_public=(idx % 25 == 0)
-        )
-        positives += related
-        if record:
-            mismatches.append(record)
-    return {"positives": positives, "mismatches": mismatches}
+            rng = random.Random(f"{seed}:corr:{idx}")
+            n1 = rng.choice((4, 5))
+            n2 = rng.choice((4, 5))
+            em1 = rng.getrandbits(1 << n1)
+            if idx % 3 == 0:
+                # force a related pair: fold a random map's image of the larger side
+                image = tuple(rng.randrange(n2) for _ in range(n1))
+                em2 = _parity_fold(bits_of(em1), image)
+            else:
+                em2 = rng.getrandbits(1 << n2)
+            smaller = [(n2, em2)]
+        edges1 = bits_of(em1)
+        p1 = Zhegalkin(n1, frozenset(edges1))
+        for n2, em2 in smaller:
+            found = _brute_quotient(edges1, n1, em2, n2)
+            edges2 = frozenset(bits_of(em2))
+            minor = bfcore.is_minor(Zhegalkin(n2, edges2), p1) is not None
+            pairs += 1
+            positives += found is not None
+            kind = None
+            if (found is not None) != minor:
+                kind = "correspondence"
+            elif found is not None and seed is not None and idx % 25 == 0:
+                vmap = hg.VertexMap(n1, n2, tuple(t + 1 for t in found))
+                h1, h2 = hg.Hypergraph(n1, p1.monomials), hg.Hypergraph(n2, edges2)
+                if not hg.verify_quotient_map(vmap, h1, h2):
+                    kind = "correspondence-public-check"
+            if kind:
+                mismatches.append(
+                    {
+                        "sweep": kind,
+                        "larger": format_hypergraph_doc(hg.Hypergraph(n1, p1.monomials)),
+                        "smaller": format_hypergraph_doc(hg.Hypergraph(n2, edges2)),
+                        "quotient_map_exists": found is not None,
+                        "is_minor": minor,
+                    }
+                )
+    return {"pairs": pairs, "positives": positives, "mismatches": mismatches}
 
 
 def correspondence_sweep(
@@ -278,15 +267,15 @@ def correspondence_sweep(
     workers = resolve_workers(workers)
     universe_size = sum(1 << (1 << n) for n in range(1, max_vertices + 1))
     jobs = [
-        (max_vertices, s, e) for s, e in _split_range(universe_size, workers * 4)
+        (None, max_vertices, s, e) for s, e in _split_range(universe_size, workers * 4)
     ]
-    merged = _run_shards(_correspondence_exhaustive_shard, jobs, workers)
+    merged = _run_shards(_correspondence_shard, jobs, workers)
     pairs = merged["pairs"]
     positives = merged["positives"]
     failures = merged["mismatches"]
 
-    sample_jobs = [(seed, s, e) for s, e in _split_range(samples, workers * 4)]
-    merged = _run_shards(_correspondence_sample_shard, sample_jobs, workers)
+    sample_jobs = [(seed, max_vertices, s, e) for s, e in _split_range(samples, workers * 4)]
+    merged = _run_shards(_correspondence_shard, sample_jobs, workers)
     sample_positives = merged.get("positives", 0)
     failures += merged.get("mismatches", [])
 
@@ -310,20 +299,6 @@ def correspondence_sweep(
 # contraction-criterion consistency sweep
 
 
-def _criterion_pair(n: int, em: int):
-    h = hg.Hypergraph(n, frozenset(bits_of(em)))
-    by_contr = hg.is_irreducible_by_contractions(h)
-    direct = bfcore.is_irreducible_direct(hg.polynomial_of(h)) is not None
-    if by_contr != direct:
-        return by_contr, direct, {
-            "sweep": "keylemma",
-            "hypergraph": format_hypergraph_doc(h),
-            "contraction_criterion": by_contr,
-            "direct_definition": direct,
-        }
-    return by_contr, direct, None
-
-
 def _criterion_shard(job: tuple[int | None, int, int, int]) -> dict:
     """Edge masks ``start..stop`` on ``n`` vertices, or with a ``seed`` the
     seeded samples of those indices."""
@@ -335,10 +310,19 @@ def _criterion_shard(job: tuple[int | None, int, int, int]) -> dict:
             em = idx
         else:
             em = random.Random(f"{seed}:keylemma:{idx}").getrandbits(1 << n)
-        by_contr, _, record = _criterion_pair(n, em)
+        h = hg.Hypergraph(n, frozenset(bits_of(em)))
+        by_contr = hg.is_irreducible_by_contractions(h)
+        direct = bfcore.is_irreducible_direct(hg.polynomial_of(h)) is not None
         irreducible += by_contr
-        if record:
-            mismatches.append(record)
+        if by_contr != direct:
+            mismatches.append(
+                {
+                    "sweep": "keylemma",
+                    "hypergraph": format_hypergraph_doc(h),
+                    "contraction_criterion": by_contr,
+                    "direct_definition": direct,
+                }
+            )
     return {"checked": stop - start, "irreducible": irreducible, "mismatches": mismatches}
 
 
@@ -395,14 +379,39 @@ def _graph_from_mask(n: int, mask: int, pairs: list[int]) -> graphs.Graph:
 
 
 def _rep_oracle_shard(job: tuple[int, list[int]]) -> dict:
+    """The irreducibility verdict of each orbit representative, and the
+    failures of its oracle, classifier and structure probes."""
     n, reps = job
     pairs = _pair_list(n)
-    out = []
+    verdicts = []
+    failures = []
     for rep in reps:
         g = _graph_from_mask(n, rep, pairs)
         by_contr = hg.is_irreducible_by_contractions(g)
         direct = bfcore.is_irreducible_direct(hg.polynomial_of(g)) is not None
         cls = graphs.classify_join_irreducible(g)
+        verdicts.append((rep, by_contr))
+        if by_contr != direct:
+            failures.append(
+                {
+                    "sweep": "graphs-oracle",
+                    "n": n,
+                    "rep": rep,
+                    "contraction_criterion": by_contr,
+                    "direct_definition": direct,
+                }
+            )
+        if by_contr != cls.irreducible:
+            # recorded here and caught again labeled-side
+            failures.append(
+                {
+                    "sweep": "graphs-rep",
+                    "n": n,
+                    "rep": rep,
+                    "classified": str(cls),
+                    "irreducible_oracle": by_contr,
+                }
+            )
         probes: list[str] = []
         if cls.irreducible and not graphs.matches_template(g, cls):
             probes.append("classification does not match its template graph")
@@ -430,17 +439,8 @@ def _rep_oracle_shard(job: tuple[int, list[int]]) -> dict:
                 )
                 if by_contr != in_families:
                     probes.append("non-prime connected case disagrees with its families")
-        out.append(
-            {
-                "rep": rep,
-                "irreducible": by_contr,
-                "direct": direct,
-                "classify_irreducible": cls.irreducible,
-                "classify": str(cls),
-                "probes": probes,
-            }
-        )
-    return {"rows": out}
+        failures += ({"sweep": "graphs-probe", "n": n, "rep": rep, "probe": p} for p in probes)
+    return {"verdicts": verdicts, "failures": failures}
 
 
 def _labeled_shard(job) -> dict:
@@ -534,34 +534,9 @@ def graph_sweep(
         rep_of, reps = _orbit_partition(pairs, n)
 
         rep_jobs = [(n, reps[s:e]) for s, e in _split_range(len(reps), workers * 4)]
-        verdicts: dict[int, bool] = {}
-        for row in _run_shards(_rep_oracle_shard, rep_jobs, workers)["rows"]:
-            verdicts[row["rep"]] = row["irreducible"]
-            if row["irreducible"] != row["direct"]:
-                failures.append(
-                    {
-                        "sweep": "graphs-oracle",
-                        "n": n,
-                        "rep": row["rep"],
-                        "contraction_criterion": row["irreducible"],
-                        "direct_definition": row["direct"],
-                    }
-                )
-            if row["irreducible"] != row["classify_irreducible"]:
-                # recorded here and caught again labeled-side
-                failures.append(
-                    {
-                        "sweep": "graphs-rep",
-                        "n": n,
-                        "rep": row["rep"],
-                        "classified": row["classify"],
-                        "irreducible_oracle": row["irreducible"],
-                    }
-                )
-            for probe in row["probes"]:
-                failures.append(
-                    {"sweep": "graphs-probe", "n": n, "rep": row["rep"], "probe": probe}
-                )
+        merged = _run_shards(_rep_oracle_shard, rep_jobs, workers)
+        verdicts = dict(merged["verdicts"])
+        failures += merged["failures"]
 
         labeled_jobs = [
             (n, start, stop, rep_of[start:stop], verdicts)
@@ -631,14 +606,7 @@ def steiner_catalog_report() -> VerifyResult:
         h = catalog[name]
         report = designs.steiner_report(h, name)
         lines.extend(report.lines())
-        data["instances"][name] = {
-            "params": [report.params.n, report.params.k, report.params.lambda_],
-            "irreducible": report.irreducible,
-            "contractions_isomorphic": report.contractions_isomorphic,
-            "minus2_monomorphic": report.minus2_monomorphic,
-            "two_set_transitive": report.two_set_transitive,
-            "aut_order": report.aut_order,
-        }
+        data["instances"][name] = report.structured()
         if not report.consistent:
             failures.append(
                 {

@@ -1,5 +1,6 @@
 """Text formats and the command-line front end."""
 
+import argparse
 import inspect
 import itertools
 import json
@@ -380,14 +381,33 @@ def test_cli_canonical_cap_fails_fast(capsys, verb):
     assert err.startswith("error: ") and "capped at 9 essential variables, got 12" in err
 
 
-def test_sweep_flag_table_matches_sweep_signatures():
+def test_verify_flags_are_sweep_parameters_and_default_to_none():
+    subs = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = [
+        a.dest
+        for a in subs.choices["verify"]._actions
+        if a.option_strings and a.dest not in ("help", "format")
+    ]
+    params = set().union(*(inspect.signature(fn).parameters for fn in verify.ALL_SWEEPS.values()))
     args = cli.build_parser().parse_args(["verify", "gap"])
-    assert set(cli._SWEEP_FLAGS) == set(verify.ALL_SWEEPS)
-    for sweep, flags in cli._SWEEP_FLAGS.items():
-        params = inspect.signature(verify.ALL_SWEEPS[sweep]).parameters
-        for flag in flags:
-            assert flag in params, (sweep, flag)
-            assert getattr(args, flag) is None, flag
+    assert len(dests) == 7
+    for dest in dests:
+        assert dest in params, dest
+        # absent, so the sweep's own default applies
+        assert getattr(args, dest) is None, dest
+
+
+def test_cli_verify_passes_flags_through_a_wrapped_sweep(capsys, monkeypatch):
+    seen = {}
+
+    def wrapped(*args, **kwargs):
+        seen.update(kwargs)
+        return verify.VerifyResult("gap")
+
+    monkeypatch.setitem(verify.ALL_SWEEPS, "gap", wrapped)
+    code, out, _ = run_cli(capsys, "verify", "gap", "--max-arity", "2", "--seed", "5")
+    assert (code, out) == (0, "ok\n")
+    assert seen == {"max_arity": 2}
 
 
 def test_cli_verify_keylemma_matches_library(capsys):
