@@ -22,6 +22,7 @@ implementation is labeling-invariant.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 import os
@@ -33,6 +34,7 @@ from . import bfcore, designs, graphs, poset
 from . import hypergraph as hg
 from .bfcore import TruthTable, Zhegalkin, _orbit_partition, bits_of, popcount
 from .formats import (
+    _shown,
     format_graph_line,
     format_hypergraph_doc,
     format_polynomial,
@@ -47,13 +49,18 @@ GAP_MAX_ARITY = 4  # 5 means 2^32 truth tables
 CORRESPONDENCE_MAX_VERTICES = 3  # 4 means about 4*10^9 exhaustive pairs
 KEYLEMMA_MAX_VERTICES = 4  # 5 means 2^32 edge masks
 GRAPHS_MAX_VERTICES = 7  # 8 means a 2 GiB orbit-representative array
+QUOTIENT_MAX_VERTICES = 5  # the oracle's lanes at 8: 64 ints of 2^24 bits
 
 
 def resolve_workers(requested: int | None = None) -> int:
-    """``requested``, else ``BOOLMINOR_WORKERS``, else 1; at most the CPU count."""
-    env = os.environ.get(WORKERS_ENV, "")
+    """``requested``, else ``BOOLMINOR_WORKERS``, else 1; at most the CPU count.
+
+    The variable, when set and not empty, must be 1 to 20 ASCII digits."""
     if requested is None or requested < 1:
-        requested = int(env) if env.isdigit() else 1
+        env = os.environ.get(WORKERS_ENV, "")
+        if env and not (len(env) <= 20 and env.isascii() and env.isdigit()):
+            raise ValueError(f"{WORKERS_ENV} must be 1 to 20 ASCII digits, got {_shown(env)!r}")
+        requested = int(env) if env else 1
     return max(1, min(requested, os.cpu_count() or 1))
 
 
@@ -175,8 +182,8 @@ def gap_sweep(max_arity: int = 4, workers: int | None = None) -> VerifyResult:
 def _parity_fold(edges: list[int], image: tuple[int, ...]) -> int:
     """Edge mask of the parity image of ``edges`` under a 0-based vertex map.
 
-    This is the brute-force oracle's own copy of the substitution: it must
-    stay independent of the bfcore code that the sweeps check against it.
+    The seeded sample generator folds a random map with it to force a related
+    pair; it stays independent of bfcore like the oracle it feeds.
     """
     acc = 0
     for e in edges:
@@ -189,12 +196,70 @@ def _parity_fold(edges: list[int], image: tuple[int, ...]) -> int:
     return acc
 
 
-def _brute_quotient(edges1: list[int], n1: int, edge_mask2: int, n2: int):
-    """First vertex map whose parity-fold of edges1 equals edge_mask2, or None."""
-    for image in itertools.product(range(n2), repeat=n1):
-        if _parity_fold(edges1, image) == edge_mask2:
-            return image
-    return None
+@functools.lru_cache(maxsize=None)
+def _lane_tables(n1: int, n2: int) -> tuple[tuple[int, ...], ...]:
+    """``A[v][w]``: bit i set when map i sends vertex v to w.
+
+    Maps are numbered in ``itertools.product`` order, vertex 0 most
+    significant, so the lowest set lane is the first map in that order.
+    """
+    lanes = [[0] * n2 for _ in range(n1)]
+    for i, image in enumerate(itertools.product(range(n2), repeat=n1)):
+        for v, w in enumerate(image):
+            lanes[v][w] |= 1 << i
+    return tuple(map(tuple, lanes))
+
+
+def _brute_quotient(edge_mask1: int, n1: int, targets, n2: int) -> list:
+    """For each edge mask in ``targets``, the first vertex map (in
+    ``itertools.product`` order) whose parity fold of ``edge_mask1`` equals
+    it, or None.
+
+    Exhaustive over all n2^n1 maps, bit-sliced: one int carries one bit
+    (lane) per map.  ``parity[t]`` holds the maps under which an odd number
+    of edges land exactly on the vertex set t, so the maps that fold onto a
+    target are the AND over t of ``parity[t]`` or its complement.  This is
+    the oracle the sweep checks ``bfcore.is_minor`` against: it must stay
+    independent of bfcore, so it decodes ``edge_mask1`` itself.
+    """
+    _check_range("n1", n1, 1, QUOTIENT_MAX_VERTICES)
+    _check_range("n2", n2, 1, QUOTIENT_MAX_VERTICES)
+    table = _lane_tables(n1, n2)
+    full = (1 << n2**n1) - 1
+    parity = [0] * (1 << n2)
+    for e in range(1 << n1):
+        if not edge_mask1 >> e & 1:
+            continue
+        vertex_lanes = [table[v] for v in range(n1) if e >> v & 1]
+        # split the maps by the exact image of e, one target vertex at a time
+        exact = {0: full}
+        for w in range(n2):
+            hit = 0
+            for lanes in vertex_lanes:
+                hit |= lanes[w]
+            split = {}
+            for t, lane in exact.items():
+                on = lane & hit
+                if on:
+                    split[t | 1 << w] = on
+                if on != lane:
+                    split[t] = lane ^ on
+            exact = split
+        for t, lane in exact.items():
+            parity[t] ^= lane
+    found = []
+    for em2 in targets:
+        maps = 0 if em2 >> (1 << n2) else full
+        for t, p in enumerate(parity):
+            if not maps:
+                break
+            maps &= p if em2 >> t & 1 else ~p
+        if not maps:
+            found.append(None)
+            continue
+        i = (maps & -maps).bit_length() - 1  # the lowest lane is the first map
+        found.append(tuple(i // n2 ** (n1 - 1 - v) % n2 for v in range(n1)))
+    return found
 
 
 def _correspondence_shard(job: tuple[int | None, int, int, int]) -> dict:
@@ -202,7 +267,9 @@ def _correspondence_shard(job: tuple[int | None, int, int, int]) -> dict:
     vertices, each against every one of them; or with a ``seed`` the seeded
     4..5-vertex pairs of those indices.  Brute-force quotient existence must
     equal the polynomial minor test; every 25th sample also runs a found map
-    through ``verify_quotient_map``."""
+    through ``verify_quotient_map``.  The oracle runs once per larger side
+    and target vertex count, on all of that count's smaller sides in
+    universe order, so pairs and records keep their order."""
     seed, max_vertices, start, stop = job
     universe = [
         (n, em) for n in range(1, max_vertices + 1) for em in range(1 << (1 << n))
@@ -213,7 +280,7 @@ def _correspondence_shard(job: tuple[int | None, int, int, int]) -> dict:
     for idx in range(start, stop):
         if seed is None:
             n1, em1 = universe[idx]
-            smaller = universe
+            smaller = [(n2, range(1 << (1 << n2))) for n2 in range(1, max_vertices + 1)]
         else:
             rng = random.Random(f"{seed}:corr:{idx}")
             n1 = rng.choice((4, 5))
@@ -225,33 +292,32 @@ def _correspondence_shard(job: tuple[int | None, int, int, int]) -> dict:
                 em2 = _parity_fold(bits_of(em1), image)
             else:
                 em2 = rng.getrandbits(1 << n2)
-            smaller = [(n2, em2)]
-        edges1 = bits_of(em1)
-        p1 = Zhegalkin(n1, frozenset(edges1))
-        for n2, em2 in smaller:
-            found = _brute_quotient(edges1, n1, em2, n2)
-            edges2 = frozenset(bits_of(em2))
-            minor = bfcore.is_minor(Zhegalkin(n2, edges2), p1) is not None
-            pairs += 1
-            positives += found is not None
-            kind = None
-            if (found is not None) != minor:
-                kind = "correspondence"
-            elif found is not None and seed is not None and idx % 25 == 0:
-                vmap = hg.VertexMap(n1, n2, tuple(t + 1 for t in found))
-                h1, h2 = hg.Hypergraph(n1, p1.monomials), hg.Hypergraph(n2, edges2)
-                if not hg.verify_quotient_map(vmap, h1, h2):
-                    kind = "correspondence-public-check"
-            if kind:
-                mismatches.append(
-                    {
-                        "sweep": kind,
-                        "larger": format_hypergraph_doc(hg.Hypergraph(n1, p1.monomials)),
-                        "smaller": format_hypergraph_doc(hg.Hypergraph(n2, edges2)),
-                        "quotient_map_exists": found is not None,
-                        "is_minor": minor,
-                    }
-                )
+            smaller = [(n2, [em2])]
+        p1 = Zhegalkin(n1, frozenset(bits_of(em1)))
+        for n2, targets in smaller:
+            for em2, found in zip(targets, _brute_quotient(em1, n1, targets, n2)):
+                edges2 = frozenset(bits_of(em2))
+                minor = bfcore.is_minor(Zhegalkin(n2, edges2), p1) is not None
+                pairs += 1
+                positives += found is not None
+                kind = None
+                if (found is not None) != minor:
+                    kind = "correspondence"
+                elif found is not None and seed is not None and idx % 25 == 0:
+                    vmap = hg.VertexMap(n1, n2, tuple(t + 1 for t in found))
+                    h1, h2 = hg.Hypergraph(n1, p1.monomials), hg.Hypergraph(n2, edges2)
+                    if not hg.verify_quotient_map(vmap, h1, h2):
+                        kind = "correspondence-public-check"
+                if kind:
+                    mismatches.append(
+                        {
+                            "sweep": kind,
+                            "larger": format_hypergraph_doc(hg.Hypergraph(n1, p1.monomials)),
+                            "smaller": format_hypergraph_doc(hg.Hypergraph(n2, edges2)),
+                            "quotient_map_exists": found is not None,
+                            "is_minor": minor,
+                        }
+                    )
     return {"pairs": pairs, "positives": positives, "mismatches": mismatches}
 
 

@@ -78,10 +78,30 @@ def test_mask_tables(data):
     assert vars_of(image) == {table[v - 1] + 1 for v in vars_of(mask)}
 
 
+def _names(code):
+    """Global names a code object and its nested code objects read."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _names(const)
+    return names
+
+
 def test_brute_quotient_oracle_stays_independent_of_bfcore():
-    # the oracle checks bfcore's minor test, so it must not run bfcore code
-    for fn in (verify._brute_quotient, verify._parity_fold):
-        names = set(fn.__code__.co_names)
-        assert not names & {"bfcore", "fold"}
+    # the oracle checks bfcore's minor test, so neither it nor any verify
+    # helper it calls (the lane tables, the sample generator's fold) may run
+    # bfcore code
+    pending = [verify._brute_quotient, verify._parity_fold]
+    seen = set()
+    while pending:
+        fn = pending.pop()
+        fn = getattr(fn, "__wrapped__", fn)  # under lru_cache
+        seen.add(fn.__name__)
+        names = _names(fn.__code__)
+        assert not names & {"bfcore", "fold"}, fn.__name__
         for name in names:
-            assert getattr(getattr(verify, name, None), "__module__", None) != bfcore.__name__
+            obj = getattr(verify, name, None)
+            assert getattr(obj, "__module__", None) != bfcore.__name__, (fn.__name__, name)
+            if getattr(obj, "__module__", None) == verify.__name__ and name not in seen:
+                pending.append(obj)
+    assert {"_brute_quotient", "_lane_tables", "_check_range"} <= seen

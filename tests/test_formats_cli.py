@@ -4,8 +4,12 @@ import argparse
 import inspect
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +30,8 @@ from boolminor.formats import (
 )
 from boolminor.graphs import Graph, cycle
 from boolminor.hypergraph import Hypergraph
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def poly(arity, *monos):
@@ -337,6 +343,21 @@ def test_resolve_workers_clamped_to_cpu_count(monkeypatch):
     assert verify.resolve_workers(0) == 3
     monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
     assert verify.resolve_workers(100_000) == 1
+    monkeypatch.setenv(verify.WORKERS_ENV, "")
+    assert verify.resolve_workers(None) == 1
+    monkeypatch.setenv(verify.WORKERS_ENV, "abc")
+    assert verify.resolve_workers(2) == 1  # a flag value wins; the variable is not read
+
+
+@pytest.mark.parametrize("value", ["²", "abc", "-1", " 2", "9" * 5000])
+def test_cli_rejects_a_malformed_workers_variable(value):
+    env = dict(os.environ, PYTHONPATH=str(SRC), **{verify.WORKERS_ENV: value})
+    argv = [sys.executable, "-m", "boolminor.cli", "verify", "gap", "--max-arity", "1"]
+    run = subprocess.run(argv, env=env, capture_output=True)
+    err = run.stderr.decode()
+    assert run.returncode == 2 and run.stdout == b""
+    assert err.startswith(f"error: {verify.WORKERS_ENV} must be 1 to 20 ASCII digits, got ")
+    assert len(run.stderr) < 200 and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
