@@ -25,7 +25,7 @@ from array import array
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 MAX_TABLE_ARITY = 20
 MAX_POLY_ARITY = 63
@@ -456,14 +456,11 @@ def _partitions(items: tuple[int, ...], min_blocks: int):
     """Partitions of ``items`` ordered by block count, then lexicographically.
 
     Yields tuples of tuples; the coarsest admissible partitions come first,
-    which makes the first witness found deterministic.
+    which makes the first witness found deterministic.  ``items`` is
+    nonempty and ``min_blocks`` at least 1, as ``is_minor`` passes them.
     """
     n = len(items)
-    if n == 0:
-        if min_blocks <= 0:
-            yield ()
-        return
-    for k in range(max(1, min_blocks), n + 1):
+    for k in range(min_blocks, n + 1):
         rgs = [0] * n
         yield from _rgs_exact(items, rgs, 1, 0, k)
 
@@ -584,28 +581,33 @@ def one_step_identification_classes(f: Zhegalkin) -> list[Zhegalkin]:
     return sorted(classes, key=lambda p: (essential_arity(p), sorted(p.monomials)))
 
 
+def _maximal_one_steps(f: Zhegalkin) -> Iterator[Zhegalkin]:
+    """The maximal one-step identification classes of f, highest ess first.
+
+    These are the lower covers of f's class.  A strict minor has strictly
+    fewer essential variables, so distinct classes of equal ess are
+    incomparable, and by transitivity a class is dominated exactly when it
+    lies below a maximal class of higher ess, all of which come before it.
+    Ties in ess keep the order of ``_one_step_groups``.
+    """
+    _check_canonical_ess(essential_arity(f))
+    found: list[tuple[Zhegalkin, int]] = []
+    for canon, ess in sorted(_one_step_groups(f.monomials), key=lambda key: -key[1]):
+        cls = Zhegalkin(max(ess, 1), frozenset(canon))
+        if not any(m_ess > ess and is_minor(cls, m) is not None for m, m_ess in found):
+            found.append((cls, ess))
+            yield cls
+
+
 def is_irreducible_direct(f: Zhegalkin) -> Optional[Zhegalkin]:
     """The canonical dominating strict minor of f, if one exists.
 
     Every strict minor lies below some one-step identification, so f is
-    irreducible exactly when one one-step class sits above all the others.
-    A dominating class must be the unique class of maximal essential arity;
-    only that candidate needs testing.
+    irreducible exactly when its one-step classes have a single maximal one.
+    The scan stops at the second maximal class.
     """
-    classes = one_step_identification_classes(f)
-    if not classes:
-        return None
-    top_ess = max(essential_arity(c) for c in classes)
-    top = [c for c in classes if essential_arity(c) == top_ess]
-    if len(top) > 1:
-        return None
-    champion = top[0]
-    for other in classes:
-        if other is champion:
-            continue
-        if is_minor(other, champion) is None:
-            return None
-    return champion
+    covers = list(itertools.islice(_maximal_one_steps(f), 2))
+    return covers[0] if len(covers) == 1 else None
 
 
 # ---------------------------------------------------------------------------

@@ -133,31 +133,16 @@ def _cmd_gap(args) -> int:
 def _cmd_irreducible(args) -> int:
     text = _read_input(args)
     poly = parse_any_polynomial(text, args.arity)
-    cover = bfcore.is_irreducible_direct(poly)
-    if cover is not None:
-        _emit(
-            args,
-            [f"irreducible; unique lower cover: {format_polynomial(cover)}"],
-            {"irreducible": True, "lower_cover": format_polynomial(cover)},
-        )
-        return 0
-    maximal = poset._maximal_classes(bfcore.one_step_identification_classes(poly))
-    if maximal:
-        shown = "; ".join(format_polynomial(p) for p in maximal)
-        _emit(
-            args,
-            [f"not irreducible; maximal strict minors: {shown}"],
-            {
-                "irreducible": False,
-                "maximal_strict_minors": [format_polynomial(p) for p in maximal],
-            },
-        )
+    covers = poset._sorted_covers(poly)
+    shown = [format_polynomial(p) for p in covers]
+    if len(shown) == 1:
+        lines = [f"irreducible; unique lower cover: {shown[0]}"]
+        info = {"irreducible": True, "lower_cover": shown[0]}
     else:
-        _emit(
-            args,
-            ["not irreducible; no strict minor exists"],
-            {"irreducible": False, "maximal_strict_minors": []},
-        )
+        detail = f"maximal strict minors: {'; '.join(shown)}" if shown else "no strict minor exists"
+        lines = [f"not irreducible; {detail}"]
+        info = {"irreducible": False, "maximal_strict_minors": shown}
+    _emit(args, lines, info)
     return 0
 
 

@@ -16,8 +16,9 @@ import re
 from typing import Optional
 
 from .bfcore import MAX_POLY_ARITY, MAX_TABLE_ARITY, TruthTable, Zhegalkin, popcount, vars_of
+from .bfcore import zhegalkin_from_truth_table
 from .graphs import Graph
-from .hypergraph import MAX_VERTICES, Hypergraph
+from .hypergraph import MAX_VERTICES, Hypergraph, hypergraph_of, polynomial_of
 
 
 class ParseError(ValueError):
@@ -114,18 +115,32 @@ def format_polynomial(poly: Zhegalkin) -> str:
 # truth tables
 
 _TT_RE = re.compile(r"^tt:([0-9A-Fa-f]+)\s+arity=(\d+)$")
+_HEX_RE = re.compile(r"^[0-9A-Fa-f]+$")
 
 
 def parse_truth_table(text: str, arity: Optional[int] = None) -> TruthTable:
+    """``tt:<HEX> arity=<n>``, or ``tt:<HEX>`` at the given ``arity``; the
+    digits are checked against the arity before int() reads them."""
     s = text.strip()
+    lead = len(text) - len(text.lstrip())
     m = _TT_RE.match(s)
     if m:
-        pos = len(text) - len(text.lstrip()) + m.start(2)
+        pos = lead + m.start(2)
         arity = _bounded_int(m.group(2), MAX_TABLE_ARITY, f"arity must be in 1..{MAX_TABLE_ARITY}", pos)
-        return TruthTable(arity, int(m.group(1), 16))
-    if s.startswith("tt:") and arity is not None:
-        return TruthTable(arity, int(s[3:].strip(), 16))
-    raise ParseError("expected 'tt:<hex> arity=<n>'", 0)
+        digits = m.group(1)
+    elif s.startswith("tt:") and arity is not None:
+        digits = s[3:].strip()
+        if not _HEX_RE.match(digits):
+            raise ParseError(f"expected hex digits after 'tt:', got {_shown(digits)!r}", lead + 3)
+    else:
+        raise ParseError("expected 'tt:<hex> arity=<n>'", 0)
+    if not 1 <= arity <= MAX_TABLE_ARITY:
+        raise ValueError(f"arity must be in 1..{MAX_TABLE_ARITY}, got {arity}")
+    significant = len(digits.lstrip("0"))
+    if significant > ((1 << arity) + 3) // 4:
+        message = f"{significant} significant hex digits exceed the {1 << arity}-bit table"
+        raise ParseError(message, lead + 3)
+    return TruthTable(arity, int(digits, 16))
 
 
 def format_truth_table(table: TruthTable) -> str:
@@ -224,16 +239,10 @@ def parse_any_polynomial(text: str, arity: Optional[int] = None) -> Zhegalkin:
     """Accept a polynomial, a truth table, or a hypergraph document."""
     kind = detect_kind(text)
     if kind == "table":
-        from .bfcore import zhegalkin_from_truth_table
-
         return zhegalkin_from_truth_table(parse_truth_table(text, arity))
     if kind == "hypergraph":
-        from .hypergraph import polynomial_of
-
         return polynomial_of(parse_hypergraph_doc(text))
     if kind == "graph":
-        from .hypergraph import polynomial_of
-
         return polynomial_of(parse_graph(text))
     return parse_polynomial(text, arity)
 
@@ -246,10 +255,5 @@ def parse_any_hypergraph(text: str) -> Hypergraph:
     if kind == "graph":
         return parse_graph(text)
     if kind == "table":
-        from .bfcore import zhegalkin_from_truth_table
-        from .hypergraph import hypergraph_of
-
         return hypergraph_of(zhegalkin_from_truth_table(parse_truth_table(text)))
-    from .hypergraph import hypergraph_of
-
     return hypergraph_of(parse_polynomial(text))

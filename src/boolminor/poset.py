@@ -58,15 +58,10 @@ class ClassRecord:
         return self.canon.monomials
 
 
-def _maximal_classes(classes: list[Zhegalkin]) -> tuple[Zhegalkin, ...]:
-    maximal = []
-    for a in classes:
-        dominated = any(
-            b is not a and bfcore.is_minor(a, b) is not None for b in classes
-        )
-        if not dominated:
-            maximal.append(a)
-    return tuple(sorted(maximal, key=lambda p: sorted(p.monomials)))
+def _sorted_covers(f: Zhegalkin) -> tuple[Zhegalkin, ...]:
+    """The lower covers of f's class (its maximal one-step classes), ordered
+    by sorted monomials."""
+    return tuple(sorted(bfcore._maximal_one_steps(f), key=lambda p: sorted(p.monomials)))
 
 
 def lower_covers(canon: Zhegalkin, universe: Iterable[ClassRecord]) -> tuple[Zhegalkin, ...]:
@@ -76,11 +71,10 @@ def lower_covers(canon: Zhegalkin, universe: Iterable[ClassRecord]) -> tuple[Zhe
     one-step identification classes are looked up there to catch gaps.
     """
     known = {r.key() for r in universe}
-    one_steps = bfcore.one_step_identification_classes(canon)
-    for cls in one_steps:
+    for cls in bfcore.one_step_identification_classes(canon):
         if cls.monomials not in known:
             raise ValueError("universe is incomplete: missing a one-step class")
-    return _maximal_classes(one_steps)
+    return _sorted_covers(canon)
 
 
 def enumerate_classes(max_ess: int, cache_path: Optional[str] = None) -> tuple[ClassRecord, ...]:
@@ -110,10 +104,7 @@ def _compute_records(max_ess: int) -> tuple[ClassRecord, ...]:
             k: v for k, v in canons.items() if essential_arity(v) == 0
         }
 
-    covers: dict[frozenset[int], tuple[Zhegalkin, ...]] = {}
-    for key, canon in canons.items():
-        one_steps = bfcore.one_step_identification_classes(canon)
-        covers[key] = _maximal_classes(one_steps)
+    covers = {key: _sorted_covers(canon) for key, canon in canons.items()}
 
     layers = _strip_levels({k: [c.monomials for c in cov] for k, cov in covers.items()})
     levels_map = {k: depth for depth, layer in enumerate(layers) for k in layer}

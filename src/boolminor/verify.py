@@ -51,6 +51,8 @@ KEYLEMMA_MAX_VERTICES = 4  # 5 means 2^32 edge masks
 GRAPHS_MAX_VERTICES = 7  # 8 means a 2 GiB orbit-representative array
 QUOTIENT_MAX_VERTICES = 5  # the oracle's lanes at 8: 64 ints of 2^24 bits
 
+_GRAPHS_SPOT_SAMPLES = 200  # seeded labeled masks per vertex count whose orbit verdict is re-checked
+
 
 def resolve_workers(requested: int | None = None) -> int:
     """``requested``, else ``BOOLMINOR_WORKERS``, else 1; at most the CPU count.
@@ -269,18 +271,21 @@ def _correspondence_shard(job: tuple[int | None, int, int, int]) -> dict:
     equal the polynomial minor test; every 25th sample also runs a found map
     through ``verify_quotient_map``.  The oracle runs once per larger side
     and target vertex count, on all of that count's smaller sides in
-    universe order, so pairs and records keep their order."""
+    universe order, so pairs and records keep their order.  An exhaustive
+    shard decodes every side once; the oracle decodes the larger side itself."""
     seed, max_vertices, start, stop = job
-    universe = [
-        (n, em) for n in range(1, max_vertices + 1) for em in range(1 << (1 << n))
-    ]
+    if seed is None:
+        smaller = []
+        for n in range(1, max_vertices + 1):
+            ems = range(1 << (1 << n))
+            smaller.append((n, ems, [Zhegalkin(n, frozenset(bits_of(em))) for em in ems]))
+        universe = [(n, em, p) for n, ems, polys in smaller for em, p in zip(ems, polys)]
     mismatches = []
     pairs = 0
     positives = 0
     for idx in range(start, stop):
         if seed is None:
-            n1, em1 = universe[idx]
-            smaller = [(n2, range(1 << (1 << n2))) for n2 in range(1, max_vertices + 1)]
+            n1, em1, p1 = universe[idx]
         else:
             rng = random.Random(f"{seed}:corr:{idx}")
             n1 = rng.choice((4, 5))
@@ -292,12 +297,11 @@ def _correspondence_shard(job: tuple[int | None, int, int, int]) -> dict:
                 em2 = _parity_fold(bits_of(em1), image)
             else:
                 em2 = rng.getrandbits(1 << n2)
-            smaller = [(n2, [em2])]
-        p1 = Zhegalkin(n1, frozenset(bits_of(em1)))
-        for n2, targets in smaller:
-            for em2, found in zip(targets, _brute_quotient(em1, n1, targets, n2)):
-                edges2 = frozenset(bits_of(em2))
-                minor = bfcore.is_minor(Zhegalkin(n2, edges2), p1) is not None
+            smaller = [(n2, [em2], [Zhegalkin(n2, frozenset(bits_of(em2)))])]
+            p1 = Zhegalkin(n1, frozenset(bits_of(em1)))
+        for n2, targets, polys in smaller:
+            for p2, found in zip(polys, _brute_quotient(em1, n1, targets, n2)):
+                minor = bfcore.is_minor(p2, p1) is not None
                 pairs += 1
                 positives += found is not None
                 kind = None
@@ -305,7 +309,7 @@ def _correspondence_shard(job: tuple[int | None, int, int, int]) -> dict:
                     kind = "correspondence"
                 elif found is not None and seed is not None and idx % 25 == 0:
                     vmap = hg.VertexMap(n1, n2, tuple(t + 1 for t in found))
-                    h1, h2 = hg.Hypergraph(n1, p1.monomials), hg.Hypergraph(n2, edges2)
+                    h1, h2 = hg.Hypergraph(n1, p1.monomials), hg.Hypergraph(n2, p2.monomials)
                     if not hg.verify_quotient_map(vmap, h1, h2):
                         kind = "correspondence-public-check"
                 if kind:
@@ -313,7 +317,7 @@ def _correspondence_shard(job: tuple[int | None, int, int, int]) -> dict:
                         {
                             "sweep": kind,
                             "larger": format_hypergraph_doc(hg.Hypergraph(n1, p1.monomials)),
-                            "smaller": format_hypergraph_doc(hg.Hypergraph(n2, edges2)),
+                            "smaller": format_hypergraph_doc(hg.Hypergraph(n2, p2.monomials)),
                             "quotient_map_exists": found is not None,
                             "is_minor": minor,
                         }
@@ -584,11 +588,9 @@ def graph_sweep(
     max_vertices: int = 7,
     workers: int | None = None,
     seed: int = DEFAULT_SEED,
-    spot_samples: int = 200,
 ) -> VerifyResult:
     """Join-irreducible classification and property (P) on all labeled graphs."""
     _check_range("max_vertices", max_vertices, 1, GRAPHS_MAX_VERTICES)
-    _check_range("spot_samples", spot_samples, 0)
     workers = resolve_workers(workers)
     lines = []
     failures: list[dict] = []
@@ -637,7 +639,7 @@ def graph_sweep(
 
         # seeded spot checks: the oracle must not depend on the labeling
         rng = random.Random(f"{seed}:spot:{n}")
-        for _ in range(min(spot_samples, total)):
+        for _ in range(min(_GRAPHS_SPOT_SAMPLES, total)):
             m = rng.randrange(total)
             g = _graph_from_mask(n, m, pairs)
             if hg.is_irreducible_by_contractions(g) != verdicts[rep_of[m]]:

@@ -261,6 +261,29 @@ def test_cli_input_errors(capsys):
         assert len(err) < 1000 and "Traceback" not in err
 
 
+def test_cli_truth_table_digits_checked_before_int(capsys):
+    # both tt: forms check the digits against the arity before int() reads them
+    for argv, message in (
+        (("classify", "tt:xyz", "--arity", "2"), "expected hex digits after 'tt:', got 'xyz'"),
+        (("classify", "tt:" + "g" * 5000, "--arity", "2"), "(5000 characters)"),
+        (("classify", "tt:0x1F", "--arity", "3"), "expected hex digits after 'tt:'"),
+        (("classify", "tt:1F", "--arity", "2"), "2 significant hex digits exceed the 4-bit table"),
+        (("classify", "tt:" + "F" * 5000, "--arity", "3"), "5000 significant hex digits"),
+        (("classify", "tt:" + "F" * 5000 + " arity=3"), "exceed the 8-bit table"),
+        (("classify", "tt:F", "--arity", "0"), "arity must be in 1..20, got 0"),
+        (("classify", "tt:F", "--arity", "9" * 20), "arity must be in 1..20"),
+        (("classify", "tt:F arity=0"), "arity must be in 1..20, got 0"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "" and message in err, err
+        assert len(err.encode()) < 200 and "Traceback" not in err
+    with pytest.raises(ParseError):
+        parse_truth_table("tt:xyz", arity=2)
+    for argv in (("tt:E8 arity=3",), ("tt:00e8", "--arity", "3")):
+        code, out, _ = run_cli(capsys, "convert", *argv, "--to", "table")
+        assert (code, out) == (0, "tt:E8 arity=3\n")
+
+
 def test_cli_poset_export(capsys, tmp_path):
     out_path = tmp_path / "classes.dot"
     code, out, _ = run_cli(capsys, "poset", "--max-ess", "1", "--out", str(out_path))
@@ -411,9 +434,9 @@ def test_verify_flags_are_sweep_parameters_and_default_to_none():
     ]
     params = set().union(*(inspect.signature(fn).parameters for fn in verify.ALL_SWEEPS.values()))
     args = cli.build_parser().parse_args(["verify", "gap"])
-    assert len(dests) == 7
+    # every sweep parameter is a flag: no knob hides from the command line
+    assert sorted(dests) == sorted(params)
     for dest in dests:
-        assert dest in params, dest
         # absent, so the sweep's own default applies
         assert getattr(args, dest) is None, dest
 

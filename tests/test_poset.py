@@ -6,7 +6,7 @@ import random
 import pytest
 
 from boolminor import bfcore, cli, poset
-from boolminor.bfcore import TruthTable, Zhegalkin, zhegalkin_from_truth_table
+from boolminor.bfcore import TruthTable, Zhegalkin, bits_of, zhegalkin_from_truth_table
 from boolminor.formats import parse_polynomial
 from boolminor.poset import (
     Block,
@@ -111,6 +111,52 @@ def test_levels_partition():
     for depth, layer in enumerate(lv):
         for rec in layer:
             assert rec.level == depth
+
+
+def all_pairs_covers(f):
+    """The all-pairs scan the poset's covers once came from, kept as the
+    oracle: a one-step class is a cover unless it is a minor of another."""
+    classes = bfcore.one_step_identification_classes(f)
+    maximal = [
+        a for a in classes if not any(b is not a and bfcore.is_minor(a, b) is not None for b in classes)
+    ]
+    return tuple(sorted(maximal, key=lambda p: sorted(p.monomials)))
+
+
+def champion_cover(f):
+    """The champion loop ``is_irreducible_direct`` once ran, kept as the
+    oracle: the unique one-step class of top ess, if every other class lies
+    below it."""
+    classes = bfcore.one_step_identification_classes(f)
+    if not classes:
+        return None
+    top_ess = max(bfcore.essential_arity(c) for c in classes)
+    top = [c for c in classes if bfcore.essential_arity(c) == top_ess]
+    if len(top) > 1:
+        return None
+    if any(c is not top[0] and bfcore.is_minor(c, top[0]) is None for c in classes):
+        return None
+    return top[0]
+
+
+def test_cover_scan_matches_all_pairs_and_champion_oracles():
+    for r in enumerate_classes(4):
+        assert r.lower_covers == all_pairs_covers(r.canon), r.canon
+        assert bfcore.is_irreducible_direct(r.canon) == champion_cover(r.canon), r.canon
+    rng = random.Random(113)
+    # dense functions mostly tie at the top ess; sparse ones reach the
+    # is_minor checks below a unique top class
+    five = [Zhegalkin(5, frozenset(bits_of(rng.getrandbits(32)))) for _ in range(100)]
+    five += [Zhegalkin(5, frozenset(rng.sample(range(32), rng.randint(2, 8)))) for _ in range(200)]
+    verdicts = set()
+    for f in five:
+        covers = poset._sorted_covers(f)
+        assert covers == all_pairs_covers(f), f
+        cover = bfcore.is_irreducible_direct(f)
+        assert cover == champion_cover(f), f
+        verdicts.add(len(covers) == 1)
+        assert (cover is not None) == (len(covers) == 1)
+    assert verdicts == {False, True}
 
 
 def test_irreducibility_matches_unique_cover():
