@@ -36,10 +36,6 @@ CANONICAL_MAX_ESS = 9  # checked at entry; near-symmetric sets tie most partial 
 # bitmask helpers
 
 
-def popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def bits_of(mask: int) -> list[int]:
     """0-based positions of the set bits, ascending."""
     out = []
@@ -273,7 +269,7 @@ def essential_variables(poly: Zhegalkin) -> frozenset[int]:
 
 
 def essential_arity(poly: Zhegalkin) -> int:
-    return popcount(support_mask(poly.monomials))
+    return support_mask(poly.monomials).bit_count()
 
 
 def substitute(poly: Zhegalkin, sigma: Mapping[int, int], arity: int) -> Zhegalkin:
@@ -520,7 +516,7 @@ def arity_gap(f: Zhegalkin) -> int:
         raise ValueError("arity gap requires at least two essential variables")
     best_after = -1
     for i, j in itertools.combinations(fvars, 2):
-        after = popcount(support_mask(_identify_masks(f.monomials, i - 1, j - 1)))
+        after = support_mask(_identify_masks(f.monomials, i - 1, j - 1)).bit_count()
         if after > best_after:
             best_after = after
     return len(fvars) - best_after
@@ -537,15 +533,15 @@ def classify_gap(f: Zhegalkin) -> GapClass:
         raise ValueError("gap classification requires at least two essential variables")
     constant = 1 if 0 in reduced else 0
     body = [m for m in reduced if m]
-    singles = [m for m in body if popcount(m) == 1]
-    doubles = [m for m in body if popcount(m) == 2]
-    sizes = sorted(popcount(m) for m in body)
+    singles = [m for m in body if m.bit_count() == 1]
+    doubles = [m for m in body if m.bit_count() == 2]
+    sizes = sorted(m.bit_count() for m in body)
 
     if len(singles) == len(body) >= 2:
         return GapClass(GapTag.LINEAR_SUM, constant)
     if sizes == [1, 2] and singles[0] & doubles[0] == singles[0]:
         return GapClass(GapTag.XY_PLUS_X, constant)
-    triangle = len(doubles) == 3 and popcount(support_mask(doubles)) == 3
+    triangle = len(doubles) == 3 and support_mask(doubles).bit_count() == 3
     if sizes == [2, 2, 2] and triangle:
         return GapClass(GapTag.TRIANGLE, constant)
     if sizes == [1, 1, 2, 2, 2] and triangle:

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .bfcore import fold, popcount
+from .bfcore import fold
 from .hypergraph import (
     AUTOMORPHISM_MAX_VERTICES,
     Hypergraph,
@@ -40,7 +40,7 @@ def design_parameters(h: Hypergraph) -> Optional[DesignParams]:
     n = h.vertex_count
     if n < 2 or not h.edges:
         return None
-    sizes = {popcount(e) for e in h.edges}
+    sizes = {e.bit_count() for e in h.edges}
     if len(sizes) != 1:
         return None
     k = sizes.pop()

@@ -15,7 +15,7 @@ import json
 import re
 from typing import Optional
 
-from .bfcore import MAX_POLY_ARITY, MAX_TABLE_ARITY, TruthTable, Zhegalkin, popcount, vars_of
+from .bfcore import MAX_POLY_ARITY, MAX_TABLE_ARITY, TruthTable, Zhegalkin, vars_of
 from .bfcore import zhegalkin_from_truth_table
 from .graphs import Graph
 from .hypergraph import MAX_VERTICES, Hypergraph, hypergraph_of, polynomial_of
@@ -101,7 +101,7 @@ def format_polynomial(poly: Zhegalkin) -> str:
     if not poly.monomials:
         return "0"
     def key(mask: int):
-        return (-popcount(mask), tuple(sorted(vars_of(mask))))
+        return (-mask.bit_count(), tuple(sorted(vars_of(mask))))
     parts = []
     for mask in sorted(poly.monomials, key=key):
         if mask == 0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .bfcore import bits_of, fold, mask_of, popcount, support_mask
+from .bfcore import bits_of, fold, mask_of, support_mask
 from .hypergraph import Hypergraph, contract, is_isomorphic, support_reduce
 
 
@@ -215,7 +215,7 @@ def satisfies_property_p(g: Graph) -> bool:
     nb = g._nb
     deg2 = 0
     for v, m in enumerate(nb):
-        if popcount(m) == 2:
+        if m.bit_count() == 2:
             deg2 |= 1 << v
     full = (1 << g.vertex_count) - 1
     for a, m in enumerate(nb):
@@ -254,7 +254,7 @@ def classify_property_p(g: Graph) -> Optional[PropertyPClass]:
         return PropertyPClass(PropertyPKind.COMPLETE, n)
     if n > 5:
         return None
-    degrees = sorted(popcount(m) for m in g._nb)
+    degrees = sorted(m.bit_count() for m in g._nb)
     if n == 3 and degrees == [1, 1, 2]:
         return PropertyPClass(PropertyPKind.PATH3)
     if n == 4 and degrees == [2, 2, 2, 2] and is_connected(g):
@@ -337,7 +337,7 @@ def _multipartite_parts(nb, within: int) -> Optional[list[int]]:
     for pm, members in parts.items():
         if pm != members:
             return None
-    return sorted(popcount(pm) for pm in parts)
+    return sorted(pm.bit_count() for pm in parts)
 
 
 def classify_join_irreducible(g: Graph) -> JIGraphClass:
@@ -357,7 +357,7 @@ def classify_join_irreducible(g: Graph) -> JIGraphClass:
     if len(comps) > 1:
         for comp in comps:
             # three vertices with degree sum 6 are a triangle
-            if popcount(comp) != 3 or sum(popcount(nb[v]) for v in bits_of(comp)) != 6:
+            if comp.bit_count() != 3 or sum(nb[v].bit_count() for v in bits_of(comp)) != 6:
                 return JIGraphClass(JIKind.NOT_IRREDUCIBLE)
         return JIGraphClass(JIKind.DISJOINT_TRIANGLES, (len(comps),))
     sizes = _multipartite_parts(nb, core)
@@ -372,7 +372,7 @@ def classify_join_irreducible(g: Graph) -> JIGraphClass:
         if r >= 2 and sizes[0] == sizes[-1] >= 2:
             return JIGraphClass(JIKind.BALANCED_MULTIPARTITE, (r, sizes[0]))
         return JIGraphClass(JIKind.NOT_IRREDUCIBLE)
-    if popcount(core) == 5 and all(popcount(m) == 2 for m in nb if m):
+    if core.bit_count() == 5 and all(m.bit_count() == 2 for m in nb if m):
         return JIGraphClass(JIKind.C5)
     return JIGraphClass(JIKind.NOT_IRREDUCIBLE)
 
@@ -413,7 +413,7 @@ def matches_template(g: Graph, cls: JIGraphClass) -> bool:
 
 def _contraction_has_no_isolated(g: Graph, pair: tuple[int, int]) -> bool:
     he = contract(g, pair)
-    return popcount(support_mask(he.edges)) == he.vertex_count
+    return support_mask(he.edges).bit_count() == he.vertex_count
 
 
 def lemma_aux_check(g: Graph) -> bool:

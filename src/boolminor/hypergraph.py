@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 from . import bfcore
-from .bfcore import Zhegalkin, bits_of, mask_of, popcount, support_mask, vars_of
+from .bfcore import Zhegalkin, bits_of, mask_of, support_mask, vars_of
 
 MAX_VERTICES = 63
 AUTOMORPHISM_MAX_VERTICES = 13
@@ -187,7 +187,7 @@ def _vertex_profiles(edges: Iterable[int], n: int) -> list[tuple[int, ...]]:
     a relabeling-invariant fingerprint, compared sorted."""
     prof: list[list[int]] = [[] for _ in range(n)]
     for e in edges:
-        size = popcount(e)
+        size = e.bit_count()
         for b in bits_of(e):
             prof[b].append(size)
     return [tuple(sorted(p)) for p in prof]
@@ -221,45 +221,39 @@ def _isomorphisms(h1: Hypergraph, h2: Hypergraph) -> Iterator[tuple[int, ...]]:
         for b in bits_of(e):
             inc2[b].append(e)
 
-    # single-bit images both ways, so an edge maps through bfcore.fold
-    img = [0] * n
-    pre = [0] * n
-    full = (1 << n) - 1
+    # The plan, one step per depth: most-constrained vertex first, since
+    # completing edges prunes hardest.  The score depends only on which
+    # vertices are assigned, so every branch takes this same order.
+    plan: list[tuple[int, list[int], list[int]]] = []
+    assigned = 0
+    for _ in range(n):
+        v = min(
+            (u for u in range(n) if not assigned >> u & 1),
+            key=lambda u: (-sum(1 for e in inc1[u] if e & ~(assigned | 1 << u) == 0), -len(inc1[u]), u),
+        )
+        assigned |= 1 << v
+        closing = [e for e in inc1[v] if e & ~assigned == 0]
+        plan.append((v, closing, [w for w in range(n) if prof2[w] == prof1[v]]))
 
-    def search(assigned: int, image_mask: int) -> Iterator[tuple[int, ...]]:
-        if assigned == full:
+    # single-bit images, so an edge maps through bfcore.fold
+    img = [0] * n
+
+    def search(depth: int, image_mask: int) -> Iterator[tuple[int, ...]]:
+        if depth == n:
             yield tuple(img)
             return
-        # most-constrained vertex first: completing edges prunes hardest
-        best_v, best_score = -1, None
-        for v in range(n):
-            if assigned >> v & 1:
+        v, closing, candidates = plan[depth]
+        for w in candidates:
+            if image_mask >> w & 1:
                 continue
-            rest = ~(assigned | 1 << v)
-            completed = sum(1 for e in inc1[v] if e & rest == 0)
-            score = (-completed, -len(inc1[v]), v)
-            if best_score is None or score < best_score:
-                best_v, best_score = v, score
-        v = best_v
-        vbit = 1 << v
-        new_assigned = assigned | vbit
-        closing = [e for e in inc1[v] if e & ~new_assigned == 0]
-        for w in range(n):
-            wbit = 1 << w
-            if image_mask & wbit or prof1[v] != prof2[w]:
-                continue
-            img[v] = wbit
-            pre[w] = vbit
-            new_image = image_mask | wbit
-            ok = all(bfcore.fold(e, img) in edges2 for e in closing)
-            if ok:
-                for e2 in inc2[w]:
-                    if e2 & ~new_image == 0 and bfcore.fold(e2, pre) not in edges1:
-                        ok = False
-                        break
-            if ok:
-                yield from search(new_assigned, new_image)
-            img[v] = pre[w] = 0
+            img[v] = 1 << w
+            new_image = image_mask | 1 << w
+            # the closing edges map one-to-one into the h2 edges through w
+            # inside the new image, so equal counts make that map onto
+            if all(bfcore.fold(e, img) in edges2 for e in closing) and len(closing) == sum(
+                1 for e2 in inc2[w] if e2 & ~new_image == 0
+            ):
+                yield from search(depth + 1, new_image)
 
     yield from search(0, 0)
 
@@ -371,7 +365,7 @@ def is_irreducible_by_contractions(h: Hypergraph) -> bool:
     if not pairs:
         return False
     contractions = [contract(h, pair) for pair in pairs]
-    esses = [popcount(support_mask(he.edges)) for he in contractions]
+    esses = [support_mask(he.edges).bit_count() for he in contractions]
     top = max(esses)
     return _all_isomorphic(he for he, e in zip(contractions, esses) if e == top)
 
@@ -404,7 +398,7 @@ def ess_drop_analysis(h: Hypergraph, pair: tuple[int, int]) -> EssDropReport:
     # no renumbering: vertex v stays at bit v-1, the merged vertex at lo
     after_sup = support_mask(bfcore._identify_masks(h.edges, lo - 1, hi - 1))
     sup_before = support_mask(h.edges)
-    drop = popcount(sup_before) - popcount(after_sup)
+    drop = sup_before.bit_count() - after_sup.bit_count()
 
     e_mask = (1 << (i - 1)) | (1 << (j - 1))
     ibit, jbit = 1 << (i - 1), 1 << (j - 1)

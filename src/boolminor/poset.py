@@ -106,7 +106,7 @@ def _compute_records(max_ess: int) -> tuple[ClassRecord, ...]:
 
     covers = {key: _sorted_covers(canon) for key, canon in canons.items()}
 
-    layers = _strip_levels({k: [c.monomials for c in cov] for k, cov in covers.items()})
+    layers = _levels_by_depth({k: [c.monomials for c in cov] for k, cov in covers.items()})
     levels_map = {k: depth for depth, layer in enumerate(layers) for k in layer}
 
     records = []
@@ -130,44 +130,39 @@ def _compute_records(max_ess: int) -> tuple[ClassRecord, ...]:
     return tuple(records)
 
 
-def _strip_levels(
+def _levels_by_depth(
     covers: dict[frozenset[int], list[frozenset[int]]],
 ) -> list[list[frozenset[int]]]:
-    """Level the keys of a ``key -> cover keys`` map by minimal stripping.
+    """Level the keys of a ``key -> cover keys`` map by longest-chain depth.
 
-    A key enters the current level once every key strictly below it has
-    been placed; cover keys outside the map are ignored.  Each level is
-    ordered by its sorted monomials.
+    A key sits at level 0 when none of its cover keys is in the map, else
+    one above its deepest cover key in the map; cover keys outside the map
+    are ignored.  Each level is ordered by its sorted monomials.
     """
-    strict_lower: dict[frozenset[int], set[frozenset[int]]] = {}
+    depth: dict[frozenset[int], int] = {}
 
-    def lower_set(key: frozenset[int]) -> set[frozenset[int]]:
-        if key in strict_lower:
-            return strict_lower[key]
-        acc: set[frozenset[int]] = set()
-        for ck in covers[key]:
-            if ck in covers:
-                acc.add(ck)
-                acc |= lower_set(ck)
-        strict_lower[key] = acc
-        return acc
-
-    remaining = set(covers)
-    out: list[list[frozenset[int]]] = []
-    while remaining:
-        current = sorted((k for k in remaining if not (lower_set(k) & remaining)), key=sorted)
-        if not current:
+    def depth_of(key: frozenset[int]) -> int:
+        d = depth.get(key)
+        if d is None:
+            depth[key] = -1  # on the current chain until its depth is known
+            d = depth[key] = 1 + max((depth_of(ck) for ck in covers[key] if ck in covers), default=-1)
+        elif d < 0:
             raise AssertionError("cycle detected while leveling the class poset")
-        out.append(current)
-        remaining -= set(current)
-    return out
+        return d
+
+    for key in covers:
+        depth_of(key)
+    out: list[list[frozenset[int]]] = [[] for _ in range(1 + max(depth.values(), default=-1))]
+    for key, d in depth.items():
+        out[d].append(key)
+    return [sorted(layer, key=sorted) for layer in out]
 
 
 def levels(universe: Iterable[ClassRecord]) -> list[tuple[ClassRecord, ...]]:
-    """Partition a downward-closed universe into levels by minimal stripping."""
+    """Partition a downward-closed universe into levels by longest-chain depth."""
     by_key = {r.key(): r for r in universe}
     covers = {k: [c.monomials for c in r.lower_covers] for k, r in by_key.items()}
-    return [tuple(by_key[k] for k in layer) for layer in _strip_levels(covers)]
+    return [tuple(by_key[k] for k in layer) for layer in _levels_by_depth(covers)]
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from . import bfcore, designs, graphs, poset
 from . import hypergraph as hg
-from .bfcore import TruthTable, Zhegalkin, _orbit_partition, bits_of, popcount
+from .bfcore import TruthTable, Zhegalkin, _orbit_partition, bits_of
 from .formats import (
     _shown,
     format_graph_line,
@@ -497,7 +497,7 @@ def _rep_oracle_shard(job: tuple[int, list[int]]) -> dict:
                 q_complete = len(q.edges) == qn * (qn - 1) // 2 and qn >= 2
                 q_c5 = (
                     qn == 5
-                    and all(popcount(m) == 2 for m in graphs.neighborhoods(q))
+                    and all(m.bit_count() == 2 for m in graphs.neighborhoods(q))
                 )
                 if not (q_complete or q_c5):
                     probes.append("irreducible connected graph with a bad ai quotient")

@@ -4,10 +4,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines stream.
 The labeled-graph sweep is shared between the two criteria that need it.
 """
 
+import hashlib
 import itertools
+import json
 import os
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +29,15 @@ from boolminor.formats import (
 )
 
 WORKERS = min(8, os.cpu_count() or 1)
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+
+
+def stdout_matches_reference(result, step: str) -> bool:
+    """Does the sweep's text output hash to the benchmark's pinned digest
+    for ``step``?  The reference file is only read."""
+    text = "\n".join(result.lines + ["ok"]) + "\n"
+    expected = json.loads(REFERENCE.read_text(encoding="utf-8"))["stdout_sha256"][step]
+    return hashlib.sha256(text.encode("utf-8")).hexdigest() == expected
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -71,6 +83,7 @@ def test_criterion_2_gap_sweep():
     elapsed = time.time() - t0
     ok = result.ok and result.data["tables"] == 65536 and elapsed < 60.0
     ok = ok and set(result.data["gap_counts"]) <= {1, 2}
+    ok = ok and stdout_matches_reference(result, "gap")
     report(
         2,
         ok,
@@ -162,6 +175,7 @@ def test_criterion_7_steiner_catalog():
     )
     ok = ok and printed and isinstance(sts["minus2_monomorphic"], bool)
     ok = ok and isinstance(sts["two_set_transitive"], bool) and sts_line
+    ok = ok and stdout_matches_reference(result, "steiner")
     report(
         7,
         ok,
@@ -184,7 +198,7 @@ def test_criterion_8_poset_structure():
     ok = ok and len(recs2) == 12 and independent == 12
 
     sweep = verify.poset_sweep(max_ess=4, seed=verify.DEFAULT_SEED)
-    ok = ok and sweep.ok
+    ok = ok and sweep.ok and stdout_matches_reference(sweep, "poset-cold")
     elapsed = time.time() - t0
     report(
         8,

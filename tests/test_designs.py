@@ -6,7 +6,6 @@ import random
 import pytest
 
 from boolminor import designs, hypergraph
-from boolminor.bfcore import popcount
 from boolminor.designs import (
     DesignParams,
     builtin_instances,
@@ -35,7 +34,7 @@ def pair_coverage(h: Hypergraph) -> dict[tuple[int, int], int]:
 def test_fano_parameters():
     fano = designs.fano_plane()
     assert set(pair_coverage(fano).values()) == {1}
-    assert all(popcount(e) == 3 for e in fano.edges)
+    assert all(e.bit_count() == 3 for e in fano.edges)
     assert design_parameters(fano) == DesignParams(7, 3, 1)
     assert is_steiner(fano) and is_steiner_triple(fano)
     assert replication_number(design_parameters(fano)) == 3

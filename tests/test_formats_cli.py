@@ -196,6 +196,19 @@ def test_cli_iso(capsys):
     assert code == 0 and out.strip() == "not isomorphic"
 
 
+@pytest.mark.parametrize(
+    "first, second, expected",
+    [
+        ("x1*x2*x3 + x1*x4 + x2 + 1", "x2*x3*x4 + x1*x4 + x3 + 1", "isomorphic: 1->4 2->3 3->2 4->1"),
+        ("x1*x2 + x2*x3 + x3*x4 + x4*x1", "x1*x3 + x3*x2 + x2*x4 + x4*x1", "isomorphic: 1->1 2->3 3->2 4->4"),
+        ("5: 1-2, 2-3, 3-1, 4-5", "5: 5-4, 4-3, 3-5, 1-2", "isomorphic: 1->3 2->4 3->5 4->1 5->2"),
+    ],
+)
+def test_cli_iso_first_bijection_is_pinned(capsys, first, second, expected):
+    code, out, _ = run_cli(capsys, "iso", first, second)
+    assert code == 0 and out == expected + "\n"
+
+
 def test_cli_steiner_check(capsys):
     code, out, _ = run_cli(capsys, "steiner-check", "fano")
     assert code == 0

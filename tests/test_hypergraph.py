@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolminor import bfcore, designs, hypergraph
-from boolminor.bfcore import TruthTable, Zhegalkin, popcount, support_mask
+from boolminor.bfcore import TruthTable, Zhegalkin, support_mask
 from boolminor.graphs import complete, path
 from boolminor.hypergraph import (
     Hypergraph,
@@ -300,6 +300,99 @@ def test_streamed_group_summary_matches_enumeration(data):
     assert frozenset(found.apply_mask(e) for e in h.edges) == h2.edges
 
 
+def per_node_isomorphisms(h1, h2):
+    """The search as it was before its vertex order was planned up front:
+    the most-constrained vertex is rescored at every node, and a preimage
+    array checks the new image's edges in reverse.  Kept as the oracle for
+    the yield sequence of ``hypergraph._isomorphisms``."""
+    n = h1.vertex_count
+    if (0 in h1.edges) != (0 in h2.edges):
+        return
+    if n == 0:
+        yield ()
+        return
+    edges1, edges2 = h1.edges, h2.edges
+
+    def profiles(edges):
+        prof = [[] for _ in range(n)]
+        for e in edges:
+            for b in range(n):
+                if e >> b & 1:
+                    prof[b].append(bin(e).count("1"))
+        return [tuple(sorted(p)) for p in prof]
+
+    prof1, prof2 = profiles(edges1), profiles(edges2)
+    if sorted(prof1) != sorted(prof2):
+        return
+    inc1 = [[e for e in edges1 if e >> b & 1] for b in range(n)]
+    inc2 = [[e for e in edges2 if e >> b & 1] for b in range(n)]
+
+    def fold(mask, images):
+        return sum(images[b] for b in range(n) if mask >> b & 1)
+
+    img = [0] * n
+    pre = [0] * n
+    full = (1 << n) - 1
+
+    def search(assigned, image_mask):
+        if assigned == full:
+            yield tuple(img)
+            return
+        best_v, best_score = -1, None
+        for v in range(n):
+            if assigned >> v & 1:
+                continue
+            rest = ~(assigned | 1 << v)
+            completed = sum(1 for e in inc1[v] if e & rest == 0)
+            score = (-completed, -len(inc1[v]), v)
+            if best_score is None or score < best_score:
+                best_v, best_score = v, score
+        v = best_v
+        vbit = 1 << v
+        new_assigned = assigned | vbit
+        closing = [e for e in inc1[v] if e & ~new_assigned == 0]
+        for w in range(n):
+            wbit = 1 << w
+            if image_mask & wbit or prof1[v] != prof2[w]:
+                continue
+            img[v] = wbit
+            pre[w] = vbit
+            new_image = image_mask | wbit
+            ok = all(fold(e, img) in edges2 for e in closing)
+            if ok:
+                for e2 in inc2[w]:
+                    if e2 & ~new_image == 0 and fold(e2, pre) not in edges1:
+                        ok = False
+                        break
+            if ok:
+                yield from search(new_assigned, new_image)
+            img[v] = pre[w] = 0
+
+    yield from search(0, 0)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_planned_search_yields_the_per_node_search_sequence(data):
+    n = data.draw(st.integers(1, 6))
+    # the top ``isolated`` vertices carry no edge
+    isolated = data.draw(st.integers(0, n - 1))
+    edges = set(data.draw(st.lists(st.integers(1, (1 << (n - isolated)) - 1), max_size=12)))
+    if data.draw(st.booleans()):
+        edges.add(0)
+    h1 = Hypergraph(n, frozenset(edges))
+    relabel = VertexMap(n, n, tuple(data.draw(st.permutations(range(1, n + 1)))))
+    edges2 = {relabel.apply_mask(e) for e in edges}
+    case = data.draw(st.sampled_from(("relabeled", "toggled", "self")))
+    if case == "toggled":
+        edges2 ^= {data.draw(st.integers(0, (1 << n) - 1))}
+    h2 = h1 if case == "self" else Hypergraph(n, frozenset(edges2))
+    got = list(hypergraph._isomorphisms(h1, h2))
+    assert got == list(per_node_isomorphisms(h1, h2))
+    if case != "toggled":
+        assert got
+
+
 def test_2set_transitivity():
     assert is_2set_transitive(designs.fano_plane())
     assert is_2set_transitive(H(3, (1, 2), (1, 3), (2, 3)))
@@ -445,4 +538,4 @@ def test_ess_drop_conditions_match_reality():
         assert rep.le_isolated == rep.le_parity_condition
         assert all(ok for _, ok in rep.vertex_conditions)
         he = contract(h, (i, j))
-        assert rep.drop == popcount(support_mask(h.edges)) - popcount(support_mask(he.edges))
+        assert rep.drop == support_mask(h.edges).bit_count() - support_mask(he.edges).bit_count()

@@ -113,6 +113,57 @@ def test_levels_partition():
             assert rec.level == depth
 
 
+def strip_levels(covers):
+    """The minimal-stripping leveling the poset once used, kept as the
+    oracle: a key enters the current level once every key strictly below it
+    (through cover keys in the map) has been placed."""
+    strict_lower = {}
+
+    def lower_set(key):
+        if key in strict_lower:
+            return strict_lower[key]
+        acc = set()
+        for ck in covers[key]:
+            if ck in covers:
+                acc.add(ck)
+                acc |= lower_set(ck)
+        strict_lower[key] = acc
+        return acc
+
+    remaining = set(covers)
+    out = []
+    while remaining:
+        current = sorted((k for k in remaining if not (lower_set(k) & remaining)), key=sorted)
+        out.append(current)
+        remaining -= set(current)
+    return out
+
+
+@pytest.fixture(scope="module")
+def classes4():
+    return enumerate_classes(4)
+
+
+def test_depth_levels_match_minimal_stripping(classes4):
+    covers = {r.key(): [c.monomials for c in r.lower_covers] for r in classes4}
+    layers = poset._levels_by_depth(covers)
+    assert [len(layer) for layer in layers] == [4, 14, 88, 3878]
+    assert layers == strip_levels(covers)
+    rng = random.Random(29)
+    keys = sorted(covers, key=sorted)
+    for _ in range(50):
+        sub = {k: covers[k] for k in rng.sample(keys, rng.randint(1, 400))}
+        assert poset._levels_by_depth(sub) == strip_levels(sub)
+
+
+def test_levels_refuse_a_cover_cycle():
+    a, b, c = frozenset({1}), frozenset({2}), frozenset({3})
+    with pytest.raises(AssertionError, match="cycle"):
+        poset._levels_by_depth({a: [b], b: [c], c: [a]})
+    with pytest.raises(AssertionError, match="cycle"):
+        poset._levels_by_depth({a: [a]})
+
+
 def all_pairs_covers(f):
     """The all-pairs scan the poset's covers once came from, kept as the
     oracle: a one-step class is a cover unless it is a minor of another."""
@@ -139,8 +190,8 @@ def champion_cover(f):
     return top[0]
 
 
-def test_cover_scan_matches_all_pairs_and_champion_oracles():
-    for r in enumerate_classes(4):
+def test_cover_scan_matches_all_pairs_and_champion_oracles(classes4):
+    for r in classes4:
         assert r.lower_covers == all_pairs_covers(r.canon), r.canon
         assert bfcore.is_irreducible_direct(r.canon) == champion_cover(r.canon), r.canon
     rng = random.Random(113)
