@@ -357,9 +357,11 @@ def _lower_twins(reduced: frozenset[int], ess: int) -> list[int]:
     return lower
 
 
-@lru_cache(maxsize=1 << 16)
-def _canonical_reduced(reduced: frozenset[int], ess: int) -> tuple[int, ...]:
-    """Lexicographically least sorted monomial tuple over relabelings.
+def _canonical_search(
+    reduced: frozenset[int], ess: int
+) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """Lexicographically least sorted monomial tuple over relabelings, and
+    the relabelings that reach it.
 
     ``reduced`` must already use bits 0..ess-1.  Old variables are placed on
     new bits 0, 1, 2, ... in turn.  Every relabeled set has the same size,
@@ -370,18 +372,24 @@ def _canonical_reduced(reduced: frozenset[int], ess: int) -> tuple[int, ...]:
     search follows only the least blocks of each node, ties included, cuts
     every path whose blocks exceed those of the least complete path found
     so far, and of a twin class tries only the smallest unplaced member.
+
+    The tied leaves are the placements (old bit per new bit) whose blocks
+    equal the final least ones: every relabeling reaching the least tuple
+    that places each twin class in ascending order, none of them cut.
     """
     if ess <= 1:
-        return tuple(sorted(reduced))
+        return tuple(sorted(reduced)), [tuple(range(ess))]
     lower_twins = _lower_twins(reduced, ess)
     sentinel = (1 << ess,)  # ends each block: a block that extends a tied one is the lesser
     path: list[tuple[int, ...]] = []
+    placed = [0] * ess  # old bit per new bit, on the current path
     best: list[tuple[int, ...]] = []
+    leaves: list[tuple[int, ...]] = []
 
     def place(k: int, unplaced: int, pending: tuple[tuple[int, int], ...]) -> None:
         # pending: per unfinished monomial, its unplaced old bits and the
         # image of its placed ones
-        nonlocal best
+        nonlocal best, leaves
         kbit = 1 << k
         last: dict[int, list[int]] = {}  # monomials with one unplaced bit left, by that bit
         for rest, img in pending:
@@ -400,9 +408,15 @@ def _canonical_reduced(reduced: frozenset[int], ess: int) -> tuple[int, ...]:
         path.append(least)
         if not best or path <= best[: k + 1]:
             if k == ess - 1:
-                best = path.copy()
+                # the one unplaced bit goes on the last new bit
+                placed[k] = unplaced.bit_length() - 1
+                if path == best:
+                    leaves.append(tuple(placed))
+                else:
+                    best, leaves = path.copy(), [tuple(placed)]
             else:
                 for ob in ties:
+                    placed[k] = ob.bit_length() - 1
                     place(
                         k + 1,
                         unplaced ^ ob,
@@ -415,7 +429,13 @@ def _canonical_reduced(reduced: frozenset[int], ess: int) -> tuple[int, ...]:
         path.pop()
 
     place(0, (1 << ess) - 1, tuple((m, 0) for m in reduced if m))
-    return tuple([0] * (0 in reduced) + [m for block in best for m in block[:-1]])
+    return tuple([0] * (0 in reduced) + [m for block in best for m in block[:-1]]), leaves
+
+
+@lru_cache(maxsize=1 << 16)
+def _canonical_reduced(reduced: frozenset[int], ess: int) -> tuple[int, ...]:
+    """The canonical tuple of :func:`_canonical_search`, cached."""
+    return _canonical_search(reduced, ess)[0]
 
 
 def canonical_form(poly: Zhegalkin) -> Zhegalkin:

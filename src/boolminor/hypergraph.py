@@ -16,6 +16,7 @@ Isolated vertices are kept; support reduction is an explicit step.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -271,36 +272,68 @@ def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> Optional[VertexMap]:
     return None if found is None else VertexMap(n, n, tuple(b.bit_length() for b in found))
 
 
-def _automorphism_images(h: Hypergraph) -> Iterator[tuple[int, ...]]:
-    """The lazy automorphism search, refused above the vertex cap."""
+def _check_automorphism_cap(h: Hypergraph) -> None:
     if h.vertex_count > AUTOMORPHISM_MAX_VERTICES:
         raise ValueError(
             f"automorphism search is capped at {AUTOMORPHISM_MAX_VERTICES} vertices"
         )
-    return _isomorphisms(h, h)
 
 
 def automorphisms(h: Hypergraph) -> list[VertexMap]:
     """Every edge-preserving vertex permutation, identity included."""
+    _check_automorphism_cap(h)
     n = h.vertex_count
     return [
         VertexMap(n, n, tuple(b.bit_length() for b in found))
-        for found in sorted(_automorphism_images(h))
+        for found in sorted(_isomorphisms(h, h))
     ]
 
 
 def _automorphism_summary(h: Hypergraph) -> tuple[int, bool]:
     """|Aut(h)| and whether Aut(h) moves {1, 2} onto every vertex pair.
 
-    One pass over the group keeps only a count and the orbit of {1, 2} as
-    two-bit masks; no group element is stored.
+    Read off the canonical search of the support: its tied leaves are the
+    twin-ascending relabelings onto the least form, one per coset of the
+    twin group, so |Aut| = leaves x prod |twin class|! x (isolated)!.  The
+    maps first leaf^-1 . leaf, with the twin transpositions, generate the
+    group on the support, and {1, 2} is closed under them.  A group that
+    fixes a proper nonempty support moves no support pair onto a pair
+    outside it.
     """
+    _check_automorphism_cap(h)
     n = h.vertex_count
-    order, orbit = 0, set()
-    for img in _automorphism_images(h):
-        order += 1
-        orbit.add(sum(img[:2]))
-    return order, n < 3 or len(orbit) == n * (n - 1) // 2
+    reduced, ess = bfcore._reduce_masks(h.edges)
+    _, leaves = bfcore._canonical_search(reduced, ess)
+    lower_twins = bfcore._lower_twins(reduced, ess)
+    order = len(leaves) * math.factorial(n - ess)
+    for lower in lower_twins:
+        order *= lower.bit_count() + 1
+    if n < 3 or ess == 0:
+        return order, True
+    if ess < n:
+        return order, False
+    generators = []
+    for leaf in leaves[1:]:
+        gen = [0] * n
+        for o, o0 in zip(leaf, leaves[0]):
+            gen[o] = 1 << o0
+        generators.append(gen)
+    for v, lower in enumerate(lower_twins):
+        if lower:
+            u = (lower & -lower).bit_length() - 1
+            swap = [1 << b for b in range(n)]
+            swap[u], swap[v] = swap[v], swap[u]
+            generators.append(swap)
+    orbit = {0b11}
+    frontier = [0b11]
+    while frontier:
+        pair = frontier.pop()
+        for gen in generators:
+            image = bfcore.fold(pair, gen)
+            if image not in orbit:
+                orbit.add(image)
+                frontier.append(image)
+    return order, len(orbit) == n * (n - 1) // 2
 
 
 def is_2set_transitive(h: Hypergraph) -> bool:

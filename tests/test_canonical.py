@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import symmetric_masks
 
 from boolminor import bfcore
 from boolminor.bfcore import Zhegalkin, canonical_form
@@ -12,9 +13,10 @@ from boolminor.bfcore import Zhegalkin, canonical_form
 canonical = bfcore._canonical_reduced.__wrapped__
 
 
-def walk_oracle(reduced, ess):
-    """Lexicographically least sorted monomial tuple over all ess! relabelings."""
-    best = None
+def walk_minimum(reduced, ess):
+    """The least sorted monomial tuple over all ess! relabelings, and the
+    number of relabelings that reach it."""
+    best, count = None, 0
     for perm in itertools.permutations(range(ess)):
         image = []
         for m in reduced:
@@ -25,16 +27,49 @@ def walk_oracle(reduced, ess):
             image.append(out)
         image.sort()
         if best is None or image < best:
-            best = image
-    return tuple(best)
+            best, count = image, 1
+        elif image == best:
+            count += 1
+    return tuple(best), count
+
+
+def walk_oracle(reduced, ess):
+    """Lexicographically least sorted monomial tuple over all ess! relabelings."""
+    return walk_minimum(reduced, ess)[0]
+
+
+def twin_factor(reduced, ess):
+    """The product of |T|! over the twin classes T (variables whose swap
+    fixes the monomial set): a class member with t smaller twins adds the
+    factor t + 1."""
+    factor = 1
+    for v in range(ess):
+        smaller_twins = 0
+        for u in range(v):
+            swapped = set()
+            for m in reduced:
+                bu, bv = m >> u & 1, m >> v & 1
+                swapped.add(m & ~(1 << u | 1 << v) | bu << v | bv << u)
+            smaller_twins += swapped == set(reduced)
+        factor *= smaller_twins + 1
+    return factor
 
 
 def test_oracle_stays_independent_of_bfcore():
-    # the oracle checks bfcore's canonical form, so it must not run bfcore code
-    names = set(walk_oracle.__code__.co_names)
-    assert not names & {"bfcore", "fold", "canonical", "canonical_form"}
-    for name in names:
-        assert getattr(globals().get(name), "__module__", None) != bfcore.__name__
+    # the oracles check bfcore's canonical search, so they must not run bfcore code
+    for oracle in (walk_minimum, walk_oracle, twin_factor):
+        names = set(oracle.__code__.co_names)
+        assert not names & {"bfcore", "fold", "canonical", "canonical_form"}
+        for name in names:
+            assert getattr(globals().get(name), "__module__", None) != bfcore.__name__
+
+
+def with_full_support(monomials, ess):
+    """The set plus one monomial on the bits 0..ess-1 it leaves out, if any."""
+    missing = (1 << ess) - 1
+    for m in monomials:
+        missing &= ~m
+    return monomials | ({missing} if missing else set())
 
 
 @st.composite
@@ -42,11 +77,7 @@ def full_support_sets(draw, min_ess=2, max_ess=7, max_size=24):
     """A monomial set on bits 0..ess-1 that uses every one of them."""
     ess = draw(st.integers(min_ess, max_ess))
     monomials = draw(st.frozensets(st.integers(0, (1 << ess) - 1), max_size=max_size))
-    # one more monomial on the bits the draw left out keeps the support full
-    missing = (1 << ess) - 1
-    for m in monomials:
-        missing &= ~m
-    return monomials | ({missing} if missing else set()), ess
+    return with_full_support(monomials, ess), ess
 
 
 @settings(max_examples=150, deadline=None)
@@ -54,6 +85,29 @@ def full_support_sets(draw, min_ess=2, max_ess=7, max_size=24):
 def test_canonical_matches_walk(case):
     reduced, ess = case
     assert canonical(reduced, ess) == walk_oracle(reduced, ess)
+
+
+@st.composite
+def symmetric_sets(draw, max_ess=6):
+    """A symmetric monomial set on bits 0..ess-1, its support kept full."""
+    monomials, ess = draw(symmetric_masks(max_ess))
+    return with_full_support(monomials, ess), ess
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(full_support_sets(min_ess=0, max_ess=6), symmetric_sets()))
+def test_search_leaves_are_the_twin_ascending_relabelings_to_the_minimum(case):
+    # every relabeling reaching the least tuple is a leaf times one ordering
+    # of each twin class, so the tied leaves count the group
+    reduced, ess = case
+    canon, leaves = bfcore._canonical_search(reduced, ess)
+    least, reaching = walk_minimum(reduced, ess)
+    assert canon == least
+    assert len(leaves) * twin_factor(reduced, ess) == reaching
+    assert len(set(leaves)) == len(leaves)
+    for leaf in leaves:
+        image = sorted(sum(1 << k for k in range(ess) if m >> leaf[k] & 1) for m in reduced)
+        assert tuple(image) == least
 
 
 def pair_masks(pairs):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from boolminor import designs, hypergraph
+from boolminor import bfcore, designs, hypergraph
 from boolminor.designs import (
     DesignParams,
     builtin_instances,
@@ -139,18 +139,24 @@ def test_steiner_report_builtins():
         assert len(rep.lines()) == 4
 
 
-def test_steiner_report_enumerates_the_group_once(monkeypatch):
-    calls = []
-    original = hypergraph._isomorphisms
+def test_steiner_report_reads_the_group_off_one_search(monkeypatch):
+    streamed, searched = [], []
+    isomorphisms, search = hypergraph._isomorphisms, bfcore._canonical_search
 
-    def counted(h1, h2):
+    def counted_isomorphisms(h1, h2):
         if h1 is h2:
-            calls.append(h1)
-        return original(h1, h2)
+            streamed.append(h1)
+        return isomorphisms(h1, h2)
 
-    monkeypatch.setattr(hypergraph, "_isomorphisms", counted)
+    def counted_search(reduced, ess):
+        if ess == 7:  # contractions and pair deletions have fewer vertices
+            searched.append(reduced)
+        return search(reduced, ess)
+
+    monkeypatch.setattr(hypergraph, "_isomorphisms", counted_isomorphisms)
+    monkeypatch.setattr(bfcore, "_canonical_search", counted_search)
     report = steiner_report(designs.fano_plane(), "fano")
-    assert len(calls) == 1
+    assert streamed == [] and len(searched) == 1
     assert report.two_set_transitive and report.aut_order == 168
 
 

@@ -217,6 +217,17 @@ def test_cli_steiner_check(capsys):
     assert code == 1 and "not a Steiner system" in out
 
 
+@pytest.mark.parametrize("n, order", [(10, 3_628_800), (13, 6_227_020_800)])
+def test_cli_steiner_check_single_block(capsys, n, order):
+    # a single block has n! automorphisms, so the summary must not visit them one by one
+    doc = json.dumps({"n": n, "edges": [list(range(1, n + 1))]})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "steiner-check", doc)
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and "Traceback" not in out + err
+    assert f"2-set-transitive=True aut-order={order}" in out
+
+
 def test_cli_classify_structured(capsys):
     code, out, _ = run_cli(capsys, "classify", "x1*x2", "--format", "structured")
     assert code == 0

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from strategies import symmetric_masks
 
 from boolminor import bfcore, designs, hypergraph
 from boolminor.bfcore import TruthTable, Zhegalkin, support_mask
@@ -283,10 +284,21 @@ def test_automorphism_cap():
         is_2set_transitive(H(14))
 
 
-@given(st.data())
-def test_streamed_group_summary_matches_enumeration(data):
-    n = data.draw(st.integers(0, 6))
-    h = Hypergraph(n, data.draw(st.frozensets(st.integers(0, (1 << n) - 1), max_size=12)))
+@st.composite
+def symmetric_hypergraphs(draw, max_vertices=7):
+    """A symmetric edge set, isolated vertices beside it, all relabeled."""
+    edges, m = draw(symmetric_masks(max_vertices))
+    n = draw(st.integers(m, max_vertices))
+    relabel = VertexMap(n, n, tuple(draw(st.permutations(range(1, n + 1)))))
+    return Hypergraph(n, frozenset(relabel.apply_mask(e) for e in edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_hypergraphs(), st.data())
+def test_group_summary_matches_enumeration(h, data):
+    # the summary reads the group off the canonical search; the oracle
+    # enumerates it with the isomorphism engine
+    n = h.vertex_count
     group = automorphisms(h)
     orbit = {frozenset(g.image[:2]) for g in group}
     pair_transitive = n < 3 or len(orbit) == n * (n - 1) // 2
@@ -298,6 +310,31 @@ def test_streamed_group_summary_matches_enumeration(data):
     found = is_isomorphic(h, h2)
     assert found is not None
     assert frozenset(found.apply_mask(e) for e in h.edges) == h2.edges
+
+
+def masks(sets):
+    return frozenset(sum(1 << v for v in s) for s in sets)
+
+
+PAIRS13 = list(itertools.combinations(range(13), 2))
+
+
+@pytest.mark.parametrize(
+    "edges, order, pair_transitive",
+    [
+        # K(4)_13 minus one edge: Sym(4) x Sym(9)
+        (masks(itertools.combinations(range(13), 4)) - {0b1111}, 8_709_120, False),
+        # K_13 minus a 6-edge matching: 2^6 x 6!
+        (masks(PAIRS13) - masks((2 * i, 2 * i + 1) for i in range(6)), 46_080, False),
+        # the Paley graph on 13 points: x -> ax + b, a a nonzero square
+        (masks((a, b) for a, b in PAIRS13 if pow(b - a, 6, 13) == 1), 78, False),
+        (designs.cyclic_sts13().edges, 39, False),
+        (frozenset([(1 << 13) - 1]), 6_227_020_800, True),
+    ],
+)
+def test_group_summary_at_the_vertex_cap(edges, order, pair_transitive):
+    h = Hypergraph(13, edges)
+    assert hypergraph._automorphism_summary(h) == (order, pair_transitive)
 
 
 def per_node_isomorphisms(h1, h2):
