@@ -60,7 +60,7 @@ def parse_polynomial(text: str, arity: Optional[int] = None) -> Zhegalkin:
     offset = 0
     stripped = [c.strip() for c in chunks]
     if stripped == ["0"]:
-        return Zhegalkin(arity or 1, frozenset())
+        return Zhegalkin(1 if arity is None else arity, frozenset())
     for chunk in chunks:
         term = chunk.strip()
         pos = offset + len(chunk) - len(chunk.lstrip())
@@ -197,14 +197,16 @@ def parse_graph(text: str) -> Graph:
     if not m:
         raise ParseError("expected 'n: i-j, k-l, ...' or a hypergraph document", 0)
     n = _bounded_int(m.group(1), MAX_VERTICES, f"vertex count must be in 0..{MAX_VERTICES}", 0)
-    rest = m.group(2).strip()
+    rest = m.group(2)
+    offset = len(text) - len(text.lstrip()) + m.start(2)
     bad_index = f"vertex index must be in 1..{MAX_POLY_ARITY}, got "
     pairs = []
     if rest:
         for item in rest.split(","):
             part = item.strip()
             em = re.match(r"^(\d+)\s*-\s*(\d+)$", part)
-            pos = text.find(part)
+            pos = offset + len(item) - len(item.lstrip())
+            offset += len(item) + 1
             if not em:
                 raise ParseError(f"expected an edge like 2-5, got {_shown(part)!r}", pos)
             a, b = (_bounded_int(d, MAX_POLY_ARITY, bad_index + _shown(d), pos) for d in em.groups())

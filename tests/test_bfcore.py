@@ -296,6 +296,84 @@ def test_witness_where_profiles_tie():
     check_witness(f, substitute(f, dict(enumerate([1, 2, 2, 3, 1, 4], 1)), 4), True)
 
 
+def oracle_partitions(items: tuple[int, ...], min_blocks: int):
+    """The recursive set-partition walk ``is_minor`` replaced with its RGS
+    table: partitions of ``items`` by block count, then lexicographically."""
+    n = len(items)
+    for k in range(min_blocks, n + 1):
+        yield from oracle_rgs_exact(items, [0] * n, 1, 0, k)
+
+
+def oracle_rgs_exact(items, rgs, pos, mx, k):
+    n = len(items)
+    if pos == n:
+        if mx + 1 == k:
+            blocks: list[list[int]] = [[] for _ in range(k)]
+            for idx, cls in enumerate(rgs):
+                blocks[cls].append(items[idx])
+            yield tuple(tuple(b) for b in blocks)
+        return
+    # not enough positions left to open the remaining classes
+    if (k - 1 - mx) > (n - pos):
+        return
+    for c in range(min(mx + 1, k - 1) + 1):
+        rgs[pos] = c
+        yield from oracle_rgs_exact(items, rgs, pos + 1, max(mx, c), k)
+
+
+def oracle_is_minor(g: Zhegalkin, f: Zhegalkin):
+    """The former ``is_minor`` loop: collapse each block of an oracle
+    partition onto its first variable, then reduce and compare classes."""
+    fvars = tuple(sorted(essential_variables(f)))
+    g_reduced, g_ess = bfcore._reduce_masks(g.monomials)
+    if g_ess > len(fvars):
+        return None
+    if not fvars:
+        return MinorWitness(()) if g_reduced == f.monomials else None
+    g_canon = bfcore._canonical_reduced(g_reduced, g_ess)
+    for blocks in oracle_partitions(fvars, max(g_ess, 1)):
+        images = [0] * f.arity
+        for block in blocks:
+            for v in block:
+                images[v - 1] = 1 << (block[0] - 1)
+        c_reduced, c_ess = bfcore._reduce_masks(bfcore.map_monomials(f.monomials, images))
+        if c_ess == g_ess and bfcore._canonical_reduced(c_reduced, c_ess) == g_canon:
+            return MinorWitness(blocks)
+    return None
+
+
+def test_rgs_table_matches_partition_oracle():
+    for n in range(1, 8):
+        items = tuple(range(1, n + 1))
+        for min_blocks in range(1, n + 1):
+            decoded = []
+            for rgs in bfcore._rgs_table(n):
+                if max(rgs) + 1 >= min_blocks:
+                    blocks: list[list[int]] = [[] for _ in range(max(rgs) + 1)]
+                    for v, b in zip(items, rgs):
+                        blocks[b].append(v)
+                    decoded.append(tuple(map(tuple, blocks)))
+            assert decoded == list(oracle_partitions(items, min_blocks)), (n, min_blocks)
+
+
+def test_minor_witness_matches_oracle():
+    rng = random.Random(29)
+    related = 0
+    for _ in range(400):
+        n = rng.randint(4, 7)
+        f = Zhegalkin(n, frozenset(rng.getrandbits(n) for _ in range(rng.randint(2, 10))))
+        m = rng.randint(1, 5)
+        if rng.random() < 0.5:
+            # folding f under a variable map gives a minor of f
+            g = Zhegalkin(m, bfcore.map_monomials(f.monomials, [1 << rng.randrange(m) for _ in range(n)]))
+        else:
+            g = Zhegalkin(m, frozenset(rng.getrandbits(m) for _ in range(rng.randint(1, 6))))
+        w = is_minor(g, f)
+        assert w == oracle_is_minor(g, f), (f, g)
+        related += w is not None
+    assert 150 <= related <= 300
+
+
 def test_minor_reflexive():
     for bits in range(16):
         p = zhegalkin_from_truth_table(TruthTable(2, bits))

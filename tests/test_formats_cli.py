@@ -129,6 +129,22 @@ def test_graph_line_round_trip():
         parse_graph("oops")
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        # the bad item's text also occurs earlier, inside the vertex count
+        ("12: 1-2, 2", 9),
+        ("3: 1-2,  1-", 9),
+        ("3: 1-2, 1-2, 1-99", 13),
+        ("  3 :  1-2 ,x", 12),
+    ],
+)
+def test_graph_line_errors_point_at_the_bad_item(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_graph(text)
+    assert err.value.position == position
+
+
 def test_graph_doc_input():
     g = cycle(4)
     doc = format_hypergraph_doc(Hypergraph(g.vertex_count, g.edges))
@@ -283,6 +299,14 @@ def test_cli_input_errors(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and message in err
         assert len(err) < 1000 and "Traceback" not in err
+
+
+def test_cli_refuses_declared_arity_zero(capsys):
+    # the zero polynomial takes the declared arity like any other
+    for text in ("0", "1"):
+        code, out, err = run_cli(capsys, "classify", text, "--arity", "0")
+        assert code == 2 and out == "" and "arity must be in 1..63, got 0" in err
+        assert "Traceback" not in err
 
 
 def test_cli_truth_table_digits_checked_before_int(capsys):
