@@ -25,7 +25,6 @@ from typing import Optional
 from . import bfcore, designs, graphs, poset, verify
 from . import hypergraph as hg
 from .formats import (
-    ParseError,
     _shown,
     format_hypergraph_doc,
     format_polynomial,
@@ -337,9 +336,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

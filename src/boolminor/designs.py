@@ -15,11 +15,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .bfcore import fold
+from .bfcore import _identify_masks, fold
 from .hypergraph import (
     AUTOMORPHISM_MAX_VERTICES,
     Hypergraph,
-    contract,
     is_irreducible_by_contractions,
     _all_isomorphic,
     _automorphism_summary,
@@ -108,8 +107,10 @@ def is_minus2_monomorphic(h: Hypergraph) -> bool:
 
 
 def _contractions_all_isomorphic(h: Hypergraph) -> bool:
-    pairs = itertools.combinations(range(1, h.vertex_count + 1), 2)
-    return _all_isomorphic(contract(h, pair) for pair in pairs)
+    # in place, on the n vertices with the identified-away one left isolated
+    n = h.vertex_count
+    pairs = itertools.combinations(range(n), 2)
+    return _all_isomorphic(Hypergraph(n, _identify_masks(h.edges, i, j)) for i, j in pairs)
 
 
 @dataclass(frozen=True)

@@ -210,11 +210,15 @@ def parse_graph(text: str) -> Graph:
             if not em:
                 raise ParseError(f"expected an edge like 2-5, got {_shown(part)!r}", pos)
             a, b = (_bounded_int(d, MAX_POLY_ARITY, bad_index + _shown(d), pos) for d in em.groups())
+            for v in (a, b):
+                if not v:
+                    raise ParseError(bad_index + "0", pos)
+                if v > n:
+                    raise ParseError(f"edge names vertex {v}, beyond {n}", pos)
+            if a == b:
+                raise ParseError("graph edges must join exactly two distinct vertices", pos)
             pairs.append((a, b))
-    try:
-        return Graph.from_pairs(n, pairs)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(str(exc), 0) from exc
+    return Graph.from_pairs(n, pairs)
 
 
 def format_graph_line(g: Graph) -> str:

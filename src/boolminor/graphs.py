@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .bfcore import bits_of, fold, mask_of, support_mask
-from .hypergraph import Hypergraph, contract, is_isomorphic, support_reduce
+from .bfcore import _identify_masks, bits_of, fold, mask_of, support_mask
+from .hypergraph import Hypergraph, is_isomorphic, support_reduce
 
 
 class Graph(Hypergraph):
@@ -411,21 +411,20 @@ def matches_template(g: Graph, cls: JIGraphClass) -> bool:
 # contraction probe used by the verification sweeps
 
 
-def _contraction_has_no_isolated(g: Graph, pair: tuple[int, int]) -> bool:
-    he = contract(g, pair)
-    return support_mask(he.edges).bit_count() == he.vertex_count
-
-
 def lemma_aux_check(g: Graph) -> bool:
     """If some nonedge contraction keeps every vertex covered, some edge
-    contraction must as well; returns whether that implication holds."""
+    contraction must as well; returns whether that implication holds.
+
+    Contractions are read in place, the identified-away vertex left isolated,
+    so one covers its n - 1 vertices when n - 1 bits stay in the support."""
     if not is_connected(g):
         raise ValueError("the contraction probe is defined for connected graphs")
     n = g.vertex_count
-    all_pairs = list(itertools.combinations(range(1, n + 1), 2))
-    edge_pairs = {tuple(sorted((a + 1, b + 1))) for e in g.edges for a, b in [bits_of(e)]}
-    nonedges = [p for p in all_pairs if p not in edge_pairs]
-    premise = any(_contraction_has_no_isolated(g, p) for p in nonedges)
-    if not premise:
+
+    def covered(pair: int) -> bool:
+        return support_mask(_identify_masks(g.edges, *bits_of(pair))).bit_count() == n - 1
+
+    pairs = (1 << i | 1 << j for i, j in itertools.combinations(range(n), 2))
+    if not any(covered(p) for p in pairs if p not in g.edges):
         return True
-    return any(_contraction_has_no_isolated(g, p) for p in edge_pairs)
+    return any(covered(e) for e in g.edges)

@@ -6,9 +6,11 @@ edge = the constant monomial 1).  The module carries the minor machinery on
 the hypergraph side: quotient maps, pair contraction, isomorphism and
 automorphism search, and the contraction-class irreducibility test.
 
-Contracting a pair is identifying two variables: ``contract`` and
-``ess_drop_analysis`` run on ``bfcore._identify_masks``, and
-``contraction_classes`` is ``bfcore``'s one-step grouping with its pairs.
+Contracting a pair is identifying two variables (``bfcore._identify_masks``).
+``contract`` is the renumbered public form; the contraction checks and
+``ess_drop_analysis`` read the identified edges on the parent's vertex set,
+the identified-away vertex left isolated (neither ess nor isomorphism class
+moves), and ``contraction_classes`` is ``bfcore``'s one-step grouping.
 
 Isolated vertices are kept; support reduction is an explicit step.
 """
@@ -358,10 +360,6 @@ def _all_isomorphic(hs: Iterable[Hypergraph]) -> bool:
     return all(is_isomorphic(first, h) is not None for h in it)
 
 
-def _support_pairs(h: Hypergraph) -> list[tuple[int, int]]:
-    return list(itertools.combinations(sorted(support(h)), 2))
-
-
 def contraction_classes(h: Hypergraph) -> ContractionClassPartition:
     """Partition the support pairs by isomorphism of their contractions.
 
@@ -394,13 +392,14 @@ def is_irreducible_by_contractions(h: Hypergraph) -> bool:
     achieving the maximal essential arity must form a single isomorphism
     class, which is all this checks.
     """
-    pairs = _support_pairs(h)
-    if not pairs:
+    pairs = itertools.combinations(bits_of(support_mask(h.edges)), 2)
+    merged = [bfcore._identify_masks(h.edges, i, j) for i, j in pairs]
+    if not merged:
         return False
-    contractions = [contract(h, pair) for pair in pairs]
-    esses = [support_mask(he.edges).bit_count() for he in contractions]
+    esses = [support_mask(m).bit_count() for m in merged]
     top = max(esses)
-    return _all_isomorphic(he for he, e in zip(contractions, esses) if e == top)
+    n = h.vertex_count
+    return _all_isomorphic(Hypergraph(n, m) for m, e in zip(merged, esses) if e == top)
 
 
 # ---------------------------------------------------------------------------

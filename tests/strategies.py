@@ -2,6 +2,8 @@
 
 from hypothesis import strategies as st
 
+from boolminor.hypergraph import Hypergraph, VertexMap
+
 
 @st.composite
 def symmetric_masks(draw, max_bits):
@@ -34,3 +36,23 @@ def symmetric_masks(draw, max_bits):
     if draw(st.booleans()):
         masks.add(0)
     return frozenset(masks), m
+
+
+@st.composite
+def symmetric_hypergraphs(draw, max_vertices=7):
+    """A symmetric edge set, isolated vertices beside it, all relabeled."""
+    edges, m = draw(symmetric_masks(max_vertices))
+    n = draw(st.integers(m, max_vertices))
+    relabel = VertexMap(n, n, tuple(draw(st.permutations(range(1, n + 1)))))
+    return Hypergraph(n, frozenset(relabel.apply_mask(e) for e in edges))
+
+
+@st.composite
+def small_hypergraphs(draw, max_vertices=6):
+    """1..max_vertices vertices, the empty edge and isolated vertices allowed;
+    half the draws are symmetric, so several pair contractions often tie at
+    the top essential arity."""
+    if draw(st.booleans()):
+        return draw(symmetric_hypergraphs(max_vertices).filter(lambda h: h.vertex_count))
+    n = draw(st.integers(1, max_vertices))
+    return Hypergraph(n, draw(st.frozensets(st.integers(0, (1 << n) - 1), max_size=16)))

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from strategies import small_hypergraphs
 
 from boolminor import bfcore, designs, hypergraph
 from boolminor.designs import (
@@ -19,7 +21,7 @@ from boolminor.designs import (
 )
 from boolminor.formats import parse_hypergraph_doc
 from boolminor.graphs import complete, path
-from boolminor.hypergraph import Hypergraph, VertexMap, is_isomorphic
+from boolminor.hypergraph import Hypergraph, VertexMap, contract, is_isomorphic
 
 
 def pair_coverage(h: Hypergraph) -> dict[tuple[int, int], int]:
@@ -158,6 +160,25 @@ def test_steiner_report_reads_the_group_off_one_search(monkeypatch):
     report = steiner_report(designs.fano_plane(), "fano")
     assert streamed == [] and len(searched) == 1
     assert report.two_set_transitive and report.aut_order == 168
+
+
+def oracle_contractions_all_isomorphic(h):
+    """All pair contractions isomorphic, over renumbered ``contract`` copies."""
+    pairs = itertools.combinations(range(1, h.vertex_count + 1), 2)
+    return hypergraph._all_isomorphic(contract(h, pair) for pair in pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_hypergraphs())
+def test_contraction_check_in_place_matches_renumbering_oracle(h):
+    assert designs._contractions_all_isomorphic(h) == oracle_contractions_all_isomorphic(h)
+
+
+def test_contraction_check_matches_oracle_on_the_catalog():
+    catalog = designs.small_steiner_catalog() | {"sts13": designs.cyclic_sts13()}
+    for name, h in catalog.items():
+        expected = oracle_contractions_all_isomorphic(h)
+        assert designs._contractions_all_isomorphic(h) == expected, name
 
 
 def test_steiner_report_rejects_non_steiner():

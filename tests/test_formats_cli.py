@@ -137,6 +137,10 @@ def test_graph_line_round_trip():
         ("3: 1-2,  1-", 9),
         ("3: 1-2, 1-2, 1-99", 13),
         ("  3 :  1-2 ,x", 12),
+        # well formed, but no vertex pair of the graph
+        ("3: 1-2, 1-0", 8),
+        ("3: 1-2, 1-5", 8),
+        ("3: 1-2, 2-2", 8),
     ],
 )
 def test_graph_line_errors_point_at_the_bad_item(text, position):
@@ -273,6 +277,9 @@ def test_cli_input_errors(capsys):
         (("graph-classify", f"3: 1-{big}"), "must be in 1..63"),
         (("iso", f'{{"n": 3, "edges": [[{big}]]}}', "3: 1-2"), "must be in 1..63"),
         (("graph-classify", "3: 1-0"), "must be in 1..63, got 0"),
+        (("graph-classify", "3: 1-2, 1-0"), "vertex index must be in 1..63, got 0 (at position 8)"),
+        (("graph-classify", "3: 1-2, 1-5"), "edge names vertex 5, beyond 3 (at position 8)"),
+        (("graph-classify", "3: 1-2, 2-2"), "exactly two distinct vertices (at position 8)"),
         # digit strings past Python's int-string limit never reach int()
         (("classify", f"tt:F arity={huge}"), "arity must be in 1..20"),
         (("graph-classify", f"{huge}: 1-2"), "vertex count must be in 0..63"),

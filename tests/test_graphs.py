@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from boolminor import bfcore
+from boolminor import bfcore, verify
+from boolminor.bfcore import bits_of, support_mask
 from boolminor.graphs import (
     Graph,
     JIGraphClass,
@@ -33,7 +34,7 @@ from boolminor.graphs import (
     satisfies_property_p,
     template_graph,
 )
-from boolminor.hypergraph import is_irreducible_by_contractions, is_isomorphic, polynomial_of
+from boolminor.hypergraph import contract, is_irreducible_by_contractions, is_isomorphic, polynomial_of
 
 
 def all_graphs(n):
@@ -257,6 +258,37 @@ def test_lemma_aux_exhaustive_small():
         for g in all_graphs(n):
             if is_connected(g) and g.vertex_count >= 2:
                 assert lemma_aux_check(g)
+
+
+def oracle_lemma_aux_check(g):
+    """The contraction probe over renumbered ``contract`` copies."""
+
+    def no_isolated(pair):
+        he = contract(g, pair)
+        return support_mask(he.edges).bit_count() == he.vertex_count
+
+    n = g.vertex_count
+    all_pairs = list(itertools.combinations(range(1, n + 1), 2))
+    edge_pairs = {tuple(sorted((a + 1, b + 1))) for e in g.edges for a, b in [bits_of(e)]}
+    nonedges = [p for p in all_pairs if p not in edge_pairs]
+    if not any(no_isolated(p) for p in nonedges):
+        return True
+    return any(no_isolated(p) for p in edge_pairs)
+
+
+def test_lemma_aux_matches_renumbering_oracle():
+    # every labeled graph on 2..5 vertices, one per isomorphism class on 6
+    # (all 26,704 labeled connected ones on 6 would take about 1.7 s)
+    checked = 0
+    for n in range(2, 7):
+        pairs = verify._pair_list(n)
+        masks = range(1 << len(pairs)) if n < 6 else bfcore._orbit_partition(pairs, n)[1]
+        for mask in masks:
+            g = Graph(n, frozenset(pairs[k] for k in bits_of(mask)))
+            if is_connected(g):
+                assert lemma_aux_check(g) == oracle_lemma_aux_check(g)
+                checked += 1
+    assert checked == 1 + 4 + 38 + 728 + 112
 
 
 def test_components():

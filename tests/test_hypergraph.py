@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strategies import symmetric_masks
+from strategies import small_hypergraphs, symmetric_hypergraphs
 
 from boolminor import bfcore, designs, hypergraph
 from boolminor.bfcore import TruthTable, Zhegalkin, support_mask
@@ -284,15 +284,6 @@ def test_automorphism_cap():
         is_2set_transitive(H(14))
 
 
-@st.composite
-def symmetric_hypergraphs(draw, max_vertices=7):
-    """A symmetric edge set, isolated vertices beside it, all relabeled."""
-    edges, m = draw(symmetric_masks(max_vertices))
-    n = draw(st.integers(m, max_vertices))
-    relabel = VertexMap(n, n, tuple(draw(st.permutations(range(1, n + 1)))))
-    return Hypergraph(n, frozenset(relabel.apply_mask(e) for e in edges))
-
-
 @settings(max_examples=300, deadline=None)
 @given(symmetric_hypergraphs(), st.data())
 def test_group_summary_matches_enumeration(h, data):
@@ -538,6 +529,23 @@ def test_criterion_equals_class_partition_form():
             assert is_irreducible_by_contractions(h) == lemma_condition_holds(
                 contraction_classes(h)
             )
+
+
+def oracle_is_irreducible_by_contractions(h):
+    """The criterion over renumbered contractions, as ``contract`` builds them."""
+    pairs = list(itertools.combinations(sorted(support(h)), 2))
+    if not pairs:
+        return False
+    contractions = [contract(h, pair) for pair in pairs]
+    esses = [support_mask(he.edges).bit_count() for he in contractions]
+    top = max(esses)
+    return hypergraph._all_isomorphic(he for he, e in zip(contractions, esses) if e == top)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_hypergraphs())
+def test_criterion_in_place_matches_renumbering_oracle(h):
+    assert is_irreducible_by_contractions(h) == oracle_is_irreducible_by_contractions(h)
 
 
 # ---------------------------------------------------------------------------
