@@ -2,8 +2,12 @@
 
 A function lives in two interchangeable representations: a truth table
 (the 2^n evaluation bits) and a multilinear GF(2) polynomial (a set of
-monomials, also called the algebraic normal form).  Conventions, fixed once
-and used everywhere:
+monomials, also called the algebraic normal form).  Internally a third one
+serves the one-step identification classes: the packed ANF vector, an int
+whose bit m is set when monomial m occurs (the Moebius transform of the
+truth table), on which identifying two variables is four masked shifts and
+a function of up to four variables is one index into the 4-variable orbit
+table.  Conventions, fixed once and used everywhere:
 
 * point indices: x_k is bit k-1 of the index, so x_1 is the least
   significant bit;
@@ -317,6 +321,43 @@ def _identify_masks(monomials: frozenset[int], bi: int, bj: int) -> frozenset[in
 
 
 # ---------------------------------------------------------------------------
+# packed ANF vectors: bit m of an int is monomial m
+
+
+@lru_cache(maxsize=None)
+def _var_masks(n: int) -> tuple[int, ...]:
+    """Per variable bit k < n, the vector positions whose monomial holds it."""
+    full = (1 << (1 << n)) - 1
+    return tuple(full // ((1 << (2 << k)) - 1) * ((1 << (1 << k)) - 1) << (1 << k) for k in range(n))
+
+
+def _identify_vec(vec: int, bi: int, bj: int, n: int) -> int:
+    """``_identify_masks`` on the vector of an n-variable function, bi < bj.
+
+    The monomials without bit bj stay put; those with it lose it and gain
+    bit bi, a move down by 2^bj - 2^bi or, holding bit bi already, by 2^bj.
+    """
+    vm = _var_masks(n)
+    moved = vec & vm[bj]
+    kept_i = moved & vm[bi]
+    return vec ^ moved ^ (moved ^ kept_i) >> ((1 << bj) - (1 << bi)) ^ kept_i >> (1 << bj)
+
+
+def _drop_var(vec: int, k: int, n: int) -> int:
+    """The (n-1)-variable vector of ``vec`` with the dummy variable bit k
+    left out, the bits above k moving down one.
+
+    The 2^k-bit chunks alternate between kept and empty; each step merges
+    neighboring runs of kept chunks, doubling their width.
+    """
+    vm = _var_masks(n)
+    for b in range(k + 1, n):
+        vec |= vec >> (1 << (b - 1))
+        vec ^= vec & vm[b]
+    return vec
+
+
+# ---------------------------------------------------------------------------
 # equivalence and canonical forms
 
 
@@ -563,14 +604,46 @@ def _one_step_groups(
     monomials: frozenset[int],
 ) -> dict[tuple[tuple[int, ...], int], list[tuple[int, int]]]:
     """Support pairs (1-based, ascending) grouped by the (canonical tuple, ess)
-    of their identification; groups keep the order of their first pair."""
-    groups: dict[tuple[tuple[int, ...], int], list[tuple[int, int]]] = {}
-    sup = support_mask(monomials)
-    for i, j in itertools.combinations([b + 1 for b in bits_of(sup)], 2):
-        reduced, ess = _reduce_masks(_identify_masks(monomials, i - 1, j - 1))
-        _check_canonical_ess(ess)
-        groups.setdefault((_canonical_reduced(reduced, ess), ess), []).append((i, j))
-    return groups
+    of their identification; groups keep the order of their first pair.
+
+    Each pair is identified on the packed ANF vector of the support-reduced
+    function.  Up to ess 5, dropping the identified-away variable leaves a
+    4-variable vector, named by its orbit in the 4-variable orbit table, so
+    the canonical tuple is computed once per group; above ess 5 each
+    identification is named by its (cached) canonical form.
+    """
+    reduced, n = _reduce_masks(monomials)
+    # an identification drops at most two essential variables (the arity
+    # gap), so a wider support would fail every pair's cap: refuse it
+    # before its 2^n-bit vector is built
+    _check_canonical_ess(n - 2)
+    labels = [b + 1 for b in bits_of(support_mask(monomials))]
+    vec = 0
+    for m in reduced:
+        vec |= 1 << m
+    rep_of = _anf_orbits(4)[0] if n <= 5 else None
+    by_id: dict = {}  # pairs by orbit minimum, or by (canonical tuple, ess)
+    for bi, bj in itertools.combinations(range(n), 2):
+        # x_j is gone after the identification, so drop it
+        w = _drop_var(_identify_vec(vec, bi, bj, n), bj, n)
+        if rep_of is not None:
+            key = rep_of[w]
+        else:
+            w_reduced, ess = _reduce_masks(frozenset(bits_of(w)))
+            _check_canonical_ess(ess)
+            key = (_canonical_reduced(w_reduced, ess), ess)
+        by_id.setdefault(key, []).append((labels[bi], labels[bj]))
+    if rep_of is None:
+        return by_id
+    return {_orbit_class(rep): pairs for rep, pairs in by_id.items()}
+
+
+@lru_cache(maxsize=None)
+def _orbit_class(rep: int) -> tuple[tuple[int, ...], int]:
+    """The (canonical tuple, ess) of the function with ANF vector ``rep``,
+    cached; callers pass orbit minima from ``_anf_orbits``, a few thousand."""
+    reduced, ess = _reduce_masks(frozenset(bits_of(rep)))
+    return _canonical_reduced(reduced, ess), ess
 
 
 def one_step_identification_classes(f: Zhegalkin) -> list[Zhegalkin]:
@@ -662,3 +735,11 @@ def _orbit_partition(positions: Sequence[int], n: int) -> tuple[array, list[int]
                         nxt.append(nm)
             frontier = nxt
     return rep_of, reps
+
+
+@lru_cache(maxsize=None)
+def _anf_orbits(n: int) -> tuple[array, list[int]]:
+    """``_orbit_partition`` of the ANF vectors on n variables, built on first
+    use and shared by every caller in the process; read it, never mutate it.
+    At n = 4 the orbits are exactly the classes of ess <= 4."""
+    return _orbit_partition(range(1 << n), n)

@@ -10,7 +10,10 @@ Contracting a pair is identifying two variables (``bfcore._identify_masks``).
 ``contract`` is the renumbered public form; the contraction checks and
 ``ess_drop_analysis`` read the identified edges on the parent's vertex set,
 the identified-away vertex left isolated (neither ess nor isomorphism class
-moves), and ``contraction_classes`` is ``bfcore``'s one-step grouping.
+moves).  ``contraction_classes`` is ``bfcore``'s one-step grouping, which
+identifies on the packed ANF vector instead, so the contraction criterion
+(on edge sets, checked by the isomorphism search) stays independent of the
+direct definition it is compared with.
 
 Isolated vertices are kept; support reduction is an explicit step.
 """
@@ -202,10 +205,11 @@ def _isomorphisms(h1: Hypergraph, h2: Hypergraph) -> Iterator[tuple[int, ...]]:
     Each is an image tuple of single-bit masks (vertex v+1 goes to vertex
     w+1 when entry v is ``1 << w``), in backtracking search order; a caller
     that wants one bijection stops after the first.  Nothing is searched
-    unless the constant terms and the sorted vertex profiles agree.
+    unless the edge counts, the constant terms and the sorted vertex
+    profiles agree.
     """
     n = h1.vertex_count
-    if (0 in h1.edges) != (0 in h2.edges):
+    if len(h1.edges) != len(h2.edges) or (0 in h1.edges) != (0 in h2.edges):
         return
     if n == 0:
         yield ()

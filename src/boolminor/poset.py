@@ -2,8 +2,9 @@
 
 The classes of functions on up to four variables are the orbits of their
 ANF vectors (bit m set when monomial m occurs) under variable permutations:
-``bfcore._orbit_partition`` splits the 2^16 vectors, and one canonical form
-per orbit names each class.  Each class record carries its essential
+``bfcore._anf_orbits`` splits the 2^16 vectors, the same table that names
+the one-step identification classes, and one canonical form per orbit
+names each class.  Each class record carries its essential
 arity, arity gap, parity block, lower covers (the maximal strict minors),
 level, and irreducibility verdict.  The four blocks come from two
 minor-invariant bits: the parity of the number of nonconstant monomials and
@@ -19,7 +20,7 @@ from enum import Enum
 from typing import Iterable, Optional
 
 from . import bfcore
-from .bfcore import Zhegalkin, bits_of, essential_arity
+from .bfcore import Zhegalkin, essential_arity
 
 MAX_ENUM_ESS = 4
 
@@ -94,9 +95,9 @@ def enumerate_classes(max_ess: int, cache_path: Optional[str] = None) -> tuple[C
 def _compute_records(max_ess: int) -> tuple[ClassRecord, ...]:
     arity = max(max_ess, 1)
     canons: dict[frozenset[int], Zhegalkin] = {}
-    for anf in bfcore._orbit_partition(range(1 << arity), arity)[1]:
-        reduced, ess = bfcore._reduce_masks(frozenset(bits_of(anf)))
-        canon = frozenset(bfcore._canonical_reduced(reduced, ess))
+    for anf in bfcore._anf_orbits(arity)[1]:
+        canon_tuple, ess = bfcore._orbit_class(anf)
+        canon = frozenset(canon_tuple)
         canons[canon] = Zhegalkin(max(ess, 1), canon)
     if max_ess == 0:
         # only the two constants exist below arity 1

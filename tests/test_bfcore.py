@@ -7,6 +7,7 @@ polynomial transform, table-level coordinate copying for identification).
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -220,6 +221,22 @@ def test_canonical_cap_refuses_before_work():
             call()
     # dummy variables do not count toward the cap
     assert canonical_form(Zhegalkin(cap + 5, frozenset([1 << (cap + 4)]))) == poly(1, (1,))
+
+
+def test_one_step_groups_refuse_a_wide_support_at_entry():
+    cap = bfcore.CANONICAL_MAX_ESS
+    # its packed vector would have 2^63 bits
+    wide = Hypergraph.from_sets(63, [range(1, 64)])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"capped at {cap} essential variables"):
+        hypergraph.contraction_classes(wide)
+    assert time.perf_counter() - start < 1.0
+    # an identification drops at most two essential variables, so a support
+    # of cap + 2 passes the entry check: the linear sum loses both
+    # identified variables on every pair
+    n = cap + 2
+    linear = hypergraph.contraction_classes(Hypergraph.from_sets(n, [(v,) for v in range(1, n + 1)]))
+    assert [(len(c.pairs), c.ess) for c in linear.classes] == [(n * (n - 1) // 2, cap)]
 
 
 def test_canonical_form_idempotent_and_class_constant():
@@ -506,3 +523,78 @@ def test_conjunctions_and_disjunctions_irreducible():
         disj_bits = sum(1 << point for point in range(1, 1 << n))
         disj = zhegalkin_from_truth_table(TruthTable(n, disj_bits))
         assert is_irreducible_direct(disj) is not None
+
+
+# ---------------------------------------------------------------------------
+# one-step identification classes on the packed ANF vector
+
+
+def pack(monomials) -> int:
+    """The ANF vector of a monomial set: bit m for monomial m."""
+    return sum(1 << m for m in monomials)
+
+
+def oracle_one_step_groups(monomials):
+    """The former ``_one_step_groups``: every support pair identified on
+    monomial sets, reduced, and canonicalized through the cache."""
+    groups = {}
+    sup = bfcore.support_mask(monomials)
+    for i, j in itertools.combinations([b + 1 for b in bfcore.bits_of(sup)], 2):
+        reduced, ess = bfcore._reduce_masks(bfcore._identify_masks(monomials, i - 1, j - 1))
+        bfcore._check_canonical_ess(ess)
+        groups.setdefault((bfcore._canonical_reduced(reduced, ess), ess), []).append((i, j))
+    return groups
+
+
+@st.composite
+def spread_monomials(draw):
+    """Monomials on ``ess`` variables placed on random bits of a wider
+    arity, so the support is rarely contiguous: arity 1-7 for the orbit
+    table, or ess 5-11 for the canonical path and its cap."""
+    if draw(st.booleans()):
+        arity = draw(st.integers(1, 7))
+        ess = draw(st.integers(1, arity))
+    else:
+        ess = draw(st.integers(5, bfcore.CANONICAL_MAX_ESS + 2))
+        arity = draw(st.integers(ess, ess + 3))
+    positions = draw(st.permutations(range(arity)))[:ess]
+    images = [1 << p for p in positions]
+    small = st.integers(0, (1 << ess) - 1)
+    return frozenset(bfcore.fold(m, images) for m in draw(st.frozensets(small, min_size=1, max_size=14)))
+
+
+def outcome(groups_of, monomials):
+    try:
+        return list(groups_of(monomials).items())
+    except ValueError as err:
+        return str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spread_monomials())
+def test_packed_one_step_groups_match_the_set_oracle(monomials):
+    # same keys, same pairs in the caller's labels, same insertion order,
+    # and the same cap error at the same pair
+    assert outcome(bfcore._one_step_groups, monomials) == outcome(oracle_one_step_groups, monomials)
+
+
+@given(st.integers(1, 6), st.data())
+def test_packed_identification_matches_the_set_identification(n, data):
+    vec = data.draw(st.integers(0, (1 << (1 << n)) - 1))
+    monomials = frozenset(bfcore.bits_of(vec))
+    for bi, bj in itertools.combinations(range(n), 2):
+        assert bfcore._identify_vec(vec, bi, bj, n) == pack(bfcore._identify_masks(monomials, bi, bj))
+
+
+@given(st.integers(1, 6), st.data())
+def test_dropping_dummy_variables_matches_support_reduction(n, data):
+    live = data.draw(st.integers(0, (1 << n) - 1))
+    masks = data.draw(st.frozensets(st.integers(0, (1 << n) - 1), max_size=20))
+    monomials = frozenset(m & live for m in masks)
+    vec, width = pack(monomials), n
+    for k in reversed(range(n)):
+        if not any(m >> k & 1 for m in monomials):
+            vec = bfcore._drop_var(vec, k, width)
+            width -= 1
+    reduced, ess = bfcore._reduce_masks(monomials)
+    assert (vec, width) == (pack(reduced), ess)

@@ -63,8 +63,9 @@ def test_orbit_partition_matches_permutations(positions, n):
 
 
 def test_anf_orbits_are_the_four_variable_classes():
-    # the orbits of the 2^16 ANF vectors are exactly the classes of the poset
-    rep_of, reps = bfcore._orbit_partition(subset_positions(4), 4)
+    # the orbits of the 2^16 ANF vectors are exactly the classes of the
+    # poset, and of the one-step identifications of up to five variables
+    rep_of, reps = bfcore._anf_orbits(4)
 
     def form(vector):
         return canonical_form(Zhegalkin(4, frozenset(bits_of(vector))))
