@@ -5,7 +5,7 @@ steiner-check, poset, verify.  Inputs come from an inline argument, a file
 (--file PATH), or standard input (`-`).  Plain text is the default output;
 ``--format structured`` emits JSON.  Verification failures print one
 machine-readable record per line and exit nonzero; malformed input exits
-with status 2.
+with status 2, and Ctrl-C with status 130 and one line on stderr.
 
 ``verify`` passes each sweep only the flags named in its signature
 (``_SWEEP_PARAMS``), and only those given, so every default lives in the
@@ -339,6 +339,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -98,19 +98,22 @@ def delete_pair(h: Hypergraph, pair: tuple[int, int]) -> Hypergraph:
 
 
 def is_minus2_monomorphic(h: Hypergraph) -> bool:
-    """Are all two-point deletions pairwise isomorphic?"""
+    """Are all two-point deletions pairwise isomorphic?
+
+    Each deletion is read in place, on the n vertices with the two deleted
+    points left isolated; :func:`delete_pair` is the renumbered form.
+    """
     n = h.vertex_count
     if n < 2:
         raise ValueError("-2-monomorphy needs at least two vertices")
-    pairs = itertools.combinations(range(1, n + 1), 2)
-    return _all_isomorphic(delete_pair(h, pair) for pair in pairs)
+    pairs = (1 << i | 1 << j for i, j in itertools.combinations(range(n), 2))
+    return _all_isomorphic(n, (frozenset(e for e in h.edges if not e & pair) for pair in pairs))
 
 
 def _contractions_all_isomorphic(h: Hypergraph) -> bool:
     # in place, on the n vertices with the identified-away one left isolated
-    n = h.vertex_count
-    pairs = itertools.combinations(range(n), 2)
-    return _all_isomorphic(Hypergraph(n, _identify_masks(h.edges, i, j)) for i, j in pairs)
+    pairs = itertools.combinations(range(h.vertex_count), 2)
+    return _all_isomorphic(h.vertex_count, (_identify_masks(h.edges, i, j) for i, j in pairs))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,11 @@ identifies on the packed ANF vector instead, so the contraction criterion
 (on edge sets, checked by the isomorphism search) stays independent of the
 direct definition it is compared with.
 
+The isomorphism search has a source side (``_plan``), prepared once per
+source, and a target side (``_matches``).  ``is_isomorphic`` and
+``automorphisms`` run both; the group check behind the contraction and
+Steiner checks (``_all_isomorphic``) plans its first member once per group.
+
 Isolated vertices are kept; support reduction is an explicit step.
 """
 
@@ -188,60 +193,61 @@ def contract(h: Hypergraph, pair: tuple[int, int]) -> Hypergraph:
 # isomorphism and automorphisms
 
 
-def _vertex_profiles(edges: Iterable[int], n: int) -> list[tuple[int, ...]]:
-    """Per vertex bit 0..n-1, the ascending sizes of the edges through it:
-    a relabeling-invariant fingerprint, compared sorted."""
-    prof: list[list[int]] = [[] for _ in range(n)]
+def _incidence(edges: Iterable[int], n: int) -> tuple[list[list[int]], list[tuple[int, ...]]]:
+    """Per vertex bit 0..n-1, the edges through it, and their ascending
+    sizes: the vertex profile, a relabeling-invariant fingerprint compared
+    sorted."""
+    inc: list[list[int]] = [[] for _ in range(n)]
     for e in edges:
-        size = e.bit_count()
         for b in bits_of(e):
-            prof[b].append(size)
-    return [tuple(sorted(p)) for p in prof]
+            inc[b].append(e)
+    return inc, [tuple(sorted(map(int.bit_count, es))) for es in inc]
 
 
-def _isomorphisms(h1: Hypergraph, h2: Hypergraph) -> Iterator[tuple[int, ...]]:
-    """Lazily yield every edge-preserving vertex bijection h1 -> h2.
+def _plan(
+    inc: list[list[int]], profiles: list[tuple[int, ...]]
+) -> list[tuple[int, list[int], tuple[int, ...]]]:
+    """The source side of the search, prepared once per source from its
+    :func:`_incidence`.
 
-    Each is an image tuple of single-bit masks (vertex v+1 goes to vertex
-    w+1 when entry v is ``1 << w``), in backtracking search order; a caller
-    that wants one bijection stops after the first.  Nothing is searched
-    unless the edge counts, the constant terms and the sorted vertex
-    profiles agree.
+    One step per depth: the vertex placed there, the source edges it closes
+    (all their vertices placed), and its profile, which names its candidate
+    images in a target.  Most-constrained vertex first, since completing
+    edges prunes hardest.  The score depends only on which vertices are
+    assigned, so every branch takes this same order.
     """
-    n = h1.vertex_count
-    if len(h1.edges) != len(h2.edges) or (0 in h1.edges) != (0 in h2.edges):
-        return
-    if n == 0:
-        yield ()
-        return
-    edges1, edges2 = h1.edges, h2.edges
-    prof1 = _vertex_profiles(edges1, n)
-    prof2 = _vertex_profiles(edges2, n)
-    if sorted(prof1) != sorted(prof2):
-        return
-    inc1: list[list[int]] = [[] for _ in range(n)]
-    inc2: list[list[int]] = [[] for _ in range(n)]
-    for e in edges1:
-        for b in bits_of(e):
-            inc1[b].append(e)
-    for e in edges2:
-        for b in bits_of(e):
-            inc2[b].append(e)
-
-    # The plan, one step per depth: most-constrained vertex first, since
-    # completing edges prunes hardest.  The score depends only on which
-    # vertices are assigned, so every branch takes this same order.
-    plan: list[tuple[int, list[int], list[int]]] = []
+    n = len(inc)
+    plan = []
     assigned = 0
     for _ in range(n):
         v = min(
             (u for u in range(n) if not assigned >> u & 1),
-            key=lambda u: (-sum(1 for e in inc1[u] if e & ~(assigned | 1 << u) == 0), -len(inc1[u]), u),
+            key=lambda u: (-sum(1 for e in inc[u] if e & ~(assigned | 1 << u) == 0), -len(inc[u]), u),
         )
         assigned |= 1 << v
-        closing = [e for e in inc1[v] if e & ~assigned == 0]
-        plan.append((v, closing, [w for w in range(n) if prof2[w] == prof1[v]]))
+        plan.append((v, [e for e in inc[v] if e & ~assigned == 0], profiles[v]))
+    return plan
 
+
+def _matches(
+    plan: list[tuple[int, list[int], tuple[int, ...]]],
+    inc: list[list[int]],
+    profiles: list[tuple[int, ...]],
+    edges: frozenset[int],
+) -> Iterator[tuple[int, ...]]:
+    """The target side: lazily yield every edge-preserving bijection from the
+    planned source onto ``edges``, given the target's :func:`_incidence`,
+    whose profiles sort equal to the source's.
+
+    Each is an image tuple of single-bit masks (vertex v+1 goes to vertex
+    w+1 when entry v is ``1 << w``), in backtracking search order; a caller
+    that wants one bijection stops after the first.
+    """
+    n = len(inc)
+    with_profile: dict[tuple[int, ...], list[int]] = {}
+    for w, p in enumerate(profiles):
+        with_profile.setdefault(p, []).append(w)
+    steps = [(v, closing, with_profile[p]) for v, closing, p in plan]
     # single-bit images, so an edge maps through bfcore.fold
     img = [0] * n
 
@@ -249,20 +255,35 @@ def _isomorphisms(h1: Hypergraph, h2: Hypergraph) -> Iterator[tuple[int, ...]]:
         if depth == n:
             yield tuple(img)
             return
-        v, closing, candidates = plan[depth]
+        v, closing, candidates = steps[depth]
         for w in candidates:
             if image_mask >> w & 1:
                 continue
             img[v] = 1 << w
             new_image = image_mask | 1 << w
-            # the closing edges map one-to-one into the h2 edges through w
-            # inside the new image, so equal counts make that map onto
-            if all(bfcore.fold(e, img) in edges2 for e in closing) and len(closing) == sum(
-                1 for e2 in inc2[w] if e2 & ~new_image == 0
+            # the closing edges map one-to-one into the target edges through
+            # w inside the new image, so equal counts make that map onto
+            if all(bfcore.fold(e, img) in edges for e in closing) and len(closing) == sum(
+                1 for e2 in inc[w] if e2 & ~new_image == 0
             ):
                 yield from search(depth + 1, new_image)
 
     yield from search(0, 0)
+
+
+def _isomorphisms(h1: Hypergraph, h2: Hypergraph) -> Iterator[tuple[int, ...]]:
+    """Lazily yield every edge-preserving vertex bijection h1 -> h2, as
+    :func:`_matches` yields them.  Nothing is planned or searched unless the
+    edge counts, the constant terms and the sorted vertex profiles agree.
+    """
+    n = h1.vertex_count
+    edges1, edges2 = h1.edges, h2.edges
+    if len(edges1) != len(edges2) or (0 in edges1) != (0 in edges2):
+        return
+    inc1, prof1 = _incidence(edges1, n)
+    inc2, prof2 = _incidence(edges2, h2.vertex_count)
+    if sorted(prof1) == sorted(prof2):
+        yield from _matches(_plan(inc1, prof1), inc2, prof2, edges2)
 
 
 def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> Optional[VertexMap]:
@@ -351,17 +372,34 @@ def is_2set_transitive(h: Hypergraph) -> bool:
 # contraction classes and irreducibility
 
 
-def _all_isomorphic(hs: Iterable[Hypergraph]) -> bool:
-    """Is every hypergraph isomorphic to the first?  Stops at the first miss.
+def _all_isomorphic(n: int, members: Iterable[frozenset[int]]) -> bool:
+    """Is every edge set on vertices 1..n isomorphic to the first?  Reads
+    ``members`` lazily and stops at the first miss.
 
     Isomorphy is transitive, so comparing against the first decides whether
-    all members are pairwise isomorphic.
+    all members are pairwise isomorphic.  A member is screened by its edge
+    count and constant term, then by its sorted vertex profiles; the first
+    member's plan is built once, when a member first passes both screens.
     """
-    it = iter(hs)
+    it = iter(members)
     first = next(it, None)
     if first is None:
         return True
-    return all(is_isomorphic(first, h) is not None for h in it)
+    size, constant = len(first), 0 in first
+    inc1, prof1 = _incidence(first, n)
+    shape = sorted(prof1)
+    plan = None
+    for edges in it:
+        if len(edges) != size or (0 in edges) != constant:
+            return False
+        inc2, prof2 = _incidence(edges, n)
+        if sorted(prof2) != shape:
+            return False
+        if plan is None:
+            plan = _plan(inc1, prof1)
+        if next(_matches(plan, inc2, prof2, edges), None) is None:
+            return False
+    return True
 
 
 def contraction_classes(h: Hypergraph) -> ContractionClassPartition:
@@ -402,8 +440,11 @@ def is_irreducible_by_contractions(h: Hypergraph) -> bool:
         return False
     esses = [support_mask(m).bit_count() for m in merged]
     top = max(esses)
-    n = h.vertex_count
-    return _all_isomorphic(Hypergraph(n, m) for m, e in zip(merged, esses) if e == top)
+    group = [m for m, e in zip(merged, esses) if e == top]
+    # no plan for a group that its edge counts or constant terms already split
+    if len({(len(m), 0 in m) for m in group}) > 1:
+        return False
+    return _all_isomorphic(h.vertex_count, group)
 
 
 # ---------------------------------------------------------------------------

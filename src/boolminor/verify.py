@@ -27,6 +27,7 @@ import itertools
 import multiprocessing
 import os
 import random
+import signal
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -88,7 +89,13 @@ class VerifyResult:
 def _pool_map(fn, jobs: list, workers: int) -> list:
     if workers <= 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
-    with multiprocessing.Pool(processes=min(workers, len(jobs))) as pool:
+    # the workers ignore Ctrl-C: the parent alone stops, and leaving the pool
+    # terminates them without a traceback each
+    with multiprocessing.Pool(
+        processes=min(workers, len(jobs)),
+        initializer=signal.signal,
+        initargs=(signal.SIGINT, signal.SIG_IGN),
+    ) as pool:
         return pool.map(fn, jobs, chunksize=1)
 
 

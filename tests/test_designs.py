@@ -5,6 +5,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from oracles import oracle_all_isomorphic
 from strategies import small_hypergraphs
 
 from boolminor import bfcore, designs, hypergraph
@@ -165,7 +166,7 @@ def test_steiner_report_reads_the_group_off_one_search(monkeypatch):
 def oracle_contractions_all_isomorphic(h):
     """All pair contractions isomorphic, over renumbered ``contract`` copies."""
     pairs = itertools.combinations(range(1, h.vertex_count + 1), 2)
-    return hypergraph._all_isomorphic(contract(h, pair) for pair in pairs)
+    return oracle_all_isomorphic(contract(h, pair) for pair in pairs)
 
 
 @settings(max_examples=150, deadline=None)
@@ -179,6 +180,14 @@ def test_contraction_check_matches_oracle_on_the_catalog():
     for name, h in catalog.items():
         expected = oracle_contractions_all_isomorphic(h)
         assert designs._contractions_all_isomorphic(h) == expected, name
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_hypergraphs().filter(lambda h: h.vertex_count >= 2))
+def test_minus2_monomorphy_in_place_matches_renumbering_oracle(h):
+    pairs = itertools.combinations(range(1, h.vertex_count + 1), 2)
+    expected = oracle_all_isomorphic(delete_pair(h, pair) for pair in pairs)
+    assert is_minus2_monomorphic(h) == expected
 
 
 def test_steiner_report_rejects_non_steiner():

@@ -6,6 +6,7 @@ import itertools
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import time
@@ -166,6 +167,24 @@ def run_cli(capsys, *argv):
         code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_ctrl_c_ends_a_sweep_with_one_line(capsys, monkeypatch):
+    def interrupted(**kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(verify.ALL_SWEEPS, "keylemma", interrupted)
+    code, out, err = run_cli(capsys, "verify", "keylemma", "--workers", "2")
+    assert (code, out) == (130, "")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def sigint_ignored(_job):
+    return signal.getsignal(signal.SIGINT) == signal.SIG_IGN
+
+
+def test_pool_workers_leave_ctrl_c_to_the_parent():
+    assert verify._pool_map(sigint_ignored, [0, 1], 2) == [True, True]
 
 
 def test_cli_irreducible_conjunction(capsys):

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import oracle_all_isomorphic
 from strategies import small_hypergraphs, symmetric_hypergraphs
 
 from boolminor import bfcore, designs, hypergraph
@@ -540,13 +541,96 @@ def oracle_is_irreducible_by_contractions(h):
     contractions = [contract(h, pair) for pair in pairs]
     esses = [support_mask(he.edges).bit_count() for he in contractions]
     top = max(esses)
-    return hypergraph._all_isomorphic(he for he, e in zip(contractions, esses) if e == top)
+    return oracle_all_isomorphic(he for he, e in zip(contractions, esses) if e == top)
 
 
 @settings(max_examples=200, deadline=None)
 @given(small_hypergraphs())
 def test_criterion_in_place_matches_renumbering_oracle(h):
     assert is_irreducible_by_contractions(h) == oracle_is_irreducible_by_contractions(h)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_hypergraphs(), st.data())
+def test_group_check_matches_the_pairwise_oracle(h, data):
+    n = h.vertex_count
+    case = data.draw(st.sampled_from(("contractions", "top contractions", "copies", "count", "constant")))
+    if case.endswith("contractions"):
+        group = [bfcore._identify_masks(h.edges, i, j) for i, j in itertools.combinations(range(n), 2)]
+        if case == "top contractions" and group:
+            top = max(support_mask(m).bit_count() for m in group)
+            group = [m for m in group if support_mask(m).bit_count() == top]
+    else:
+        group = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            relabel = VertexMap(n, n, tuple(data.draw(st.permutations(range(1, n + 1)))))
+            group.append(frozenset(relabel.apply_mask(e) for e in h.edges))
+        last = set(group[-1])
+        if case == "count":
+            # toggle one nonempty edge: the constant term stays
+            last ^= {data.draw(st.integers(1, (1 << n) - 1))}
+        elif case == "constant":
+            # toggle the empty edge, and a nonempty edge the other way
+            last ^= {0}
+            present = 0 in last
+            toggles = [e for e in range(1, 1 << n) if (e in last) == present]
+            if not toggles:
+                return
+            last ^= {data.draw(st.sampled_from(toggles))}
+            assert len(last) == len(group[0])
+        group.append(frozenset(last))
+    expected = oracle_all_isomorphic(Hypergraph(n, m) for m in group)
+    assert hypergraph._all_isomorphic(n, iter(group)) == expected
+    if case == "copies":
+        assert expected
+    elif case in ("count", "constant"):
+        assert not expected
+
+
+def count_plans(monkeypatch):
+    """Every source-side preparation of the search, recorded as it runs."""
+    plans = []
+    plan = hypergraph._plan
+
+    def counted(*args):
+        plans.append(args)
+        return plan(*args)
+
+    monkeypatch.setattr(hypergraph, "_plan", counted)
+    return plans
+
+
+def test_group_check_plans_the_first_member_once(monkeypatch):
+    plans = count_plans(monkeypatch)
+    k8 = Hypergraph(8, complete(8).edges)
+    # all 28 pair contractions of K8 are isomorphic: a K6 plus a pendant singleton
+    assert designs._contractions_all_isomorphic(k8)
+    assert len(plans) == 1
+    assert is_irreducible_by_contractions(k8)
+    assert len(plans) == 2
+
+    plans.clear()
+    tri = H(3, (1, 2), (1, 3), (2, 3))
+
+    def members():
+        yield tri.edges
+        yield tri.edges - {0b11}
+        raise AssertionError("the group check read past the first miss")
+
+    assert not hypergraph._all_isomorphic(3, members())
+    assert plans == []
+
+
+def test_criterion_screens_top_edge_counts_before_planning(monkeypatch):
+    plans = count_plans(monkeypatch)
+    # x1 + x3 + x4 + x1x2: the top-ess identifications have 2, 2, 4 and 4
+    # edges, so a check in order would plan for the second one
+    h = H(4, (1,), (3,), (4,), (1, 2))
+    merged = [bfcore._identify_masks(h.edges, i, j) for i, j in itertools.combinations(range(4), 2)]
+    top = max(support_mask(m).bit_count() for m in merged)
+    assert [len(m) for m in merged if support_mask(m).bit_count() == top] == [2, 2, 4, 4]
+    assert not is_irreducible_by_contractions(h)
+    assert plans == []
 
 
 # ---------------------------------------------------------------------------
