@@ -3,11 +3,12 @@
 A function lives in two interchangeable representations: a truth table
 (the 2^n evaluation bits) and a multilinear GF(2) polynomial (a set of
 monomials, also called the algebraic normal form).  Internally a third one
-serves the one-step identification classes: the packed ANF vector, an int
-whose bit m is set when monomial m occurs (the Moebius transform of the
-truth table), on which identifying two variables is four masked shifts and
-a function of up to four variables is one index into the 4-variable orbit
-table.  Conventions, fixed once and used everywhere:
+serves the one-step identification classes and the gap sweep's arity gaps:
+the packed ANF vector, an int whose bit m is set when monomial m occurs
+(the Moebius transform of the truth table), on which identifying two
+variables is four masked shifts and a function of up to four variables is
+one index into the 4-variable orbit table.  Conventions, fixed once and
+used everywhere:
 
 * point indices: x_k is bit k-1 of the index, so x_1 is the least
   significant bit;
@@ -567,35 +568,62 @@ def arity_gap(f: Zhegalkin) -> int:
     return len(fvars) - best_after
 
 
+def _arity_gap_vec(vec: int, n: int) -> int:
+    """``arity_gap`` on the ANF vector of an n-variable function.
+
+    An identification removes the identified-away variable, so no pair
+    keeps more than ess - 1 variables: the scan stops at the first pair
+    that does, with gap 1.
+    """
+    vm = _var_masks(n)
+    support = [k for k in range(n) if vec & vm[k]]
+    ess = len(support)
+    if ess < 2:
+        raise ValueError("arity gap requires at least two essential variables")
+    best_after = -1
+    for bi, bj in itertools.combinations(support, 2):
+        w = _identify_vec(vec, bi, bj, n)
+        after = sum(1 for k in support if w & vm[k])
+        if after == ess - 1:
+            return 1
+        if after > best_after:
+            best_after = after
+    return ess - best_after
+
+
 def classify_gap(f: Zhegalkin) -> GapClass:
     """Match the function against the four gap-two polynomial families.
 
-    The match is on the support-reduced monomial structure, which is the
-    same thing as matching the canonical form up to variable permutation.
+    Every family has degree at most 2 and is told apart by its degrees and
+    the variables its monomials share, which no relabeling changes, so the
+    match reads the monomials as they are and stops at the first of degree
+    3 or more.
     """
-    reduced, ess = _reduce_masks(f.monomials)
-    if ess < 2:
+    constant = 0
+    singles: list[int] = []
+    doubles: list[int] = []
+    for m in f.monomials:
+        degree = m.bit_count()
+        if degree > 2:
+            return GapClass(GapTag.GAP_ONE)
+        if degree == 2:
+            doubles.append(m)
+        elif degree:
+            singles.append(m)
+        else:
+            constant = 1
+    if support_mask(singles + doubles).bit_count() < 2:
         raise ValueError("gap classification requires at least two essential variables")
-    constant = 1 if 0 in reduced else 0
-    body = [m for m in reduced if m]
-    singles = [m for m in body if m.bit_count() == 1]
-    doubles = [m for m in body if m.bit_count() == 2]
-    sizes = sorted(m.bit_count() for m in body)
 
-    if len(singles) == len(body) >= 2:
+    if not doubles:
         return GapClass(GapTag.LINEAR_SUM, constant)
-    if sizes == [1, 2] and singles[0] & doubles[0] == singles[0]:
+    if len(singles) == len(doubles) == 1 and singles[0] & doubles[0]:
         return GapClass(GapTag.XY_PLUS_X, constant)
-    triangle = len(doubles) == 3 and support_mask(doubles).bit_count() == 3
-    if sizes == [2, 2, 2] and triangle:
-        return GapClass(GapTag.TRIANGLE, constant)
-    if sizes == [1, 1, 2, 2, 2] and triangle:
-        tri_support = support_mask(doubles)
-        if (
-            singles[0] != singles[1]
-            and singles[0] & tri_support
-            and singles[1] & tri_support
-        ):
+    tri_support = support_mask(doubles)
+    if len(doubles) == 3 and tri_support.bit_count() == 3:
+        if not singles:
+            return GapClass(GapTag.TRIANGLE, constant)
+        if len(singles) == 2 and all(s & tri_support for s in singles):
             return GapClass(GapTag.TRIANGLE_LINEAR, constant)
     return GapClass(GapTag.GAP_ONE)
 

@@ -14,9 +14,11 @@ the constant term.
 from __future__ import annotations
 
 import os
+import stat
 import zlib
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Iterable, Optional
 
 from . import bfcore
@@ -25,6 +27,8 @@ from .bfcore import Zhegalkin, essential_arity
 MAX_ENUM_ESS = 4
 
 _CACHE_HEADER = "#boolminor-classes v2"
+# the cache at MAX_ENUM_ESS is 712,456 bytes; a longer file is stale
+_CACHE_MAX_BYTES = 4 << 20
 
 
 class Block(Enum):
@@ -193,16 +197,13 @@ def export(universe: Iterable[ClassRecord], format: str = "dot") -> str:
 def _render_records(recs: list[ClassRecord]) -> str:
     from .formats import format_polynomial
 
+    text = cache(format_polynomial)  # a class recurs as many records' cover
     lines = []
     for r in recs:
         gap = "-" if r.gap is None else str(r.gap)
         level = f"{r.level}+" if r.level_provisional else str(r.level)
-        cov = ";".join(format_polynomial(c) for c in r.lower_covers) or "-"
-        lines.append(
-            "\t".join(
-                [format_polynomial(r.canon), str(r.ess), gap, r.block.value, level, cov]
-            )
-        )
+        cov = ";".join(text(c) for c in r.lower_covers) or "-"
+        lines.append("\t".join([text(r.canon), str(r.ess), gap, r.block.value, level, cov]))
     return "\n".join(lines) + "\n"
 
 
@@ -224,13 +225,20 @@ def _write_cache(path: str, max_ess: int, records: tuple[ClassRecord, ...]) -> N
 def _read_cache(path: str, max_ess: int) -> Optional[tuple[ClassRecord, ...]]:
     """The cached records, or None when the cache is stale or unparsable.
 
-    An older format version or a body whose CRC-32 differs from the
-    header's is stale, even when every line would still parse.
+    An older format version, a body whose CRC-32 differs from the header's
+    or a file longer than ``_CACHE_MAX_BYTES`` is stale, even when every
+    line would still parse.  A path that is not a regular file (a FIFO
+    would block the read, a device would never end) raises ValueError.
     """
     from .formats import parse_polynomial
 
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ValueError(f"cache path {path!r} is not a regular file")
     with open(path, "rb") as fh:
-        head, _, raw_body = fh.read().partition(b"\n")
+        data = fh.read(_CACHE_MAX_BYTES + 1)
+    if len(data) > _CACHE_MAX_BYTES:
+        return None
+    head, _, raw_body = data.partition(b"\n")
     try:
         words = head.decode("utf-8").split()
         lines = raw_body.decode("utf-8").splitlines()
@@ -244,16 +252,15 @@ def _read_cache(path: str, max_ess: int) -> Optional[tuple[ClassRecord, ...]]:
     body = [line for line in lines if line.strip()]
     if fields.get("max_ess") != str(max_ess) or fields.get("count") != str(len(body)):
         return None
+    poly = cache(parse_polynomial)  # each distinct text is parsed, and so checked, once
     records = []
     try:
         for line in body:
             canon_text, ess_s, gap_s, block_s, level_s, cov_s = line.split("\t")
-            covs = (
-                tuple(parse_polynomial(c) for c in cov_s.split(";")) if cov_s != "-" else ()
-            )
+            covs = tuple(poly(c) for c in cov_s.split(";")) if cov_s != "-" else ()
             records.append(
                 ClassRecord(
-                    canon=parse_polynomial(canon_text),
+                    canon=poly(canon_text),
                     ess=int(ess_s),
                     gap=None if gap_s == "-" else int(gap_s),
                     block=Block(block_s),

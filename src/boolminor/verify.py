@@ -125,13 +125,15 @@ def _gap_shard(job: tuple[int, int, int]) -> dict:
     family_counts: Counter = Counter()
     low_ess = 0
     mismatches = []
+    var_masks = bfcore._var_masks(arity)
     for table_bits in range(start, stop):
-        table = TruthTable(arity, table_bits)
-        poly = bfcore.zhegalkin_from_truth_table(table)
-        if bfcore.essential_arity(poly) < 2:
+        # the ANF vector: bit m is set when monomial m occurs
+        anf = bfcore._mobius(table_bits, arity)
+        if sum(1 for vm in var_masks if anf & vm) < 2:
             low_ess += 1
             continue
-        gap = bfcore.arity_gap(poly)
+        gap = bfcore._arity_gap_vec(anf, arity)
+        poly = Zhegalkin(arity, frozenset(bits_of(anf)))
         family = bfcore.classify_gap(poly)
         gap_counts[gap] += 1
         family_counts[family.tag.value] += 1
@@ -141,7 +143,7 @@ def _gap_shard(job: tuple[int, int, int]) -> dict:
             mismatches.append(
                 {
                     "sweep": "gap",
-                    "table": format_truth_table(table),
+                    "table": format_truth_table(TruthTable(arity, table_bits)),
                     "polynomial": format_polynomial(poly),
                     "gap": gap,
                     "family": family.tag.value,

@@ -33,6 +33,7 @@ from boolminor.bfcore import (
     zhegalkin_from_truth_table,
 )
 from boolminor.hypergraph import Hypergraph
+from oracles import oracle_classify_gap
 
 
 def poly(arity, *monos):
@@ -484,6 +485,125 @@ def test_gap_classification_agrees_exhaustive_arity3():
     # by family shape: linear sums 6+2, product-plus-factor 12, triangle 2,
     # triangle-plus-linear 6
     assert gap2 == 28
+
+
+def gap_outcome(gap_of, f):
+    try:
+        result = gap_of(f)
+    except ValueError as err:
+        return str(err)
+    return (result.tag, result.constant) if isinstance(result, bfcore.GapClass) else result
+
+
+def test_classify_gap_matches_the_old_body_exhaustive_arity3():
+    for n in (1, 2, 3):
+        for bits in range(1 << (1 << n)):
+            f = zhegalkin_from_truth_table(TruthTable(n, bits))
+            assert gap_outcome(classify_gap, f) == gap_outcome(oracle_classify_gap, f), f
+
+
+@st.composite
+def gap_family_draws(draw):
+    """A function on 4-8 variables spread over x1..x63: a relabeled gap-two
+    family member, or a near miss (a single outside the product, a path or
+    star instead of a triangle), or random terms of degree mostly at most
+    2; then, often, one more term toggled in."""
+    ess = draw(st.integers(4, 8))
+    bits = [1 << p for p in draw(st.permutations(range(bfcore.MAX_POLY_ARITY)))[:ess]]
+    var = st.sampled_from(bits)
+    shape = draw(st.sampled_from(("linear", "xy+x", "triangle", "triangle+linear", "random")))
+    if shape == "linear":
+        terms = draw(st.lists(var, min_size=2, max_size=ess, unique=True))
+    elif shape == "xy+x":
+        a, b = draw(st.lists(var, min_size=2, max_size=2, unique=True))
+        terms = [a | b, draw(var)]
+    elif shape.startswith("triangle"):
+        if draw(st.booleans()):
+            a, b, c = draw(st.lists(var, min_size=3, max_size=3, unique=True))
+            terms = [a | b, b | c, a | c]
+        else:
+            pair = st.lists(var, min_size=2, max_size=2, unique=True).map(sum)
+            terms = draw(st.lists(pair, min_size=3, max_size=3, unique=True))
+        if shape == "triangle+linear":
+            terms += draw(st.lists(var, min_size=2, max_size=2, unique=True))
+    else:
+        degree = st.sampled_from((0, 1, 1, 1, 2, 2, 2, 2, 3))
+        term = degree.flatmap(lambda d: st.lists(var, min_size=d, max_size=d, unique=True).map(sum))
+        terms = draw(st.lists(term, max_size=8))
+    terms += draw(st.lists(st.sampled_from((0,)), max_size=1))  # the constant
+    extra = st.lists(var, min_size=1, max_size=3, unique=True).map(sum)
+    terms += draw(st.lists(extra, max_size=1))
+    monomials = set()
+    for m in terms:
+        monomials ^= {m}
+    return Zhegalkin(bfcore.MAX_POLY_ARITY, frozenset(monomials))
+
+
+@settings(max_examples=400, deadline=None)
+@given(gap_family_draws())
+def test_classify_gap_matches_the_old_body_on_spread_supports(f):
+    assert gap_outcome(classify_gap, f) == gap_outcome(oracle_classify_gap, f)
+
+
+def gap_two_members(n):
+    """Every member of the four gap-two families on x1..xn, both constants."""
+    for c in (0, 1):
+        const = [()] * c
+        for k in range(2, n + 1):
+            for vs in itertools.combinations(range(1, n + 1), k):
+                yield poly(n, *const, *((v,) for v in vs))
+        for a, b in itertools.permutations(range(1, n + 1), 2):
+            yield poly(n, *const, (a, b), (a,))
+        for a, b, c3 in itertools.combinations(range(1, n + 1), 3):
+            triangle = [(a, b), (b, c3), (a, c3)]
+            yield poly(n, *const, *triangle)
+            for s, t in itertools.combinations((a, b, c3), 2):
+                yield poly(n, *const, *triangle, (s,), (t,))
+
+
+def packed_gap_cases():
+    for n in (1, 2, 3):
+        for bits in range(1 << (1 << n)):
+            yield n, bfcore._mobius(bits, n)
+    rng = random.Random(47)
+    for n in (4, 5, 6):
+        for _ in range(300):
+            yield n, bfcore._mobius(rng.getrandbits(1 << n), n)
+    for n in (4, 6):
+        for f in gap_two_members(n):
+            yield n, pack(f.monomials)
+
+
+def test_packed_arity_gap_matches_arity_gap():
+    families = 0
+    for n, vec in packed_gap_cases():
+        f = Zhegalkin(n, frozenset(bfcore.bits_of(vec)))
+        expected = gap_outcome(arity_gap, f)
+        assert gap_outcome(lambda _: bfcore._arity_gap_vec(vec, n), f) == expected, f
+        families += expected == 2 and classify_gap(f).tag is not GapTag.GAP_ONE
+    # the members at n = 4 and n = 6 alone, per family and constant
+    assert families >= 2 * (11 + 12 + 4 + 12) + 2 * (57 + 30 + 20 + 60)
+
+
+def test_packed_arity_gap_stops_at_the_first_gap_one_pair(monkeypatch):
+    calls = []
+    identify_vec = bfcore._identify_vec
+    monkeypatch.setattr(bfcore, "_identify_vec", lambda *args: calls.append(args) or identify_vec(*args))
+    stopped_early = 0
+    for n, vec in packed_gap_cases():
+        f = Zhegalkin(n, frozenset(bfcore.bits_of(vec)))
+        fvars = sorted(essential_variables(f))
+        if len(fvars) < 2:
+            continue
+        pairs = list(itertools.combinations(fvars, 2))
+        # the pairs up to the first that keeps ess - 1, or all of them
+        drops = [essential_arity(identify(f, i, j)) for i, j in pairs]
+        expected = drops.index(len(fvars) - 1) + 1 if len(fvars) - 1 in drops else len(pairs)
+        calls.clear()
+        bfcore._arity_gap_vec(vec, n)
+        assert len(calls) == expected, f
+        stopped_early += expected < len(pairs)
+    assert stopped_early > 1000
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,13 @@
 Each sweep reports a disagreement as a dict with a fixed schema, printed as
 one ``FAIL`` line.  Here the checked primitives are patched to give wrong
 answers on chosen inputs, in-process at ``workers=1`` so no pool starts, and
-the exact records of ``keylemma``, ``correspondence`` and ``graphs`` are
-compared: their kinds, keys, values and order.
+the exact records of ``gap``, ``keylemma``, ``correspondence`` and
+``graphs`` are compared: their kinds, keys, values and order.
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +53,38 @@ def faults(monkeypatch):
     monkeypatch.setattr(graphs, "satisfies_property_p", lambda g: sat(g) != (sum(g.edges) % 17 == 2))
 
 
+@pytest.fixture
+def gap_faults(monkeypatch):
+    """A wrong family for some polynomials and a gap of 3 for one vector."""
+    classify, gap_vec = bfcore.classify_gap, bfcore._arity_gap_vec
+
+    def bad_classify(f):
+        cls = classify(f)
+        if sum(f.monomials) % 13 == 4:
+            if cls.tag is bfcore.GapTag.GAP_ONE:
+                return bfcore.GapClass(bfcore.GapTag.TRIANGLE, 1)
+            return bfcore.GapClass(bfcore.GapTag.GAP_ONE)
+        return cls
+
+    monkeypatch.setattr(bfcore, "classify_gap", bad_classify)
+    monkeypatch.setattr(bfcore, "_arity_gap_vec", lambda vec, n: 3 if vec % 29 == 7 else gap_vec(vec, n))
+
+
+def test_gap_failure_records(gap_faults):
+    result = verify.gap_sweep(2, workers=1)
+    assert result.failures == EXPECTED_GAP
+    assert result.data["gap_counts"] == {1: 4, 2: 5, 3: 1}
+
+
+def test_gap_sweep_output_is_worker_invariant():
+    result = verify.gap_sweep(4, workers=2)
+    text = "\n".join(result.lines + ["ok"]) + "\n"
+    reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    expected = json.loads(reference.read_text(encoding="utf-8"))["stdout_sha256"]["gap"]
+    assert not result.failures
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected
+
+
 def _doc(n, *edges):
     edge_list = ", ".join("[" + ", ".join(map(str, e)) + "]" for e in edges)
     return f'{{"edges": [{edge_list}], "n": {n}}}'
@@ -83,6 +119,16 @@ def _corr(kind, larger, smaller, found, minor):
 def _oracle(n, rep):
     return {"sweep": "graphs-oracle", "n": n, "rep": rep, "contraction_criterion": True, "direct_definition": False}
 
+
+def _gap(table, polynomial, gap, family):
+    return {"sweep": "gap", "table": table, "polynomial": polynomial, "gap": gap, "family": family}
+
+
+EXPECTED_GAP = [
+    _gap("tt:2 arity=2", "x1*x2 + x1", 2, "GapOne"),
+    _gap("tt:9 arity=2", "x1 + x2 + 1", 3, "LinearSum"),
+    _gap("tt:D arity=2", "x1*x2 + x1 + 1", 2, "GapOne"),
+]
 
 EXPECTED_KEYLEMMA = [
     _keylemma(_doc(2, [1], [2]), True, False),

@@ -1,13 +1,17 @@
 """Class enumeration, covers, levels, blocks, cache, and export."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from boolminor import bfcore, cli, poset
 from boolminor.bfcore import TruthTable, Zhegalkin, bits_of, zhegalkin_from_truth_table
-from boolminor.formats import parse_polynomial
+from boolminor.formats import format_polynomial, parse_polynomial
 from boolminor.poset import (
     Block,
     block_of,
@@ -142,6 +146,30 @@ def strip_levels(covers):
 @pytest.fixture(scope="module")
 def classes4():
     return enumerate_classes(4)
+
+
+def old_render_records(recs):
+    """The structured rendering as it was before it formatted each class
+    once: every canonical form and every cover formatted where it occurs."""
+    lines = []
+    for r in recs:
+        gap = "-" if r.gap is None else str(r.gap)
+        level = f"{r.level}+" if r.level_provisional else str(r.level)
+        cov = ";".join(format_polynomial(c) for c in r.lower_covers) or "-"
+        lines.append("\t".join([format_polynomial(r.canon), str(r.ess), gap, r.block.value, level, cov]))
+    return "\n".join(lines) + "\n"
+
+
+def test_rendering_and_reading_memos_keep_every_record(classes4, tmp_path):
+    rendered = poset._render_records(list(classes4)).split("\n")
+    expected = old_render_records(classes4).split("\n")
+    assert len(rendered) == len(expected)
+    # line by line: pytest's diff of the whole text would take minutes
+    for got, want in zip(rendered, expected):
+        assert got == want
+    cache = tmp_path / "classes.tsv"
+    poset._write_cache(str(cache), 4, classes4)
+    assert poset._read_cache(str(cache), 4) == classes4
 
 
 def test_depth_levels_match_minimal_stripping(classes4):
@@ -316,3 +344,43 @@ def test_cross_block_incomparability_small():
             continue
         assert bfcore.is_minor(a.canon, b.canon) is None
         assert bfcore.is_minor(b.canon, a.canon) is None
+
+
+def test_cache_path_that_is_not_a_regular_file_exits_2(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    argv = [sys.executable, "-m", "boolminor.cli", "verify", "poset", "--max-ess", "2", "--cache", str(fifo)]
+    run = subprocess.run(argv, env=env, capture_output=True, timeout=2)
+    err = run.stderr.decode()
+    assert run.returncode == 2 and run.stdout == b""
+    assert err.splitlines() == [f"error: cache path {str(fifo)!r} is not a regular file"]
+    with pytest.raises(ValueError, match="not a regular file"):
+        enumerate_classes(2, cache_path=str(tmp_path))
+
+
+def test_oversize_cache_is_stale_and_read_within_the_bound(tmp_path, monkeypatch):
+    cache = tmp_path / "classes.tsv"
+    recs = enumerate_classes(2, cache_path=str(cache))
+    written = cache.read_bytes()
+    reads = []
+
+    def recording_open(path, mode="r"):
+        fh = open(path, mode)
+        read = fh.read
+        fh.read = lambda size=-1: reads.append(size) or read(size)
+        return fh
+
+    monkeypatch.setattr(poset, "open", recording_open, raising=False)
+    # a valid cache followed by a sparse gigabyte of zeros
+    with open(cache, "r+b") as fh:
+        fh.truncate(1 << 30)
+    assert poset._read_cache(str(cache), 2) is None
+    assert enumerate_classes(2, cache_path=str(cache)) == recs
+    assert cache.read_bytes() == written
+    assert reads == [poset._CACHE_MAX_BYTES + 1] * 2
+    # a cache exactly at the bound is still read
+    monkeypatch.setattr(poset, "_CACHE_MAX_BYTES", len(written))
+    assert poset._read_cache(str(cache), 2) == recs
+    monkeypatch.setattr(poset, "_CACHE_MAX_BYTES", len(written) - 1)
+    assert poset._read_cache(str(cache), 2) is None
