@@ -635,10 +635,10 @@ def _one_step_groups(
     of their identification; groups keep the order of their first pair.
 
     Each pair is identified on the packed ANF vector of the support-reduced
-    function.  Up to ess 5, dropping the identified-away variable leaves a
-    4-variable vector, named by its orbit in the 4-variable orbit table, so
-    the canonical tuple is computed once per group; above ess 5 each
-    identification is named by its (cached) canonical form.
+    function and named by :func:`_orbit_class`.  Up to ess 5, dropping the
+    identified-away variable leaves a 4-variable vector, looked up by its
+    orbit minimum in the 4-variable orbit table, so the cache sees at most
+    the 3,984 minima; above ess 5 it sees the vector itself.
     """
     reduced, n = _reduce_masks(monomials)
     # an identification drops at most two essential variables (the arity
@@ -650,27 +650,22 @@ def _one_step_groups(
     for m in reduced:
         vec |= 1 << m
     rep_of = _anf_orbits(4)[0] if n <= 5 else None
-    by_id: dict = {}  # pairs by orbit minimum, or by (canonical tuple, ess)
+    groups: dict[tuple[tuple[int, ...], int], list[tuple[int, int]]] = {}
     for bi, bj in itertools.combinations(range(n), 2):
         # x_j is gone after the identification, so drop it
         w = _drop_var(_identify_vec(vec, bi, bj, n), bj, n)
-        if rep_of is not None:
-            key = rep_of[w]
-        else:
-            w_reduced, ess = _reduce_masks(frozenset(bits_of(w)))
-            _check_canonical_ess(ess)
-            key = (_canonical_reduced(w_reduced, ess), ess)
-        by_id.setdefault(key, []).append((labels[bi], labels[bj]))
-    if rep_of is None:
-        return by_id
-    return {_orbit_class(rep): pairs for rep, pairs in by_id.items()}
+        key = _orbit_class(rep_of[w] if rep_of is not None else w)
+        groups.setdefault(key, []).append((labels[bi], labels[bj]))
+    return groups
 
 
-@lru_cache(maxsize=None)
-def _orbit_class(rep: int) -> tuple[tuple[int, ...], int]:
-    """The (canonical tuple, ess) of the function with ANF vector ``rep``,
-    cached; callers pass orbit minima from ``_anf_orbits``, a few thousand."""
-    reduced, ess = _reduce_masks(frozenset(bits_of(rep)))
+@lru_cache(maxsize=1 << 16)
+def _orbit_class(vec: int) -> tuple[tuple[int, ...], int]:
+    """The (canonical tuple, ess) of the function with packed ANF vector
+    ``vec``, cached like :func:`_canonical_reduced`; an ess above the cap
+    is refused before the search."""
+    reduced, ess = _reduce_masks(frozenset(bits_of(vec)))
+    _check_canonical_ess(ess)
     return _canonical_reduced(reduced, ess), ess
 
 

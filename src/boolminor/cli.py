@@ -2,7 +2,8 @@
 
 Verbs: convert, classify, gap, irreducible, iso, graph-classify,
 steiner-check, poset, verify.  Inputs come from an inline argument, a file
-(--file PATH), or standard input (`-`).  Plain text is the default output;
+(--file PATH), or standard input (`-`), the last two read at most
+``_INPUT_MAX_BYTES`` characters deep.  Plain text is the default output;
 ``--format structured`` emits JSON.  Verification failures print one
 machine-readable record per line and exit nonzero; malformed input exits
 with status 2, and Ctrl-C with status 130 and one line on stderr.
@@ -37,18 +38,29 @@ from .formats import (
 
 __all__ = ["main", "parse_polynomial"]
 
+# a truth table at the arity cap is about 262,000 characters
+_INPUT_MAX_BYTES = 64 << 20
+
+
+def _read_bounded(fh) -> str:
+    """At most ``_INPUT_MAX_BYTES`` characters of ``fh``; a longer input is refused."""
+    text = fh.read(_INPUT_MAX_BYTES + 1)
+    if len(text) > _INPUT_MAX_BYTES:
+        raise ValueError(f"input is longer than {_INPUT_MAX_BYTES} characters")
+    return text
+
 
 def _read_input(args) -> str:
     sources = [s for s in (args.input, args.file) if s]
     if args.input == "-":
         if args.file:
             raise ValueError("give exactly one input source")
-        return sys.stdin.read()
+        return _read_bounded(sys.stdin)
     if len(sources) != 1:
         raise ValueError("give exactly one input source (inline, --file, or '-')")
     if args.file:
         with open(args.file, encoding="utf-8") as fh:
-            return fh.read()
+            return _read_bounded(fh)
     return args.input
 
 

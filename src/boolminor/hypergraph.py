@@ -16,9 +16,10 @@ identifies on the packed ANF vector instead, so the contraction criterion
 direct definition it is compared with.
 
 The isomorphism search has a source side (``_plan``), prepared once per
-source, and a target side (``_matches``).  ``is_isomorphic`` and
-``automorphisms`` run both; the group check behind the contraction and
-Steiner checks (``_all_isomorphic``) plans its first member once per group.
+source, and a target side (``_matches``).  ``_first_bijections`` drives
+both for ``is_isomorphic`` and for the group check behind the contraction
+and Steiner checks (``_all_isomorphic``): it screens every member, plans
+the first once, and stops at the first miss.
 
 Isolated vertices are kept; support reduction is an explicit step.
 """
@@ -271,19 +272,36 @@ def _matches(
     yield from search(0, 0)
 
 
-def _isomorphisms(h1: Hypergraph, h2: Hypergraph) -> Iterator[tuple[int, ...]]:
-    """Lazily yield every edge-preserving vertex bijection h1 -> h2, as
-    :func:`_matches` yields them.  Nothing is planned or searched unless the
-    edge counts, the constant terms and the sorted vertex profiles agree.
+def _first_bijections(
+    n: int, members: Iterable[frozenset[int]]
+) -> Iterator[Optional[tuple[int, ...]]]:
+    """Per edge set on vertices 1..n after the first, the first bijection
+    from the first member onto it that :func:`_matches` yields; None at the
+    first member with none, after which ``members`` is read no further.
+
+    A member is screened by its edge count and constant term, then by its
+    sorted vertex profiles; the first member's plan is built once, when a
+    member first passes both screens.
     """
-    n = h1.vertex_count
-    edges1, edges2 = h1.edges, h2.edges
-    if len(edges1) != len(edges2) or (0 in edges1) != (0 in edges2):
+    it = iter(members)
+    first = next(it, None)
+    if first is None:
         return
-    inc1, prof1 = _incidence(edges1, n)
-    inc2, prof2 = _incidence(edges2, h2.vertex_count)
-    if sorted(prof1) == sorted(prof2):
-        yield from _matches(_plan(inc1, prof1), inc2, prof2, edges2)
+    size, constant = len(first), 0 in first
+    inc1, prof1 = _incidence(first, n)
+    shape = sorted(prof1)
+    plan = None
+    for edges in it:
+        found = None
+        if len(edges) == size and (0 in edges) == constant:
+            inc2, prof2 = _incidence(edges, n)
+            if sorted(prof2) == shape:
+                if plan is None:
+                    plan = _plan(inc1, prof1)
+                found = next(_matches(plan, inc2, prof2, edges), None)
+        yield found
+        if found is None:
+            return
 
 
 def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> Optional[VertexMap]:
@@ -295,7 +313,7 @@ def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> Optional[VertexMap]:
     n = h1.vertex_count
     if n != h2.vertex_count:
         return None
-    found = next(_isomorphisms(h1, h2), None)
+    (found,) = _first_bijections(n, (h1.edges, h2.edges))
     return None if found is None else VertexMap(n, n, tuple(b.bit_length() for b in found))
 
 
@@ -310,9 +328,11 @@ def automorphisms(h: Hypergraph) -> list[VertexMap]:
     """Every edge-preserving vertex permutation, identity included."""
     _check_automorphism_cap(h)
     n = h.vertex_count
+    # a hypergraph passes every screen against itself
+    inc, prof = _incidence(h.edges, n)
     return [
         VertexMap(n, n, tuple(b.bit_length() for b in found))
-        for found in sorted(_isomorphisms(h, h))
+        for found in sorted(_matches(_plan(inc, prof), inc, prof, h.edges))
     ]
 
 
@@ -373,33 +393,9 @@ def is_2set_transitive(h: Hypergraph) -> bool:
 
 
 def _all_isomorphic(n: int, members: Iterable[frozenset[int]]) -> bool:
-    """Is every edge set on vertices 1..n isomorphic to the first?  Reads
-    ``members`` lazily and stops at the first miss.
-
-    Isomorphy is transitive, so comparing against the first decides whether
-    all members are pairwise isomorphic.  A member is screened by its edge
-    count and constant term, then by its sorted vertex profiles; the first
-    member's plan is built once, when a member first passes both screens.
-    """
-    it = iter(members)
-    first = next(it, None)
-    if first is None:
-        return True
-    size, constant = len(first), 0 in first
-    inc1, prof1 = _incidence(first, n)
-    shape = sorted(prof1)
-    plan = None
-    for edges in it:
-        if len(edges) != size or (0 in edges) != constant:
-            return False
-        inc2, prof2 = _incidence(edges, n)
-        if sorted(prof2) != shape:
-            return False
-        if plan is None:
-            plan = _plan(inc1, prof1)
-        if next(_matches(plan, inc2, prof2, edges), None) is None:
-            return False
-    return True
+    """Is every edge set on vertices 1..n isomorphic to the first, and so,
+    isomorphy being transitive, are all members pairwise isomorphic?"""
+    return None not in _first_bijections(n, members)
 
 
 def contraction_classes(h: Hypergraph) -> ContractionClassPartition:

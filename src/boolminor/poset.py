@@ -57,7 +57,11 @@ class ClassRecord:
     level: int
     level_provisional: bool
     lower_covers: tuple[Zhegalkin, ...]
-    irreducible: bool
+
+    @property
+    def irreducible(self) -> bool:
+        """A class is irreducible when it has a unique lower cover."""
+        return len(self.lower_covers) == 1
 
     def key(self) -> frozenset[int]:
         return self.canon.monomials
@@ -128,7 +132,6 @@ def _compute_records(max_ess: int) -> tuple[ClassRecord, ...]:
                 level=levels_map[key],
                 level_provisional=(ess == max_ess),
                 lower_covers=cov,
-                irreducible=len(cov) == 1,
             )
         )
     records.sort(key=lambda r: (r.ess, sorted(r.canon.monomials)))
@@ -267,7 +270,6 @@ def _read_cache(path: str, max_ess: int) -> Optional[tuple[ClassRecord, ...]]:
                     level=int(level_s.rstrip("+")),
                     level_provisional=level_s.endswith("+"),
                     lower_covers=covs,
-                    irreducible=len(covs) == 1,
                 )
             )
     except ValueError:

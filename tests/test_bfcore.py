@@ -698,6 +698,22 @@ def test_packed_one_step_groups_match_the_set_oracle(monomials):
     assert outcome(bfcore._one_step_groups, monomials) == outcome(oracle_one_step_groups, monomials)
 
 
+def test_orbit_class_names_any_vector_within_a_bounded_cache(monkeypatch):
+    assert bfcore._orbit_class.cache_info().maxsize == bfcore._canonical_reduced.cache_info().maxsize
+    assert bfcore._orbit_class.cache_info().maxsize == 1 << 16
+    # an orbit minimum and any other member of its orbit, up to ess 9
+    cap = bfcore.CANONICAL_MAX_ESS
+    for monomials in ({0b11, 0b100}, {0b110, 0b1}, {(1 << cap) - 1, 1 << (cap - 1), 0}):
+        reduced, ess = bfcore._reduce_masks(frozenset(monomials))
+        assert bfcore._orbit_class(pack(monomials)) == (bfcore._canonical_reduced(reduced, ess), ess)
+    searched = []
+    monkeypatch.setattr(bfcore, "_canonical_search", lambda *args: searched.append(args))
+    # one monomial on cap + 1 variables: a 2^(cap+1)-bit vector
+    with pytest.raises(ValueError, match=f"capped at {cap} essential variables"):
+        bfcore._orbit_class(pack([(1 << (cap + 1)) - 1]))
+    assert searched == []
+
+
 @given(st.integers(1, 6), st.data())
 def test_packed_identification_matches_the_set_identification(n, data):
     vec = data.draw(st.integers(0, (1 << (1 << n)) - 1))

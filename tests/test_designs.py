@@ -143,23 +143,29 @@ def test_steiner_report_builtins():
 
 
 def test_steiner_report_reads_the_group_off_one_search(monkeypatch):
-    streamed, searched = [], []
-    isomorphisms, search = hypergraph._isomorphisms, bfcore._canonical_search
+    listed, streamed, searched = [], [], []
+    fano = designs.fano_plane()
+    listing, matches, search = hypergraph.automorphisms, hypergraph._matches, bfcore._canonical_search
 
-    def counted_isomorphisms(h1, h2):
-        if h1 is h2:
-            streamed.append(h1)
-        return isomorphisms(h1, h2)
+    def counted_automorphisms(h):
+        listed.append(h)
+        return listing(h)
+
+    def counted_matches(plan, inc, profiles, edges):
+        if edges == fano.edges:  # contractions and pair deletions have other edges
+            streamed.append(edges)
+        return matches(plan, inc, profiles, edges)
 
     def counted_search(reduced, ess):
         if ess == 7:  # contractions and pair deletions have fewer vertices
             searched.append(reduced)
         return search(reduced, ess)
 
-    monkeypatch.setattr(hypergraph, "_isomorphisms", counted_isomorphisms)
+    monkeypatch.setattr(hypergraph, "automorphisms", counted_automorphisms)
+    monkeypatch.setattr(hypergraph, "_matches", counted_matches)
     monkeypatch.setattr(bfcore, "_canonical_search", counted_search)
-    report = steiner_report(designs.fano_plane(), "fano")
-    assert streamed == [] and len(searched) == 1
+    report = steiner_report(fano, "fano")
+    assert listed == streamed == [] and len(searched) == 1
     assert report.two_set_transitive and report.aut_order == 168
 
 

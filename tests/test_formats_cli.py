@@ -282,6 +282,25 @@ def test_cli_stdin(capsys, monkeypatch):
     assert code == 0 and "gap family: XYplusX" in out
 
 
+def test_cli_refuses_an_input_over_the_bound(capsys, monkeypatch, tmp_path):
+    import io
+
+    monkeypatch.setattr(cli, "_INPUT_MAX_BYTES", 10)
+    path = tmp_path / "p.txt"
+    for text, ok in (("x1*x2 + x1", True), ("x1*x2 + x1 ", False)):
+        path.write_text(text)
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        for argv in (("classify", "--file", str(path)), ("classify", "-")):
+            code, out, err = run_cli(capsys, *argv)
+            if ok:
+                assert code == 0 and "gap family: XYplusX" in out
+            else:
+                assert code == 2 and err == "error: input is longer than 10 characters\n"
+    # a read past the bound would never end
+    code, _, err = run_cli(capsys, "classify", "--file", "/dev/zero")
+    assert code == 2 and err == "error: input is longer than 10 characters\n"
+
+
 def test_cli_input_errors(capsys):
     code, _, err = run_cli(capsys, "classify", "x0 + x1")
     assert code == 2 and "error:" in err

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import oracle_all_isomorphic
+from oracles import oracle_all_isomorphic, per_node_isomorphisms
 from strategies import small_hypergraphs, symmetric_hypergraphs
 
 from boolminor import bfcore, designs, hypergraph
@@ -329,98 +329,88 @@ def test_group_summary_at_the_vertex_cap(edges, order, pair_transitive):
     assert hypergraph._automorphism_summary(h) == (order, pair_transitive)
 
 
-def per_node_isomorphisms(h1, h2):
-    """The search as it was before its vertex order was planned up front:
-    the most-constrained vertex is rescored at every node, and a preimage
-    array checks the new image's edges in reverse.  Kept as the oracle for
-    the yield sequence of ``hypergraph._isomorphisms``."""
-    n = h1.vertex_count
-    if (0 in h1.edges) != (0 in h2.edges):
-        return
-    if n == 0:
-        yield ()
-        return
-    edges1, edges2 = h1.edges, h2.edges
-
-    def profiles(edges):
-        prof = [[] for _ in range(n)]
-        for e in edges:
-            for b in range(n):
-                if e >> b & 1:
-                    prof[b].append(bin(e).count("1"))
-        return [tuple(sorted(p)) for p in prof]
-
-    prof1, prof2 = profiles(edges1), profiles(edges2)
-    if sorted(prof1) != sorted(prof2):
-        return
-    inc1 = [[e for e in edges1 if e >> b & 1] for b in range(n)]
-    inc2 = [[e for e in edges2 if e >> b & 1] for b in range(n)]
-
-    def fold(mask, images):
-        return sum(images[b] for b in range(n) if mask >> b & 1)
-
-    img = [0] * n
-    pre = [0] * n
-    full = (1 << n) - 1
-
-    def search(assigned, image_mask):
-        if assigned == full:
-            yield tuple(img)
-            return
-        best_v, best_score = -1, None
-        for v in range(n):
-            if assigned >> v & 1:
-                continue
-            rest = ~(assigned | 1 << v)
-            completed = sum(1 for e in inc1[v] if e & rest == 0)
-            score = (-completed, -len(inc1[v]), v)
-            if best_score is None or score < best_score:
-                best_v, best_score = v, score
-        v = best_v
-        vbit = 1 << v
-        new_assigned = assigned | vbit
-        closing = [e for e in inc1[v] if e & ~new_assigned == 0]
-        for w in range(n):
-            wbit = 1 << w
-            if image_mask & wbit or prof1[v] != prof2[w]:
-                continue
-            img[v] = wbit
-            pre[w] = vbit
-            new_image = image_mask | wbit
-            ok = all(fold(e, img) in edges2 for e in closing)
-            if ok:
-                for e2 in inc2[w]:
-                    if e2 & ~new_image == 0 and fold(e2, pre) not in edges1:
-                        ok = False
-                        break
-            if ok:
-                yield from search(new_assigned, new_image)
-            img[v] = pre[w] = 0
-
-    yield from search(0, 0)
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_planned_search_yields_the_per_node_search_sequence(data):
+def draw_hypergraph(data):
+    """A hypergraph on up to 6 vertices, the top few isolated, with the
+    constant term or not."""
     n = data.draw(st.integers(1, 6))
     # the top ``isolated`` vertices carry no edge
     isolated = data.draw(st.integers(0, n - 1))
     edges = set(data.draw(st.lists(st.integers(1, (1 << (n - isolated)) - 1), max_size=12)))
     if data.draw(st.booleans()):
         edges.add(0)
-    h1 = Hypergraph(n, frozenset(edges))
+    return Hypergraph(n, frozenset(edges))
+
+
+def draw_image(data, h):
+    """A relabeled copy of ``h``, that copy with toggled edges, or ``h``
+    itself, with the case drawn."""
+    n = h.vertex_count
     relabel = VertexMap(n, n, tuple(data.draw(st.permutations(range(1, n + 1)))))
-    edges2 = {relabel.apply_mask(e) for e in edges}
+    edges = {relabel.apply_mask(e) for e in h.edges}
     case = data.draw(st.sampled_from(("relabeled", "toggled", "self")))
     if case == "toggled":
         # the edge counts differ unless as many toggles add as remove
-        edges2 ^= set(data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3)))
-    h2 = h1 if case == "self" else Hypergraph(n, frozenset(edges2))
-    got = list(hypergraph._isomorphisms(h1, h2))
+        edges ^= set(data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=3)))
+    return (h if case == "self" else Hypergraph(n, frozenset(edges))), case
+
+
+def planned_isomorphisms(h1, h2):
+    """Every bijection of the planned search, behind this test's own screen
+    of edge counts, constant terms and sorted vertex profiles."""
+    n = h1.vertex_count
+    if len(h1.edges) != len(h2.edges) or (0 in h1.edges) != (0 in h2.edges):
+        return []
+    inc1, prof1 = hypergraph._incidence(h1.edges, n)
+    inc2, prof2 = hypergraph._incidence(h2.edges, n)
+    if sorted(prof1) != sorted(prof2):
+        return []
+    return list(hypergraph._matches(hypergraph._plan(inc1, prof1), inc2, prof2, h2.edges))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_planned_search_yields_the_per_node_search_sequence(data):
+    h1 = draw_hypergraph(data)
+    h2, case = draw_image(data, h1)
+    got = planned_isomorphisms(h1, h2)
     assert got == list(per_node_isomorphisms(h1, h2))
     if case != "toggled":
         assert got
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_is_isomorphic_returns_the_per_node_first_bijection(data):
+    h1 = draw_hypergraph(data)
+    h2, case = draw_image(data, h1)
+    found = is_isomorphic(h1, h2)
+    first = next(per_node_isomorphisms(h1, h2), None)
+    if first is None:
+        assert found is None and case == "toggled"
+    else:
+        assert found == VertexMap(h1.vertex_count, h1.vertex_count, tuple(b.bit_length() for b in first))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_group_driver_yields_each_members_per_node_first_bijection(data):
+    h1 = draw_hypergraph(data)
+    members = [h1] + [draw_image(data, h1)[0] for _ in range(data.draw(st.integers(0, 4)))]
+    expected = []
+    for h in members[1:]:
+        expected.append(next(per_node_isomorphisms(h1, h), None))
+        if expected[-1] is None:
+            break
+    read = []
+
+    def edge_sets():
+        for h in members:
+            read.append(h)
+            yield h.edges
+
+    assert list(hypergraph._first_bijections(h1.vertex_count, edge_sets())) == expected
+    # nothing is read past the first member without a bijection
+    assert len(read) == min(len(members), 1 + len(expected))
 
 
 def test_2set_transitivity():
