@@ -2,13 +2,12 @@
 
 A function lives in two interchangeable representations: a truth table
 (the 2^n evaluation bits) and a multilinear GF(2) polynomial (a set of
-monomials, also called the algebraic normal form).  Internally a third one
-serves the one-step identification classes and the gap sweep's arity gaps:
-the packed ANF vector, an int whose bit m is set when monomial m occurs
-(the Moebius transform of the truth table), on which identifying two
-variables is four masked shifts and a function of up to four variables is
-one index into the 4-variable orbit table.  Conventions, fixed once and
-used everywhere:
+monomials, also called the algebraic normal form).  Internally a third one,
+the packed ANF vector (an int whose bit m is set when monomial m occurs, the
+Moebius transform of the truth table), keys the one cache of canonical forms
+and makes identifying two variables four masked shifts; a function on x1..x4
+is looked up by its minimum in the 4-variable orbit table.  Conventions,
+fixed once and used everywhere:
 
 * point indices: x_k is bit k-1 of the index, so x_1 is the least
   significant bit;
@@ -246,17 +245,15 @@ def _mobius(bits: int, arity: int) -> int:
 def zhegalkin_from_truth_table(table: TruthTable) -> Zhegalkin:
     """The unique multilinear GF(2) polynomial evaluating to the table."""
     anf = _mobius(table.bits, table.arity)
-    return Zhegalkin(table.arity, frozenset(bits_of(anf)))
+    # bin() decodes in linear time; bits_of is quadratic in a 2^20-bit word
+    return Zhegalkin(table.arity, frozenset(m for m, c in enumerate(reversed(bin(anf))) if c == "1"))
 
 
 def truth_table_from_zhegalkin(poly: Zhegalkin) -> TruthTable:
     """Inverse of :func:`zhegalkin_from_truth_table`."""
     if poly.arity > MAX_TABLE_ARITY:
         raise ValueError(f"truth tables are capped at arity {MAX_TABLE_ARITY}")
-    anf = 0
-    for m in poly.monomials:
-        anf |= 1 << m
-    return TruthTable(poly.arity, _mobius(anf, poly.arity))
+    return TruthTable(poly.arity, _mobius(_pack(poly.monomials), poly.arity))
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +320,14 @@ def _identify_masks(monomials: frozenset[int], bi: int, bj: int) -> frozenset[in
 
 # ---------------------------------------------------------------------------
 # packed ANF vectors: bit m of an int is monomial m
+
+
+def _pack(monomials: Iterable[int]) -> int:
+    """The vector of some monomials; equal ones cancel in pairs (GF(2))."""
+    vec = 0
+    for m in monomials:
+        vec ^= 1 << m
+    return vec
 
 
 @lru_cache(maxsize=None)
@@ -476,10 +481,24 @@ def _canonical_search(
     return tuple([0] * (0 in reduced) + [m for block in best for m in block[:-1]]), leaves
 
 
+def _class_of(vec: int) -> tuple[tuple[int, ...], int]:
+    """The (canonical tuple, ess) of the packed ANF vector ``vec``.  Below
+    2^16 (x1..x4 only) its 4-variable orbit minimum, which is always
+    support-reduced, stands in for it."""
+    if vec < 1 << 16:
+        vec = _anf_orbits(4)[0][vec]
+    return _canonical_reduced(vec)
+
+
 @lru_cache(maxsize=1 << 16)
-def _canonical_reduced(reduced: frozenset[int], ess: int) -> tuple[int, ...]:
-    """The canonical tuple of :func:`_canonical_search`, cached."""
-    return _canonical_search(reduced, ess)[0]
+def _canonical_reduced(vec: int) -> tuple[tuple[int, ...], int]:
+    """:func:`_class_of`, cached.  An ess above the cap is refused before the
+    search; a dummy variable defers to the support-reduced vector's entry."""
+    reduced, ess = _reduce_masks(frozenset(bits_of(vec)))
+    _check_canonical_ess(ess)
+    if _pack(reduced) != vec:
+        return _class_of(_pack(reduced))
+    return _canonical_search(reduced, ess)[0], ess
 
 
 def canonical_form(poly: Zhegalkin) -> Zhegalkin:
@@ -491,7 +510,7 @@ def canonical_form(poly: Zhegalkin) -> Zhegalkin:
     """
     reduced, ess = _reduce_masks(poly.monomials)
     _check_canonical_ess(ess)
-    canon = _canonical_reduced(reduced, ess)
+    canon, _ = _class_of(_pack(reduced))
     return Zhegalkin(max(ess, 1), frozenset(canon))
 
 
@@ -538,13 +557,14 @@ def is_minor(g: Zhegalkin, f: Zhegalkin) -> Optional[MinorWitness]:
         return None
     if not f_ess:
         return MinorWitness(()) if g_reduced == f_reduced else None
-    g_canon = _canonical_reduced(g_reduced, g_ess)
+    g_class = _class_of(_pack(g_reduced))
+    var_masks = _var_masks(f_ess)
     table = _rgs_table(f_ess)
     for rgs in itertools.islice(table, bisect_left(table, g_ess - 1, key=max), None):
-        # block b collapses onto bit b, so the candidate is already reduced
-        # unless a variable cancelled
-        c_reduced, c_ess = _reduce_masks(map_monomials(f_reduced, [1 << b for b in rgs]))
-        if c_ess == g_ess and _canonical_reduced(c_reduced, c_ess) == g_canon:
+        # block b collapses onto bit b; a variable may cancel, leaving a dummy
+        images = [1 << b for b in rgs]
+        c = _pack(fold(m, images) for m in f_reduced)
+        if sum(1 for vm in var_masks if c & vm) == g_ess and _class_of(c) == g_class:
             blocks: list[list[int]] = [[] for _ in range(max(rgs) + 1)]
             for v, b in zip(sorted(essential_variables(f)), rgs):
                 blocks[b].append(v)
@@ -560,11 +580,8 @@ def arity_gap(f: Zhegalkin) -> int:
     fvars = sorted(essential_variables(f))
     if len(fvars) < 2:
         raise ValueError("arity gap requires at least two essential variables")
-    best_after = -1
-    for i, j in itertools.combinations(fvars, 2):
-        after = support_mask(_identify_masks(f.monomials, i - 1, j - 1)).bit_count()
-        if after > best_after:
-            best_after = after
+    pairs = itertools.combinations(fvars, 2)
+    best_after = max(support_mask(_identify_masks(f.monomials, i - 1, j - 1)).bit_count() for i, j in pairs)
     return len(fvars) - best_after
 
 
@@ -635,10 +652,7 @@ def _one_step_groups(
     of their identification; groups keep the order of their first pair.
 
     Each pair is identified on the packed ANF vector of the support-reduced
-    function and named by :func:`_orbit_class`.  Up to ess 5, dropping the
-    identified-away variable leaves a 4-variable vector, looked up by its
-    orbit minimum in the 4-variable orbit table, so the cache sees at most
-    the 3,984 minima; above ess 5 it sees the vector itself.
+    function and, its identified-away variable dropped, named by :func:`_class_of`.
     """
     reduced, n = _reduce_masks(monomials)
     # an identification drops at most two essential variables (the arity
@@ -646,27 +660,13 @@ def _one_step_groups(
     # before its 2^n-bit vector is built
     _check_canonical_ess(n - 2)
     labels = [b + 1 for b in bits_of(support_mask(monomials))]
-    vec = 0
-    for m in reduced:
-        vec |= 1 << m
-    rep_of = _anf_orbits(4)[0] if n <= 5 else None
+    vec = _pack(reduced)
     groups: dict[tuple[tuple[int, ...], int], list[tuple[int, int]]] = {}
     for bi, bj in itertools.combinations(range(n), 2):
         # x_j is gone after the identification, so drop it
         w = _drop_var(_identify_vec(vec, bi, bj, n), bj, n)
-        key = _orbit_class(rep_of[w] if rep_of is not None else w)
-        groups.setdefault(key, []).append((labels[bi], labels[bj]))
+        groups.setdefault(_class_of(w), []).append((labels[bi], labels[bj]))
     return groups
-
-
-@lru_cache(maxsize=1 << 16)
-def _orbit_class(vec: int) -> tuple[tuple[int, ...], int]:
-    """The (canonical tuple, ess) of the function with packed ANF vector
-    ``vec``, cached like :func:`_canonical_reduced`; an ess above the cap
-    is refused before the search."""
-    reduced, ess = _reduce_masks(frozenset(bits_of(vec)))
-    _check_canonical_ess(ess)
-    return _canonical_reduced(reduced, ess), ess
 
 
 def one_step_identification_classes(f: Zhegalkin) -> list[Zhegalkin]:

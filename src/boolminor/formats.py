@@ -15,7 +15,7 @@ import json
 import re
 from typing import Optional
 
-from .bfcore import MAX_POLY_ARITY, MAX_TABLE_ARITY, TruthTable, Zhegalkin, vars_of
+from .bfcore import MAX_POLY_ARITY, MAX_TABLE_ARITY, TruthTable, Zhegalkin, bits_of, vars_of
 from .bfcore import zhegalkin_from_truth_table
 from .graphs import Graph
 from .hypergraph import MAX_VERTICES, Hypergraph, hypergraph_of, polynomial_of
@@ -100,15 +100,9 @@ def parse_polynomial(text: str, arity: Optional[int] = None) -> Zhegalkin:
 def format_polynomial(poly: Zhegalkin) -> str:
     if not poly.monomials:
         return "0"
-    def key(mask: int):
-        return (-mask.bit_count(), tuple(sorted(vars_of(mask))))
-    parts = []
-    for mask in sorted(poly.monomials, key=key):
-        if mask == 0:
-            parts.append("1")
-        else:
-            parts.append("*".join(f"x{v}" for v in sorted(vars_of(mask))))
-    return " + ".join(parts)
+    # higher degree first, then by variables; bits_of is already ascending
+    terms = sorted((-m.bit_count(), bits_of(m)) for m in poly.monomials)
+    return " + ".join("*".join(f"x{b + 1}" for b in bits) or "1" for _, bits in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +168,24 @@ def parse_hypergraph_doc(text: str) -> Hypergraph:
         raise ParseError("hypergraph document needs fields 'n' and 'edges'", 0)
     n = doc["n"]
     edges = doc["edges"]
-    if not isinstance(n, int) or not isinstance(edges, list):
-        raise ParseError("'n' must be an integer and 'edges' an array", 0)
+    # type() and not isinstance(): a JSON true is a bool, which is an int
+    if type(n) is not int:
+        raise ParseError("'n' must be an integer", 0)
+    if not isinstance(edges, list):
+        raise ParseError("'edges' must be an array", 0)
+    seen: set[frozenset[int]] = set()
+    for k, edge in enumerate(edges, 1):
+        if not isinstance(edge, list) or any(type(v) is not int for v in edge):
+            raise ParseError(f"edge {k} must be an array of integer vertices", 0)
+        key = frozenset(edge)  # an edge set would silently merge a repeat
+        if len(key) < len(edge):
+            raise ParseError(f"edge {k} repeats a vertex", 0)
+        if key in seen:
+            raise ParseError(f"edge {k} repeats an earlier edge", 0)
+        seen.add(key)
     try:
         return Hypergraph.from_sets(n, edges)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(str(exc), 0) from exc
 
 
@@ -217,8 +224,16 @@ def parse_graph(text: str) -> Graph:
                     raise ParseError(f"edge names vertex {v}, beyond {n}", pos)
             if a == b:
                 raise ParseError("graph edges must join exactly two distinct vertices", pos)
-            pairs.append((a, b))
-    return Graph.from_pairs(n, pairs)
+            pairs.append(((min(a, b), max(a, b)), pos))
+    # the edge set would silently merge a repeat, where a polynomial's GF(2)
+    # sum cancels it; checked once every item is known good, so a bad item
+    # reports first
+    edges: set[tuple[int, int]] = set()
+    for edge, pos in pairs:
+        if edge in edges:
+            raise ParseError(f"repeated edge {edge[0]}-{edge[1]}", pos)
+        edges.add(edge)
+    return Graph.from_pairs(n, edges)
 
 
 def format_graph_line(g: Graph) -> str:

@@ -19,7 +19,7 @@ import zlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import bfcore
 from .bfcore import Zhegalkin, essential_arity
@@ -104,7 +104,7 @@ def _compute_records(max_ess: int) -> tuple[ClassRecord, ...]:
     arity = max(max_ess, 1)
     canons: dict[frozenset[int], Zhegalkin] = {}
     for anf in bfcore._anf_orbits(arity)[1]:
-        canon_tuple, ess = bfcore._orbit_class(anf)
+        canon_tuple, ess = bfcore._class_of(anf)
         canon = frozenset(canon_tuple)
         canons[canon] = Zhegalkin(max(ess, 1), canon)
     if max_ess == 0:
@@ -178,18 +178,15 @@ def levels(universe: Iterable[ClassRecord]) -> list[tuple[ClassRecord, ...]]:
 
 
 def export(universe: Iterable[ClassRecord], format: str = "dot") -> str:
-    from .formats import format_polynomial
-
     recs = sorted(universe, key=lambda r: (r.ess, sorted(r.canon.monomials)))
     if format == "dot":
+        text = _renderer()
         lines = ["digraph classes {"]
         for r in recs:
-            label = format_polynomial(r.canon)
-            lines.append(f'  "{label}";')
+            lines.append(f'  "{text(r.canon)}";')
         for r in recs:
-            label = format_polynomial(r.canon)
             for cov in r.lower_covers:
-                lines.append(f'  "{format_polynomial(cov)}" -> "{label}";')
+                lines.append(f'  "{text(cov)}" -> "{text(r.canon)}";')
         lines.append("}")
         return "\n".join(lines) + "\n"
     if format == "structured":
@@ -197,10 +194,16 @@ def export(universe: Iterable[ClassRecord], format: str = "dot") -> str:
     raise ValueError(f"unknown export format {format!r}")
 
 
-def _render_records(recs: list[ClassRecord]) -> str:
+def _renderer() -> Callable[[Zhegalkin], str]:
+    """``format_polynomial``, memoized for one export: a class recurs as
+    many records' cover."""
     from .formats import format_polynomial
 
-    text = cache(format_polynomial)  # a class recurs as many records' cover
+    return cache(format_polynomial)
+
+
+def _render_records(recs: list[ClassRecord]) -> str:
+    text = _renderer()
     lines = []
     for r in recs:
         gap = "-" if r.gap is None else str(r.gap)

@@ -89,6 +89,9 @@ class VerifyResult:
 def _pool_map(fn, jobs: list, workers: int) -> list:
     if workers <= 1 or len(jobs) <= 1:
         return [fn(job) for job in jobs]
+    # a sweep may fork several pools: built first, the 4-variable orbit table
+    # that names small classes is shared with every worker, not rebuilt in each
+    bfcore._anf_orbits(4)
     # the workers ignore Ctrl-C: the parent alone stops, and leaving the pool
     # terminates them without a traceback each
     with multiprocessing.Pool(

@@ -66,6 +66,17 @@ def table_identify(table: TruthTable, i: int, j: int) -> TruthTable:
 # truth tables
 
 
+def test_truth_table_decode_matches_the_bit_loop():
+    # the linear decode against bits_of on the Moebius transform
+    rng = random.Random(43)
+    for arity in range(1, 11):
+        size = 1 << arity
+        for bits in (0, (1 << size) - 1, *(rng.getrandbits(size) for _ in range(5))):
+            table = TruthTable(arity, bits)
+            anf = bfcore._mobius(bits, arity)
+            assert zhegalkin_from_truth_table(table).monomials == frozenset(bfcore.bits_of(anf))
+
+
 def test_truth_table_validation():
     with pytest.raises(ValueError):
         TruthTable(0, 0)
@@ -348,14 +359,14 @@ def oracle_is_minor(g: Zhegalkin, f: Zhegalkin):
         return None
     if not fvars:
         return MinorWitness(()) if g_reduced == f.monomials else None
-    g_canon = bfcore._canonical_reduced(g_reduced, g_ess)
+    g_canon = bfcore._canonical_search(g_reduced, g_ess)[0]
     for blocks in oracle_partitions(fvars, max(g_ess, 1)):
         images = [0] * f.arity
         for block in blocks:
             for v in block:
                 images[v - 1] = 1 << (block[0] - 1)
         c_reduced, c_ess = bfcore._reduce_masks(bfcore.map_monomials(f.monomials, images))
-        if c_ess == g_ess and bfcore._canonical_reduced(c_reduced, c_ess) == g_canon:
+        if c_ess == g_ess and bfcore._canonical_search(c_reduced, c_ess)[0] == g_canon:
             return MinorWitness(blocks)
     return None
 
@@ -656,13 +667,13 @@ def pack(monomials) -> int:
 
 def oracle_one_step_groups(monomials):
     """The former ``_one_step_groups``: every support pair identified on
-    monomial sets, reduced, and canonicalized through the cache."""
+    monomial sets, reduced, and canonicalized by the uncached search."""
     groups = {}
     sup = bfcore.support_mask(monomials)
     for i, j in itertools.combinations([b + 1 for b in bfcore.bits_of(sup)], 2):
         reduced, ess = bfcore._reduce_masks(bfcore._identify_masks(monomials, i - 1, j - 1))
         bfcore._check_canonical_ess(ess)
-        groups.setdefault((bfcore._canonical_reduced(reduced, ess), ess), []).append((i, j))
+        groups.setdefault((bfcore._canonical_search(reduced, ess)[0], ess), []).append((i, j))
     return groups
 
 
@@ -698,20 +709,70 @@ def test_packed_one_step_groups_match_the_set_oracle(monomials):
     assert outcome(bfcore._one_step_groups, monomials) == outcome(oracle_one_step_groups, monomials)
 
 
-def test_orbit_class_names_any_vector_within_a_bounded_cache(monkeypatch):
-    assert bfcore._orbit_class.cache_info().maxsize == bfcore._canonical_reduced.cache_info().maxsize
-    assert bfcore._orbit_class.cache_info().maxsize == 1 << 16
-    # an orbit minimum and any other member of its orbit, up to ess 9
+def test_class_lookup_names_any_vector_within_a_bounded_cache(monkeypatch):
+    assert bfcore._canonical_reduced.cache_info().maxsize == 1 << 16
+    # an orbit minimum, another member of its orbit, and a vector with a
+    # dummy variable, up to ess 9
     cap = bfcore.CANONICAL_MAX_ESS
-    for monomials in ({0b11, 0b100}, {0b110, 0b1}, {(1 << cap) - 1, 1 << (cap - 1), 0}):
+    for monomials in ({0b11, 0b100}, {0b110, 0b1}, {0b10100, 0}, {(1 << cap) - 1, 1 << (cap - 1), 0}):
         reduced, ess = bfcore._reduce_masks(frozenset(monomials))
-        assert bfcore._orbit_class(pack(monomials)) == (bfcore._canonical_reduced(reduced, ess), ess)
+        assert bfcore._class_of(pack(monomials)) == (bfcore._canonical_search(reduced, ess)[0], ess)
     searched = []
     monkeypatch.setattr(bfcore, "_canonical_search", lambda *args: searched.append(args))
     # one monomial on cap + 1 variables: a 2^(cap+1)-bit vector
     with pytest.raises(ValueError, match=f"capped at {cap} essential variables"):
-        bfcore._orbit_class(pack([(1 << (cap + 1)) - 1]))
+        bfcore._class_of(pack([(1 << (cap + 1)) - 1]))
     assert searched == []
+
+
+@st.composite
+def vectors_with_dummies(draw):
+    """The packed vector of a function on 1-7 variables, some of them
+    often unused: the monomials are drawn on the live variables only."""
+    n = draw(st.integers(1, 7))
+    live = draw(st.integers(0, (1 << n) - 1))
+    masks = draw(st.frozensets(st.integers(0, (1 << n) - 1), max_size=12))
+    return pack({m & live for m in masks})
+
+
+@settings(max_examples=300, deadline=None)
+@given(vectors_with_dummies())
+def test_class_lookup_matches_the_uncached_search(vec):
+    reduced, ess = bfcore._reduce_masks(frozenset(bfcore.bits_of(vec)))
+    assert bfcore._class_of(vec) == (bfcore._canonical_search(reduced, ess)[0], ess)
+
+
+def test_one_class_is_searched_once(monkeypatch):
+    # the orbit table names every relabeling on x1..x4, and a dummy variable
+    # hands the lookup on to the support-reduced vector
+    calls = []
+    search = bfcore._canonical_search
+    monkeypatch.setattr(bfcore, "_canonical_search", lambda *args: calls.append(args) or search(*args))
+    bfcore._canonical_reduced.cache_clear()
+    f = [0b0011, 0b0110, 0b1101, 0b1000, 0]
+    keys = set()
+    for perm in itertools.permutations(range(4)):
+        keys.add(bfcore._class_of(pack(bfcore.fold(m, [1 << p for p in perm]) for m in f)))
+    for n in range(5, 8):
+        for positions in itertools.combinations(range(n), 4):
+            keys.add(bfcore._class_of(pack(bfcore.fold(m, [1 << p for p in positions]) for m in f)))
+    assert len(keys) == 1 and len(calls) == 1
+
+
+def test_a_wide_support_is_refused_before_it_is_packed(monkeypatch):
+    # packed, a 63-variable support would be a 2^63-bit int
+    def no_lookup(vec):
+        raise AssertionError("looked up")
+
+    monkeypatch.setattr(bfcore, "_class_of", no_lookup)
+    wide = poly(63, tuple(range(1, 64)))
+    start = time.perf_counter()
+    assert is_minor(wide, poly(3, (1, 2, 3))) is None
+    with pytest.raises(ValueError, match="capped at"):
+        canonical_form(wide)
+    with pytest.raises(ValueError, match="capped at"):
+        is_minor(poly(3, (1, 2, 3)), wide)
+    assert time.perf_counter() - start < 1.0
 
 
 @given(st.integers(1, 6), st.data())

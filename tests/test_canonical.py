@@ -10,7 +10,10 @@ from strategies import symmetric_masks
 from boolminor import bfcore
 from boolminor.bfcore import Zhegalkin, canonical_form
 
-canonical = bfcore._canonical_reduced.__wrapped__
+
+def canonical(reduced, ess):
+    """The canonical tuple of the search under test, uncached."""
+    return bfcore._canonical_search(reduced, ess)[0]
 
 
 def walk_minimum(reduced, ess):

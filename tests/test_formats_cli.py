@@ -79,6 +79,23 @@ def test_print_parse_identity_polynomials():
             assert parse_polynomial(format_polynomial(p), arity=arity) == p
 
 
+def oracle_format_polynomial(p):
+    """Terms by falling degree, then by their ascending variable lists."""
+    def variables(m):
+        return [v for v in range(1, 64) if m >> (v - 1) & 1]
+
+    terms = sorted(p.monomials, key=lambda m: (-len(variables(m)), variables(m)))
+    return " + ".join("*".join(f"x{v}" for v in variables(m)) or "1" for m in terms) or "0"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 63), st.data())
+def test_format_polynomial_orders_terms_like_the_oracle(arity, data):
+    masks = st.integers(0, (1 << arity) - 1)
+    p = Zhegalkin(arity, data.draw(st.frozensets(masks, max_size=12)))
+    assert format_polynomial(p) == oracle_format_polynomial(p)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_parse_format_round_trips(data):
@@ -142,6 +159,9 @@ def test_graph_line_round_trip():
         ("3: 1-2, 1-0", 8),
         ("3: 1-2, 1-5", 8),
         ("3: 1-2, 2-2", 8),
+        # a repeated edge, in either orientation
+        ("3: 1-2, 1-2", 8),
+        ("3: 2-3, 1-2,  3-2", 14),
     ],
 )
 def test_graph_line_errors_point_at_the_bad_item(text, position):
@@ -326,6 +346,17 @@ def test_cli_input_errors(capsys):
         # a rejected index is echoed in bounded form
         (("iso", f'{{"n": 3, "edges": [[{"1" * 4000}]]}}', "3: 1-2"), "must be in 1..63"),
         (("iso", '{"n": 3, "edges": ' + "[" * 100000, "3: 1-2"), "nested too deeply"),
+        # a set would merge a repeat, where a polynomial's sum cancels it
+        (("graph-classify", "3: 1-2, 1-2"), "repeated edge 1-2 (at position 8)"),
+        (("graph-classify", '{"n": 3, "edges": [[1, 2], [2, 1]]}'), "edge 2 repeats an earlier edge (at position 0)"),
+        (("convert", '{"n": 2, "edges": [[1, 2], [1, 2]]}', "--to", "polynomial"), "edge 2 repeats an earlier"),
+        (("convert", '{"n": 2, "edges": [[1, 1]]}', "--to", "polynomial"), "edge 1 repeats a vertex (at position 0)"),
+        # a JSON boolean is no integer, and a float is no vertex
+        (("convert", '{"n": true, "edges": [[1]]}', "--to", "polynomial"), "'n' must be an integer"),
+        (("convert", '{"n": 2, "edges": [[true, 2]]}', "--to", "polynomial"), "edge 1 must be an array of integer"),
+        (("convert", '{"n": 2, "edges": [[1.0, 2]]}', "--to", "polynomial"), "edge 1 must be an array of integer"),
+        (("convert", '{"n": 2, "edges": [[], 2]}', "--to", "polynomial"), "edge 2 must be an array of integer"),
+        (("convert", '{"n": 2, "edges": {}}', "--to", "polynomial"), "'edges' must be an array"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and message in err
@@ -344,6 +375,18 @@ def test_cli_input_errors(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "" and message in err
         assert len(err) < 1000 and "Traceback" not in err
+
+
+def test_classify_at_the_table_arity_cap_refuses_quickly(capsys):
+    # 2^20 table bits, about 524,000 monomials: decoded in linear time, then
+    # refused at the canonical cap
+    rng = random.Random(20)
+    text = f"tt:{rng.getrandbits(1 << 20):0262144X} arity=20"
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "classify", text)
+    assert time.perf_counter() - start < 15
+    assert code == 2 and out == "" and "capped at 9 essential variables" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_cli_refuses_declared_arity_zero(capsys):

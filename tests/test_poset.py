@@ -265,6 +265,17 @@ def test_export_dot():
         export(recs, format="html")
 
 
+def test_dot_export_renders_each_class_once(monkeypatch):
+    from boolminor import formats
+
+    rendered = []
+    render = formats.format_polynomial
+    monkeypatch.setattr(formats, "format_polynomial", lambda p: rendered.append(p) or render(p))
+    recs = enumerate_classes(3)
+    export(recs, format="dot")
+    assert len(rendered) == len(set(rendered)) == len(recs)
+
+
 def test_export_structured_round_trips_canon():
     recs = enumerate_classes(2)
     doc = export(recs, format="structured")
