@@ -253,7 +253,7 @@ def truth_table_from_zhegalkin(poly: Zhegalkin) -> TruthTable:
     """Inverse of :func:`zhegalkin_from_truth_table`."""
     if poly.arity > MAX_TABLE_ARITY:
         raise ValueError(f"truth tables are capped at arity {MAX_TABLE_ARITY}")
-    return TruthTable(poly.arity, _mobius(_pack(poly.monomials), poly.arity))
+    return TruthTable(poly.arity, _mobius(_pack_bytes(poly.monomials, poly.arity), poly.arity))
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +328,15 @@ def _pack(monomials: Iterable[int]) -> int:
     for m in monomials:
         vec ^= 1 << m
     return vec
+
+
+def _pack_bytes(monomials: Iterable[int], n: int) -> int:
+    """``_pack`` of monomials on n variables through a byte buffer: linear,
+    where one shift per monomial is quadratic on a 2^20-bit word."""
+    buf = bytearray((1 << n) + 7 >> 3)
+    for m in monomials:
+        buf[m >> 3] ^= 1 << (m & 7)
+    return int.from_bytes(buf, "little")
 
 
 @lru_cache(maxsize=None)

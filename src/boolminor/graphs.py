@@ -4,6 +4,12 @@ classifier of graphs whose Boolean function is join-irreducible.
 A graph is a hypergraph whose edges all have exactly two vertices, so the
 whole hypergraph toolbox (contraction, isomorphism, the irreducibility
 tests) applies unchanged.
+
+The three classifiers the labeled-graph sweep runs on every graph have
+private bodies over the neighborhood masks alone (``_classify_join_irreducible``,
+``_satisfies_property_p``, ``_classify_property_p``); the public functions are
+one-line wrappers that pass a graph's ``_nb``.  So the sweep can step one
+neighborhood list from graph to graph and build no ``Graph`` per graph.
 """
 
 from __future__ import annotations
@@ -11,30 +17,43 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
 from .bfcore import _identify_masks, bits_of, fold, mask_of, support_mask
 from .hypergraph import Hypergraph, is_isomorphic, support_reduce
 
 
+@lru_cache(maxsize=None)
+def _pair_ends(n: int) -> dict[int, tuple[int, int, int, int]]:
+    """Each pair mask of vertices 0..n-1, in ``itertools.combinations``
+    order, mapped to ``(a, 1 << b, b, 1 << a)`` for its ends a < b: what
+    the edge adds to the neighborhood of each end.  Built on first use and
+    shared by every caller in the process; read it, never mutate it."""
+    return {1 << a | 1 << b: (a, 1 << b, b, 1 << a) for a, b in itertools.combinations(range(n), 2)}
+
+
 class Graph(Hypergraph):
     """A hypergraph with 2-element edges only (no loops, no empty edge).
 
     Construction decodes the open neighborhoods once into the read-only
-    tuple ``_nb`` (index 0 = vertex 1), which every classifier reads.  It is
-    not a dataclass field, so equality, hashing and ``repr`` ignore it.
+    tuple ``_nb`` (index 0 = vertex 1), looking each edge up in the pair
+    table of its vertex count.  Every classifier reads ``_nb`` only: the
+    public ones hand it to their private bodies.  It is not a dataclass
+    field, so equality, hashing and ``repr`` ignore it.
     """
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        ends = _pair_ends(self.vertex_count)
         nb = [0] * self.vertex_count
-        for e in self.edges:
-            low = e & -e
-            high = e ^ low
-            if not high or high & (high - 1):
-                raise ValueError("graph edges must join exactly two distinct vertices")
-            nb[low.bit_length() - 1] |= high
-            nb[high.bit_length() - 1] |= low
+        try:
+            for e in self.edges:
+                a, bit_b, b, bit_a = ends[e]
+                nb[a] |= bit_b
+                nb[b] |= bit_a
+        except KeyError:
+            raise ValueError("graph edges must join exactly two distinct vertices") from None
         object.__setattr__(self, "_nb", tuple(nb))
 
     @classmethod
@@ -206,22 +225,31 @@ def lexicographic_sum(components: tuple[tuple[int, ...], ...], quotient: Graph) 
 # property (P): every nonedge has a common neighbor of degree two
 
 
-def satisfies_property_p(g: Graph) -> bool:
+def _satisfies_property_p(nb) -> bool:
     """Every nonedge {a, b} has a common neighbor of degree two.
 
     The vertices that share a degree-two neighbor with a are the union of
-    those neighbors' neighborhoods, so each vertex is one fold.
+    those neighbors' neighborhoods, so each vertex a strikes them off its
+    non-neighbors; the scan stops at the first vertex with one left, which
+    for most graphs is the first vertex.
     """
-    nb = g._nb
-    deg2 = 0
-    for v, m in enumerate(nb):
-        if m.bit_count() == 2:
-            deg2 |= 1 << v
-    full = (1 << g.vertex_count) - 1
+    full = (1 << len(nb)) - 1
     for a, m in enumerate(nb):
-        if full & ~m & ~(1 << a) & ~fold(m & deg2, nb):
+        rest = full & ~m & ~(1 << a)
+        nbrs = m
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            c = nb[low.bit_length() - 1]
+            if c.bit_count() == 2:
+                rest &= ~c
+        if rest:
             return False
     return True
+
+
+def satisfies_property_p(g: Graph) -> bool:
+    return _satisfies_property_p(g._nb)
 
 
 class PropertyPKind(Enum):
@@ -237,31 +265,37 @@ class PropertyPClass:
     n: Optional[int] = None
 
 
-def classify_property_p(g: Graph) -> Optional[PropertyPClass]:
-    """Which of the four property-(P) families g is: K_n, Path3, C4 or C5.
+def _classify_property_p(nb, edge_count: int) -> Optional[PropertyPClass]:
+    """Which of the four property-(P) families the graph is: K_n, Path3, C4
+    or C5.
 
-    The family is read off the edge count, the degree sequence and
-    connectivity alone, without testing (P); any other graph returns None.
+    The family is read off the edge count and the degree sequence alone,
+    without testing (P): a cycle has at least three vertices, so a 2-regular
+    graph on four or five vertices is C4 or C5.  Any other graph returns None.
     So comparing the result with :func:`satisfies_property_p` checks both
     directions of the theorem that, on at least two vertices, these four
     families are exactly the graphs with (P).  The single-vertex graph
     satisfies (P) vacuously but belongs to no family and returns None.
     """
-    n = g.vertex_count
+    n = len(nb)
     if n < 2:
         return None
-    if len(g.edges) == n * (n - 1) // 2:
+    if edge_count == n * (n - 1) // 2:
         return PropertyPClass(PropertyPKind.COMPLETE, n)
     if n > 5:
         return None
-    degrees = sorted(m.bit_count() for m in g._nb)
+    degrees = sorted(m.bit_count() for m in nb)
     if n == 3 and degrees == [1, 1, 2]:
         return PropertyPClass(PropertyPKind.PATH3)
-    if n == 4 and degrees == [2, 2, 2, 2] and is_connected(g):
+    if n == 4 and degrees == [2, 2, 2, 2]:
         return PropertyPClass(PropertyPKind.C4)
-    if n == 5 and degrees == [2] * 5 and is_connected(g):
+    if n == 5 and degrees == [2] * 5:
         return PropertyPClass(PropertyPKind.C5)
     return None
+
+
+def classify_property_p(g: Graph) -> Optional[PropertyPClass]:
+    return _classify_property_p(g._nb, len(g.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -307,74 +341,82 @@ class JIGraphClass:
             ok = p[0] >= 2 and p[1] >= 2
         if not ok:
             raise ValueError(f"parameters {p} violate the side conditions of {k.value}")
+        inner = ",".join(str(x) for x in p)
+        object.__setattr__(self, "_str", f"{k.value}({inner})" if p else k.value)
 
     @property
     def irreducible(self) -> bool:
         return self.kind is not JIKind.NOT_IRREDUCIBLE
 
     def __str__(self) -> str:
-        if self.params:
-            inner = ",".join(str(x) for x in self.params)
-            return f"{self.kind.value}({inner})"
-        return self.kind.value
+        return self._str
 
 
-def _multipartite_parts(nb, within: int) -> Optional[list[int]]:
-    """Sorted part sizes when the vertices ``within`` induce a complete
-    multipartite graph, else None; ``within`` must be closed under ``nb``.
+NOT_IRREDUCIBLE = JIGraphClass(JIKind.NOT_IRREDUCIBLE)
 
-    In a complete multipartite graph the part of v is exactly the set of
-    non-neighbors of v (v included), so consistency of those sets is the
-    whole test.
+
+def _classify_join_irreducible(nb) -> JIGraphClass:
+    """Match the isolated-vertex-free core against the six irreducible families.
+
+    The core is the union of the neighborhoods, the vertices of nonzero
+    degree.  The complete multipartite test runs first and stops at the
+    first vertex whose non-neighbors (itself included) are not its part:
+    in a complete multipartite graph the part of v is exactly that set.
+    A complete multipartite core has two or more parts, so it is connected,
+    and testing it before the components changes no verdict.  Components
+    are computed only when every core vertex has degree two, since only
+    disjoint triangles and C5 remain.
     """
-    parts: dict[int, int] = {}
-    rest = within
+    core = 0
+    for m in nb:
+        core |= m
+    if not core:
+        return NOT_IRREDUCIBLE
+    parts = set()
+    placed = 0
+    rest = core
     while rest:
         bit = rest & -rest
         rest ^= bit
-        pm = within & ~nb[bit.bit_length() - 1]
-        parts[pm] = parts.get(pm, 0) | bit
-    for pm, members in parts.items():
-        if pm != members:
-            return None
-    return sorted(pm.bit_count() for pm in parts)
-
-
-def classify_join_irreducible(g: Graph) -> JIGraphClass:
-    """Match the isolated-vertex-free core against the six irreducible families.
-
-    The core is the mask of vertices with a nonzero neighborhood; no
-    support-reduced graph is built.
-    """
-    nb = g._nb
-    core = 0
-    for v, m in enumerate(nb):
-        if m:
-            core |= 1 << v
-    if not core:
-        return JIGraphClass(JIKind.NOT_IRREDUCIBLE)
-    comps = _components(nb, core)
-    if len(comps) > 1:
-        for comp in comps:
-            # three vertices with degree sum 6 are a triangle
-            if comp.bit_count() != 3 or sum(nb[v].bit_count() for v in bits_of(comp)) != 6:
-                return JIGraphClass(JIKind.NOT_IRREDUCIBLE)
-        return JIGraphClass(JIKind.DISJOINT_TRIANGLES, (len(comps),))
-    sizes = _multipartite_parts(nb, core)
-    if sizes is not None:
+        pm = core & ~nb[bit.bit_length() - 1]
+        # the recorded parts are disjoint, so a placed vertex's set must be
+        # one of them, and a new vertex's set must miss them all
+        if placed & bit:
+            if pm not in parts:
+                break
+        elif pm & placed:
+            break
+        else:
+            parts.add(pm)
+            placed |= pm
+    else:
+        sizes = sorted(pm.bit_count() for pm in parts)
         r = len(sizes)
-        if all(s == 1 for s in sizes):
+        if sizes[-1] == 1:
             return JIGraphClass(JIKind.COMPLETE, (r,))
-        if r == 3 and sizes[0] == sizes[1] == 1 and sizes[2] >= 2:
+        if r == 3 and sizes[1] == 1:
             return JIGraphClass(JIKind.K2_JOIN_EMPTY, (sizes[2],))
         if r == 2 and sizes[0] < sizes[1]:
             return JIGraphClass(JIKind.EMPTY_JOIN_EMPTY, (sizes[0], sizes[1]))
-        if r >= 2 and sizes[0] == sizes[-1] >= 2:
+        if sizes[0] == sizes[-1]:
             return JIGraphClass(JIKind.BALANCED_MULTIPARTITE, (r, sizes[0]))
-        return JIGraphClass(JIKind.NOT_IRREDUCIBLE)
-    if core.bit_count() == 5 and all(m.bit_count() == 2 for m in nb if m):
+        return NOT_IRREDUCIBLE
+    for m in nb:
+        if m and m.bit_count() != 2:
+            return NOT_IRREDUCIBLE
+    comps = _components(nb, core)
+    if len(comps) > 1:
+        # every vertex has degree two, so a 3-vertex component is a triangle
+        if all(comp.bit_count() == 3 for comp in comps):
+            return JIGraphClass(JIKind.DISJOINT_TRIANGLES, (len(comps),))
+        return NOT_IRREDUCIBLE
+    if core.bit_count() == 5:
         return JIGraphClass(JIKind.C5)
-    return JIGraphClass(JIKind.NOT_IRREDUCIBLE)
+    return NOT_IRREDUCIBLE
+
+
+def classify_join_irreducible(g: Graph) -> JIGraphClass:
+    return _classify_join_irreducible(g._nb)
 
 
 def template_graph(cls: JIGraphClass) -> Graph:

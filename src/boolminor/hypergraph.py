@@ -56,7 +56,10 @@ class Hypergraph:
         top = 1 << self.vertex_count
         for e in self.edges:
             if not 0 <= e < top:
-                raise ValueError(f"edge names vertex {e.bit_length()}, beyond {self.vertex_count}")
+                # name the largest edge out of range, not the first one met
+                high = max(self.edges)
+                bad = high if high >= top else e
+                raise ValueError(f"edge names vertex {bad.bit_length()}, beyond {self.vertex_count}")
 
     @classmethod
     def from_sets(cls, vertex_count: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":

@@ -453,7 +453,7 @@ def contraction_criterion_sweep(
 
 def _pair_list(n: int) -> list[int]:
     """Pair masks of vertices 0..n-1; bit k of an edge mask is the k-th pair."""
-    return [1 << a | 1 << b for a, b in itertools.combinations(range(n), 2)]
+    return list(graphs._pair_ends(n))
 
 
 def _graph_from_mask(n: int, mask: int, pairs: list[int]) -> graphs.Graph:
@@ -526,34 +526,54 @@ def _rep_oracle_shard(job: tuple[int, list[int]]) -> dict:
 
 
 def _labeled_shard(job) -> dict:
+    """The three classifiers on every mask of ``start..stop``, ascending.
+
+    One neighborhood list steps from mask m - 1 to m by flipping the pairs
+    of ``m ^ (m - 1)`` (the first step decodes the whole start mask), and
+    the classifiers' private bodies read it as it is.  A ``Graph`` is built
+    only for a failure record.
+    """
     n, start, stop, rep_slice, verdicts = job
     pairs = _pair_list(n)
+    flips = list(graphs._pair_ends(n).values())
+    classify = graphs._classify_join_irreducible
+    satisfies = graphs._satisfies_property_p
+    family = graphs._classify_property_p
     ji_counter: Counter = Counter()
     p_counter: Counter = Counter()
     mismatches = []
     p_mismatches = []
-    for m in range(start, stop):
-        g = _graph_from_mask(n, m, pairs)
-        cls = graphs.classify_join_irreducible(g)
-        expected = verdicts[rep_slice[m - start]]
+    nb = [0] * n
+    prev = 0
+    for m, rep in zip(range(start, stop), rep_slice, strict=True):
+        diff = m ^ prev
+        prev = m
+        while diff:
+            low = diff & -diff
+            diff ^= low
+            a, bit_b, b, bit_a = flips[low.bit_length() - 1]
+            nb[a] ^= bit_b
+            nb[b] ^= bit_a
+        cls = classify(nb)
+        expected = verdicts[rep]
         ji_counter[str(cls)] += 1
         if cls.irreducible != expected:
             mismatches.append(
                 {
                     "sweep": "graphs",
-                    "graph": format_graph_line(g),
+                    "graph": format_graph_line(_graph_from_mask(n, m, pairs)),
                     "classified": str(cls),
                     "irreducible_oracle": bool(expected),
                 }
             )
         if n >= 2:
-            sat = graphs.satisfies_property_p(g)
-            fam = graphs.classify_property_p(g)
+            sat = satisfies(nb)
+            fam = family(nb, m.bit_count())
             if sat != (fam is not None):
                 p_mismatches.append(
                     {
                         "sweep": "property-p",
-                        "graph": format_graph_line(g),
+                        "graph": format_graph_line(_graph_from_mask(n, m, pairs)),
                         "satisfies": sat,
                         "family": None if fam is None else fam.kind.value,
                     }

@@ -1,7 +1,11 @@
 """Brute-force oracles shared by the test modules."""
 
-from boolminor import bfcore
-from boolminor.bfcore import GapClass, GapTag, Zhegalkin
+from collections import Counter
+
+from boolminor import bfcore, graphs
+from boolminor.bfcore import GapClass, GapTag, Zhegalkin, bits_of
+from boolminor.formats import format_graph_line
+from boolminor.graphs import JIGraphClass, JIKind
 
 
 def per_node_isomorphisms(h1, h2):
@@ -120,3 +124,129 @@ def oracle_classify_gap(f: Zhegalkin) -> GapClass:
         ):
             return GapClass(GapTag.TRIANGLE_LINEAR, constant)
     return GapClass(GapTag.GAP_ONE)
+
+
+def oracle_multipartite_parts(nb, within):
+    """Sorted part sizes when the vertices ``within`` induce a complete
+    multipartite graph, else None: every vertex's non-neighbors (itself
+    included) grouped first, each group checked after the full scan."""
+    parts = {}
+    rest = within
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        pm = within & ~nb[bit.bit_length() - 1]
+        parts[pm] = parts.get(pm, 0) | bit
+    for pm, members in parts.items():
+        if pm != members:
+            return None
+    return sorted(pm.bit_count() for pm in parts)
+
+
+def oracle_classify_join_irreducible(g):
+    """``classify_join_irreducible`` as it was before its body stopped at the
+    first vertex that breaks the multipartite test: the components of the
+    core first, then the full-scan part test, then C5."""
+    nb = g._nb
+    core = 0
+    for v, m in enumerate(nb):
+        if m:
+            core |= 1 << v
+    if not core:
+        return JIGraphClass(JIKind.NOT_IRREDUCIBLE)
+    comps = graphs._components(nb, core)
+    if len(comps) > 1:
+        for comp in comps:
+            # three vertices with degree sum 6 are a triangle
+            if comp.bit_count() != 3 or sum(nb[v].bit_count() for v in bits_of(comp)) != 6:
+                return JIGraphClass(JIKind.NOT_IRREDUCIBLE)
+        return JIGraphClass(JIKind.DISJOINT_TRIANGLES, (len(comps),))
+    sizes = oracle_multipartite_parts(nb, core)
+    if sizes is not None:
+        r = len(sizes)
+        if all(s == 1 for s in sizes):
+            return JIGraphClass(JIKind.COMPLETE, (r,))
+        if r == 3 and sizes[0] == sizes[1] == 1 and sizes[2] >= 2:
+            return JIGraphClass(JIKind.K2_JOIN_EMPTY, (sizes[2],))
+        if r == 2 and sizes[0] < sizes[1]:
+            return JIGraphClass(JIKind.EMPTY_JOIN_EMPTY, (sizes[0], sizes[1]))
+        if r >= 2 and sizes[0] == sizes[-1] >= 2:
+            return JIGraphClass(JIKind.BALANCED_MULTIPARTITE, (r, sizes[0]))
+        return JIGraphClass(JIKind.NOT_IRREDUCIBLE)
+    if core.bit_count() == 5 and all(m.bit_count() == 2 for m in nb if m):
+        return JIGraphClass(JIKind.C5)
+    return JIGraphClass(JIKind.NOT_IRREDUCIBLE)
+
+
+def oracle_satisfies_property_p(g):
+    """Every nonedge {a, b} has a common neighbor of degree two, pair by pair."""
+    n = g.vertex_count
+    adj = {frozenset(p) for p in g.edge_pairs()}
+    degree = Counter(v for p in adj for v in p)
+    return all(
+        frozenset((a, b)) in adj
+        or any(degree[c] == 2 and {a, c} in adj and {b, c} in adj for c in range(1, n + 1))
+        for a in range(1, n + 1)
+        for b in range(a + 1, n + 1)
+    )
+
+
+def oracle_classify_property_p(g):
+    """The property-(P) family by isomorphism with its template graph."""
+    n = g.vertex_count
+    if n >= 2 and g == graphs.complete(n):
+        return graphs.PropertyPClass(graphs.PropertyPKind.COMPLETE, n)
+    templates = {
+        3: (graphs.path(3), graphs.PropertyPKind.PATH3),
+        4: (graphs.cycle(4), graphs.PropertyPKind.C4),
+        5: (graphs.cycle(5), graphs.PropertyPKind.C5),
+    }
+    if n in templates and graphs.is_isomorphic(g, templates[n][0]) is not None:
+        return graphs.PropertyPClass(templates[n][1])
+    return None
+
+
+def oracle_labeled_shard(job):
+    """The labeled loop as it was before it stepped one neighborhood list:
+    a ``Graph`` per mask, the public property-(P) classifiers, and the
+    components-first join-irreducible oracle above."""
+    n, start, stop, rep_slice, verdicts = job
+    pairs = [1 << a | 1 << b for a in range(n) for b in range(a + 1, n)]
+    ji_counter = Counter()
+    p_counter = Counter()
+    mismatches = []
+    p_mismatches = []
+    for m in range(start, stop):
+        g = graphs.Graph(n, frozenset(pairs[k] for k in bits_of(m)))
+        cls = oracle_classify_join_irreducible(g)
+        expected = verdicts[rep_slice[m - start]]
+        ji_counter[str(cls)] += 1
+        if cls.irreducible != expected:
+            mismatches.append(
+                {
+                    "sweep": "graphs",
+                    "graph": format_graph_line(g),
+                    "classified": str(cls),
+                    "irreducible_oracle": bool(expected),
+                }
+            )
+        if n >= 2:
+            sat = graphs.satisfies_property_p(g)
+            fam = graphs.classify_property_p(g)
+            if sat != (fam is not None):
+                p_mismatches.append(
+                    {
+                        "sweep": "property-p",
+                        "graph": format_graph_line(g),
+                        "satisfies": sat,
+                        "family": None if fam is None else fam.kind.value,
+                    }
+                )
+            if fam is not None:
+                p_counter[fam.kind.value] += 1
+    return {
+        "ji_counter": ji_counter,
+        "p_counter": p_counter,
+        "mismatches": mismatches,
+        "p_mismatches": p_mismatches,
+    }

@@ -77,6 +77,20 @@ def test_truth_table_decode_matches_the_bit_loop():
             assert zhegalkin_from_truth_table(table).monomials == frozenset(bfcore.bits_of(anf))
 
 
+def test_byte_pack_matches_the_shift_pack():
+    # the linear pack of truth_table_from_zhegalkin against _pack
+    rng = random.Random(53)
+    for arity in range(13):
+        size = 1 << arity
+        for count in (0, 1, size, *(rng.randint(0, size) for _ in range(4))):
+            monomials = frozenset(rng.sample(range(size), count))
+            assert bfcore._pack_bytes(monomials, arity) == bfcore._pack(monomials)
+    wide = frozenset(rng.sample(range(1 << 20), 3000)) | {0, (1 << 20) - 1}
+    assert bfcore._pack_bytes(wide, 20) == bfcore._pack(wide)
+    # a repeated monomial cancels, as in _pack
+    assert bfcore._pack_bytes([5, 9, 5], 4) == bfcore._pack([5, 9, 5]) == 1 << 9
+
+
 def test_truth_table_validation():
     with pytest.raises(ValueError):
         TruthTable(0, 0)

@@ -9,6 +9,7 @@ the exact records of ``gap``, ``keylemma``, ``correspondence`` and
 
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -18,12 +19,24 @@ from boolminor import hypergraph as hg
 from boolminor.bfcore import Zhegalkin
 
 
+def edge_sum(nb):
+    """``sum(g.edges)`` read off the neighborhoods: each edge {a, b} adds
+    2^a + 2^b, so vertex a contributes its degree times 2^a."""
+    return sum(m.bit_count() << a for a, m in enumerate(nb))
+
+
 @pytest.fixture
 def faults(monkeypatch):
-    """Wrong answers from the primitives the sweeps compare, on fixed inputs."""
+    """Wrong answers from the primitives the sweeps compare, on fixed inputs.
+
+    The graph classifiers are faulted in their private bodies over the
+    neighborhoods, which the labeled loop calls, and the public wrappers are
+    rebound to the faulted bodies, so each route gives the same wrong answer
+    once; a fault is keyed on ``edge_sum(nb) == sum(g.edges)``.
+    """
     direct, minor = bfcore.is_irreducible_direct, bfcore.is_minor
-    quotient, classify = hg.verify_quotient_map, graphs.classify_join_irreducible
-    aux, sat = graphs.lemma_aux_check, graphs.satisfies_property_p
+    quotient, classify = hg.verify_quotient_map, graphs._classify_join_irreducible
+    aux, sat = graphs.lemma_aux_check, graphs._satisfies_property_p
 
     def bad_direct(f):
         cover = direct(f)
@@ -37,20 +50,36 @@ def faults(monkeypatch):
             return None if witness is not None else bfcore.MinorWitness(())
         return witness
 
-    def bad_classify(g):
-        cls = classify(g)
-        if sum(g.edges) % 15 == 2:
+    def bad_classify(nb):
+        cls = classify(nb)
+        if edge_sum(nb) % 15 == 2:
             if cls.irreducible:
                 return graphs.JIGraphClass(graphs.JIKind.NOT_IRREDUCIBLE)
             return graphs.JIGraphClass(graphs.JIKind.COMPLETE, (2,))
         return cls
 
+    def bad_sat(nb):
+        return sat(nb) != (edge_sum(nb) % 17 == 2)
+
     monkeypatch.setattr(bfcore, "is_irreducible_direct", bad_direct)
     monkeypatch.setattr(bfcore, "is_minor", bad_minor)
     monkeypatch.setattr(hg, "verify_quotient_map", lambda m, hp, h: quotient(m, hp, h) and m.image[0] != 1)
-    monkeypatch.setattr(graphs, "classify_join_irreducible", bad_classify)
+    monkeypatch.setattr(graphs, "_classify_join_irreducible", bad_classify)
+    monkeypatch.setattr(graphs, "classify_join_irreducible", lambda g: bad_classify(g._nb))
     monkeypatch.setattr(graphs, "lemma_aux_check", lambda g: aux(g) and sum(g.edges) % 11 != 6)
-    monkeypatch.setattr(graphs, "satisfies_property_p", lambda g: sat(g) != (sum(g.edges) % 17 == 2))
+    monkeypatch.setattr(graphs, "_satisfies_property_p", bad_sat)
+    monkeypatch.setattr(graphs, "satisfies_property_p", lambda g: bad_sat(g._nb))
+
+
+def test_edge_sum_reads_the_edge_masks_off_the_neighborhoods():
+    rng = random.Random(5)
+    graphs_seen = [graphs.empty(1), graphs.complete(7), graphs.cycle(5)]
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1) if rng.random() < 0.4]
+        graphs_seen.append(graphs.Graph.from_pairs(n, pairs))
+    for g in graphs_seen:
+        assert edge_sum(g._nb) == edge_sum(list(g._nb)) == sum(g.edges)
 
 
 @pytest.fixture

@@ -41,6 +41,16 @@ def random_hypergraph(rng, n):
     return Hypergraph(n, frozenset(bfcore.bits_of(rng.getrandbits(1 << n))))
 
 
+def test_out_of_range_edges_name_the_largest():
+    rng = random.Random(47)
+    for _ in range(200):
+        n = rng.randint(0, 6)
+        inside = {rng.randrange(1 << n) for _ in range(rng.randint(0, 4))}
+        beyond = rng.sample(range(1 << n, 1 << (n + 4)), 2)
+        with pytest.raises(ValueError, match=rf"^edge names vertex {max(beyond).bit_length()}, beyond {n}$"):
+            Hypergraph(n, frozenset(inside | set(beyond)))
+
+
 # ---------------------------------------------------------------------------
 # the bijection with polynomials
 
