@@ -42,8 +42,22 @@ CANONICAL_MAX_ESS = 9  # checked at entry; near-symmetric sets tie most partial 
 # bitmask helpers
 
 
+def _shown_int(value: int) -> object:
+    """An int for an error message, as its bit length when it is huge."""
+    if abs(value) < 10**20:
+        return value
+    return f"a {'negative ' * (value < 0)}{value.bit_length()}-bit integer"
+
+
+def _negative_mask(mask: int) -> ValueError:
+    # a negative mask never runs out of set bits, so it is refused, not walked
+    return ValueError(f"a mask must be nonnegative, got {_shown_int(mask)}")
+
+
 def bits_of(mask: int) -> list[int]:
     """0-based positions of the set bits, ascending."""
+    if mask < 0:
+        raise _negative_mask(mask)
     out = []
     while mask:
         low = mask & -mask
@@ -59,8 +73,7 @@ def mask_of(variables: Iterable[int]) -> int:
         # checked before the shift: a huge index would build a huge int
         if not 1 <= v <= MAX_POLY_ARITY:
             # the echo is bounded too: a 4,000-digit index would fill the error line
-            big = isinstance(v, int) and abs(v) >= 10**20
-            shown = f"a {v.bit_length()}-bit integer" if big else v
+            shown = _shown_int(v) if isinstance(v, int) else v
             raise ValueError(f"variable index must be in 1..{MAX_POLY_ARITY}, got {shown}")
         m |= 1 << (v - 1)
     return m
@@ -78,6 +91,8 @@ def fold(mask: int, images: Sequence[int]) -> int:
     one mask: a monomial under a variable map, an edge under a vertex map,
     a pair mask under a vertex permutation.
     """
+    if mask < 0:
+        raise _negative_mask(mask)
     out = 0
     while mask:
         low = mask & -mask
@@ -230,16 +245,13 @@ class GapClass:
 # truth table <-> polynomial
 
 def _mobius(bits: int, arity: int) -> int:
-    """In-place binary Moebius transform; an involution on 2^arity-bit words."""
-    size = 1 << arity
-    full = (1 << size) - 1
-    step = 1
-    while step < size:
-        two = step << 1
-        pattern = (full // ((1 << two) - 1)) * ((1 << step) - 1)
-        bits ^= (bits & pattern) << step
-        step = two
-    return bits & full
+    """In-place binary Moebius transform; an involution on 2^arity-bit words.
+
+    Stage k adds each point's value into the point with bit k also set.
+    """
+    for k, vm in enumerate(_var_masks(arity)):
+        bits ^= bits << (1 << k) & vm
+    return bits
 
 
 def zhegalkin_from_truth_table(table: TruthTable) -> Zhegalkin:
@@ -341,9 +353,22 @@ def _pack_bytes(monomials: Iterable[int], n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _var_masks(n: int) -> tuple[int, ...]:
-    """Per variable bit k < n, the vector positions whose monomial holds it."""
-    full = (1 << (1 << n)) - 1
-    return tuple(full // ((1 << (2 << k)) - 1) * ((1 << (1 << k)) - 1) << (1 << k) for k in range(n))
+    """Per variable bit k < n, the vector positions whose monomial holds it
+    (equally, the truth-table points where x_{k+1} is true): 2^k clear bits,
+    then 2^k set ones, repeated.  Each is one byte pattern repeated, so a
+    2^20-bit word is built in linear time."""
+    size = 1 << n
+    out = []
+    for k in range(n):
+        if k < 3:
+            unit = bytes(((0xAA, 0xCC, 0xF0)[k],))
+        else:
+            half = 1 << (k - 3)
+            unit = bytes(half) + b"\xff" * half
+        word = int.from_bytes(unit * max((size >> 3) // len(unit), 1), "little")
+        # below 8 bits the one byte is cut to the word
+        out.append(word & (1 << size) - 1 if size < 8 else word)
+    return tuple(out)
 
 
 def _identify_vec(vec: int, bi: int, bj: int, n: int) -> int:
@@ -510,6 +535,21 @@ def _canonical_reduced(vec: int) -> tuple[tuple[int, ...], int]:
     return _canonical_search(reduced, ess)[0], ess
 
 
+def _packed(poly: Zhegalkin) -> tuple[int, int]:
+    """The vector of the support-reduced ``poly`` and its ess.  An ess above
+    the cap is refused first: a 63-variable support would pack to 2^63 bits."""
+    reduced, ess = _reduce_masks(poly.monomials)
+    _check_canonical_ess(ess)
+    return _pack(reduced), ess
+
+
+def _class_poly(key: tuple[tuple[int, ...], int]) -> Zhegalkin:
+    """The canonical representative named by a (canonical tuple, ess) key;
+    constants at arity 1."""
+    canon, ess = key
+    return Zhegalkin(max(ess, 1), frozenset(canon))
+
+
 def canonical_form(poly: Zhegalkin) -> Zhegalkin:
     """The distinguished representative of the equivalence class of ``poly``.
 
@@ -517,10 +557,7 @@ def canonical_form(poly: Zhegalkin) -> Zhegalkin:
     whose ascending monomial-mask sequence is lexicographically least wins.
     Constants canonicalize at arity 1.
     """
-    reduced, ess = _reduce_masks(poly.monomials)
-    _check_canonical_ess(ess)
-    canon, _ = _class_of(_pack(reduced))
-    return Zhegalkin(max(ess, 1), frozenset(canon))
+    return _class_poly(_class_of(_packed(poly)[0]))
 
 
 def is_equivalent(f: Zhegalkin, g: Zhegalkin) -> bool:
@@ -618,7 +655,26 @@ def _arity_gap_vec(vec: int, n: int) -> int:
 
 
 def classify_gap(f: Zhegalkin) -> GapClass:
-    """Match the function against the four gap-two polynomial families.
+    """Match the function against the four gap-two polynomial families."""
+    return _gap_family(f.monomials)
+
+
+@lru_cache(maxsize=None)
+def _high_degree(n: int) -> int:
+    """The vector positions on n variables whose monomial has degree 3 or more."""
+    return _pack_bytes((m for m in range(1 << n) if m.bit_count() > 2), n)
+
+
+def _classify_gap_vec(vec: int, n: int) -> GapClass:
+    """``classify_gap`` on the ANF vector of an n-variable function: one
+    mask test settles every function with a monomial of degree 3 or more."""
+    if vec & _high_degree(n):
+        return GapClass(GapTag.GAP_ONE)
+    return _gap_family(bits_of(vec))
+
+
+def _gap_family(monomials: Iterable[int]) -> GapClass:
+    """The body of :func:`classify_gap` over monomial masks.
 
     Every family has degree at most 2 and is told apart by its degrees and
     the variables its monomials share, which no relabeling changes, so the
@@ -628,7 +684,7 @@ def classify_gap(f: Zhegalkin) -> GapClass:
     constant = 0
     singles: list[int] = []
     doubles: list[int] = []
-    for m in f.monomials:
+    for m in monomials:
         degree = m.bit_count()
         if degree > 2:
             return GapClass(GapTag.GAP_ONE)
@@ -654,14 +710,25 @@ def classify_gap(f: Zhegalkin) -> GapClass:
     return GapClass(GapTag.GAP_ONE)
 
 
+def _identifications(vec: int, n: int) -> Iterator[tuple[int, int, tuple[tuple[int, ...], int]]]:
+    """Lazily, per support pair bi < bj (0-based, ascending) of the vector
+    of an n-variable function, the pair and the (canonical tuple, ess) key
+    of its identification, the identified-away x_{bj+1} dropped.  Dummy
+    variables in ``vec`` are fine: the lookup names any vector."""
+    vm = _var_masks(n)
+    for bi, bj in itertools.combinations([k for k in range(n) if vec & vm[k]], 2):
+        yield bi, bj, _class_of(_drop_var(_identify_vec(vec, bi, bj, n), bj, n))
+
+
 def _one_step_groups(
     monomials: frozenset[int],
 ) -> dict[tuple[tuple[int, ...], int], list[tuple[int, int]]]:
-    """Support pairs (1-based, ascending) grouped by the (canonical tuple, ess)
-    of their identification; groups keep the order of their first pair.
+    """Support pairs (1-based, ascending, in the caller's labels) grouped by
+    the (canonical tuple, ess) key of their identification; groups keep the
+    order of their first pair.
 
-    Each pair is identified on the packed ANF vector of the support-reduced
-    function and, its identified-away variable dropped, named by :func:`_class_of`.
+    The pairs are those :func:`_identifications` walks on the packed vector
+    of the support-reduced function.
     """
     reduced, n = _reduce_masks(monomials)
     # an identification drops at most two essential variables (the arity
@@ -669,39 +736,58 @@ def _one_step_groups(
     # before its 2^n-bit vector is built
     _check_canonical_ess(n - 2)
     labels = [b + 1 for b in bits_of(support_mask(monomials))]
-    vec = _pack(reduced)
     groups: dict[tuple[tuple[int, ...], int], list[tuple[int, int]]] = {}
-    for bi, bj in itertools.combinations(range(n), 2):
-        # x_j is gone after the identification, so drop it
-        w = _drop_var(_identify_vec(vec, bi, bj, n), bj, n)
-        groups.setdefault(_class_of(w), []).append((labels[bi], labels[bj]))
+    for bi, bj, key in _identifications(_pack(reduced), n):
+        groups.setdefault(key, []).append((labels[bi], labels[bj]))
     return groups
 
 
 def one_step_identification_classes(f: Zhegalkin) -> list[Zhegalkin]:
     """Canonical forms of f with one pair of essential variables identified."""
     _check_canonical_ess(essential_arity(f))
-    groups = _one_step_groups(f.monomials)
-    classes = [Zhegalkin(max(ess, 1), frozenset(canon)) for canon, ess in groups]
+    classes = [_class_poly(key) for key in _one_step_groups(f.monomials)]
     return sorted(classes, key=lambda p: (essential_arity(p), sorted(p.monomials)))
 
 
-def _maximal_one_steps(f: Zhegalkin) -> Iterator[Zhegalkin]:
-    """The maximal one-step identification classes of f, highest ess first.
+def _maximal_one_steps(vec: int, n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The maximal one-step identification classes of the function with the
+    n-variable vector ``vec`` (dummy variables allowed), as (canonical
+    tuple, ess) keys, highest ess first.
 
-    These are the lower covers of f's class.  A strict minor has strictly
-    fewer essential variables, so distinct classes of equal ess are
-    incomparable, and by transitivity a class is dominated exactly when it
-    lies below a maximal class of higher ess, all of which come before it.
-    Ties in ess keep the order of ``_one_step_groups``.
+    These are the lower covers of f's class.  An identification loses the
+    identified-away variable, so no class keeps more than ess(f) - 1
+    essential variables, and a class that keeps that many is maximal: it is
+    yielded as soon as its first pair is identified, and a caller that stops
+    early identifies no further pair.  A strict minor has strictly fewer
+    essential variables, so distinct classes of equal ess are incomparable,
+    and by transitivity a lower class is dominated exactly when it lies
+    below a maximal class of higher ess, all of which come before it; those
+    are checked once every pair is identified.  Ties in ess keep the order
+    of their first pairs, that of ``_one_step_groups``.
     """
-    _check_canonical_ess(essential_arity(f))
-    found: list[tuple[Zhegalkin, int]] = []
-    for canon, ess in sorted(_one_step_groups(f.monomials), key=lambda key: -key[1]):
-        cls = Zhegalkin(max(ess, 1), frozenset(canon))
-        if not any(m_ess > ess and is_minor(cls, m) is not None for m, m_ess in found):
-            found.append((cls, ess))
-            yield cls
+    most = sum(1 for vm in _var_masks(n) if vec & vm) - 1
+    top: list[tuple[tuple[int, ...], int]] = []
+    lower: dict[tuple[tuple[int, ...], int], None] = {}
+    for _, _, key in _identifications(vec, n):
+        if key[1] < most:
+            lower[key] = None
+        elif key not in top:
+            top.append(key)
+            yield key
+    found = [(_class_poly(key), key[1]) for key in top]
+    for key in sorted(lower, key=lambda key: -key[1]):
+        cls = _class_poly(key)
+        if not any(m_ess > key[1] and is_minor(cls, m) is not None for m, m_ess in found):
+            found.append((cls, key[1]))
+            yield key
+
+
+def _irreducible_cover(vec: int, n: int) -> Optional[tuple[tuple[int, ...], int]]:
+    """:func:`is_irreducible_direct` on the vector of an n-variable function
+    (dummy variables allowed): the key of the one maximal class, or None.
+    The scan stops at the second maximal class."""
+    covers = list(itertools.islice(_maximal_one_steps(vec, n), 2))
+    return covers[0] if len(covers) == 1 else None
 
 
 def is_irreducible_direct(f: Zhegalkin) -> Optional[Zhegalkin]:
@@ -709,10 +795,9 @@ def is_irreducible_direct(f: Zhegalkin) -> Optional[Zhegalkin]:
 
     Every strict minor lies below some one-step identification, so f is
     irreducible exactly when its one-step classes have a single maximal one.
-    The scan stops at the second maximal class.
     """
-    covers = list(itertools.islice(_maximal_one_steps(f), 2))
-    return covers[0] if len(covers) == 1 else None
+    cover = _irreducible_cover(*_packed(f))
+    return None if cover is None else _class_poly(cover)
 
 
 # ---------------------------------------------------------------------------

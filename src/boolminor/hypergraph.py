@@ -11,9 +11,12 @@ Contracting a pair is identifying two variables (``bfcore._identify_masks``).
 ``ess_drop_analysis`` read the identified edges on the parent's vertex set,
 the identified-away vertex left isolated (neither ess nor isomorphism class
 moves).  ``contraction_classes`` is ``bfcore``'s one-step grouping, which
-identifies on the packed ANF vector instead, so the contraction criterion
-(on edge sets, checked by the isomorphism search) stays independent of the
-direct definition it is compared with.
+identifies on the packed ANF vector instead.  The contraction criterion
+(``_irreducible_by_contractions``) identifies on edge sets and decides by
+the isomorphism search, so it stays independent of the direct definition
+it is compared with, ``bfcore``'s lazy lower-cover scan on the vector.
+Both sides stop early on one trivial bound, not on the lemma: a
+contraction loses a vertex, so none keeps more than |support| - 1.
 
 The isomorphism search has a source side (``_plan``), prepared once per
 source, and a target side (``_matches``).  ``_first_bijections`` drives
@@ -412,8 +415,8 @@ def contraction_classes(h: Hypergraph) -> ContractionClassPartition:
     if len(sup) < 2:
         raise ValueError("contraction classes need a support of at least two vertices")
     classes = [
-        ContractionClass(tuple(pairs), Zhegalkin(max(ess, 1), frozenset(canon)), ess)
-        for (canon, ess), pairs in bfcore._one_step_groups(h.edges).items()
+        ContractionClass(tuple(pairs), bfcore._class_poly(key), key[1])
+        for key, pairs in bfcore._one_step_groups(h.edges).items()
     ]
     classes.sort(key=lambda c: c.pairs[0])
     return ContractionClassPartition(support=sup, classes=tuple(classes))
@@ -433,17 +436,40 @@ def is_irreducible_by_contractions(h: Hypergraph) -> bool:
     achieving the maximal essential arity must form a single isomorphism
     class, which is all this checks.
     """
-    pairs = itertools.combinations(bits_of(support_mask(h.edges)), 2)
-    merged = [bfcore._identify_masks(h.edges, i, j) for i, j in pairs]
+    return _irreducible_by_contractions(h.edges, h.vertex_count)
+
+
+def _irreducible_by_contractions(edges: frozenset[int], n: int) -> bool:
+    """The body of :func:`is_irreducible_by_contractions` on the edge set of
+    a hypergraph on vertices 1..n.
+
+    A contraction loses one of its two vertices, so none keeps more than
+    |support| - 1 essential vertices, and the contractions that keep that
+    many are the top group whenever there is one: the scan stops at the
+    first of them whose edge count or constant term differs from the first
+    one's, a second isomorphism class.
+    """
+    sup = bits_of(support_mask(edges))
+    most = len(sup) - 1
+    merged = []
+    screen = None
+    for i, j in itertools.combinations(sup, 2):
+        m = bfcore._identify_masks(edges, i, j)
+        ess = support_mask(m).bit_count()
+        if ess == most:
+            if screen is None:
+                screen = (len(m), 0 in m)
+            elif screen != (len(m), 0 in m):
+                return False
+        merged.append((m, ess))
     if not merged:
         return False
-    esses = [support_mask(m).bit_count() for m in merged]
-    top = max(esses)
-    group = [m for m, e in zip(merged, esses) if e == top]
+    top = max(ess for _, ess in merged)
+    group = [m for m, ess in merged if ess == top]
     # no plan for a group that its edge counts or constant terms already split
     if len({(len(m), 0 in m) for m in group}) > 1:
         return False
-    return _all_isomorphic(h.vertex_count, group)
+    return _all_isomorphic(n, group)
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,8 @@ class ClassRecord:
 def _sorted_covers(f: Zhegalkin) -> tuple[Zhegalkin, ...]:
     """The lower covers of f's class (its maximal one-step classes), ordered
     by sorted monomials."""
-    return tuple(sorted(bfcore._maximal_one_steps(f), key=lambda p: sorted(p.monomials)))
+    keys = bfcore._maximal_one_steps(*bfcore._packed(f))
+    return tuple(sorted(map(bfcore._class_poly, keys), key=lambda p: sorted(p.monomials)))
 
 
 def lower_covers(canon: Zhegalkin, universe: Iterable[ClassRecord]) -> tuple[Zhegalkin, ...]:

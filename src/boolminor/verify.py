@@ -136,8 +136,7 @@ def _gap_shard(job: tuple[int, int, int]) -> dict:
             low_ess += 1
             continue
         gap = bfcore._arity_gap_vec(anf, arity)
-        poly = Zhegalkin(arity, frozenset(bits_of(anf)))
-        family = bfcore.classify_gap(poly)
+        family = bfcore._classify_gap_vec(anf, arity)
         gap_counts[gap] += 1
         family_counts[family.tag.value] += 1
         bad_bound = gap not in (1, 2)
@@ -147,7 +146,7 @@ def _gap_shard(job: tuple[int, int, int]) -> dict:
                 {
                     "sweep": "gap",
                     "table": format_truth_table(TruthTable(arity, table_bits)),
-                    "polynomial": format_polynomial(poly),
+                    "polynomial": format_polynomial(Zhegalkin(arity, frozenset(bits_of(anf)))),
                     "gap": gap,
                     "family": family.tag.value,
                 }
@@ -392,15 +391,15 @@ def _criterion_shard(job: tuple[int | None, int, int, int]) -> dict:
             em = idx
         else:
             em = random.Random(f"{seed}:keylemma:{idx}").getrandbits(1 << n)
-        h = hg.Hypergraph(n, frozenset(bits_of(em)))
-        by_contr = hg.is_irreducible_by_contractions(h)
-        direct = bfcore.is_irreducible_direct(hg.polynomial_of(h)) is not None
+        # the edge mask is the ANF vector
+        by_contr = hg._irreducible_by_contractions(frozenset(bits_of(em)), n)
+        direct = bfcore._irreducible_cover(em, n) is not None
         irreducible += by_contr
         if by_contr != direct:
             mismatches.append(
                 {
                     "sweep": "keylemma",
-                    "hypergraph": format_hypergraph_doc(h),
+                    "hypergraph": format_hypergraph_doc(hg.Hypergraph(n, frozenset(bits_of(em)))),
                     "contraction_criterion": by_contr,
                     "direct_definition": direct,
                 }

@@ -1,8 +1,10 @@
 """Brute-force oracles shared by the test modules."""
 
+import itertools
 from collections import Counter
 
 from boolminor import bfcore, graphs
+from boolminor import hypergraph as hg
 from boolminor.bfcore import GapClass, GapTag, Zhegalkin, bits_of
 from boolminor.formats import format_graph_line
 from boolminor.graphs import JIGraphClass, JIKind
@@ -93,6 +95,51 @@ def oracle_all_isomorphic(hs):
         h.vertex_count == first.vertex_count and next(per_node_isomorphisms(first, h), None) is not None
         for h in it
     )
+
+
+def oracle_mobius(bits, arity):
+    """``bfcore._mobius`` as it was before its stage masks came from the
+    per-arity table: each stage's mask is a long division of the all-ones
+    word, quadratic in its 2^arity bits."""
+    size = 1 << arity
+    full = (1 << size) - 1
+    step = 1
+    while step < size:
+        two = step << 1
+        pattern = (full // ((1 << two) - 1)) * ((1 << step) - 1)
+        bits ^= (bits & pattern) << step
+        step = two
+    return bits & full
+
+
+def oracle_maximal_one_steps(f: Zhegalkin):
+    """The lower-cover scan as it was before it walked the packed vector
+    lazily: every support pair grouped by ``_one_step_groups`` first, the
+    groups stably sorted by descending ess, and each class kept unless it
+    lies below a kept class of higher ess."""
+    bfcore._check_canonical_ess(bfcore.essential_arity(f))
+    found = []
+    for canon, ess in sorted(bfcore._one_step_groups(f.monomials), key=lambda key: -key[1]):
+        cls = Zhegalkin(max(ess, 1), frozenset(canon))
+        if not any(m_ess > ess and bfcore.is_minor(cls, m) is not None for m, m_ess in found):
+            found.append((cls, ess))
+            yield cls
+
+
+def oracle_irreducible_by_contractions(h):
+    """The contraction criterion as it was before it stopped at a split top
+    group: every support pair contracted, the top essential arity taken over
+    all of them, and its group screened and searched."""
+    pairs = itertools.combinations(bits_of(bfcore.support_mask(h.edges)), 2)
+    merged = [bfcore._identify_masks(h.edges, i, j) for i, j in pairs]
+    if not merged:
+        return False
+    esses = [bfcore.support_mask(m).bit_count() for m in merged]
+    top = max(esses)
+    group = [m for m, e in zip(merged, esses) if e == top]
+    if len({(len(m), 0 in m) for m in group}) > 1:
+        return False
+    return hg._all_isomorphic(h.vertex_count, group)
 
 
 def oracle_classify_gap(f: Zhegalkin) -> GapClass:

@@ -33,7 +33,7 @@ from boolminor.bfcore import (
     zhegalkin_from_truth_table,
 )
 from boolminor.hypergraph import Hypergraph
-from oracles import oracle_classify_gap
+from oracles import oracle_classify_gap, oracle_mobius
 
 
 def poly(arity, *monos):
@@ -75,6 +75,16 @@ def test_truth_table_decode_matches_the_bit_loop():
             table = TruthTable(arity, bits)
             anf = bfcore._mobius(bits, arity)
             assert zhegalkin_from_truth_table(table).monomials == frozenset(bfcore.bits_of(anf))
+
+
+def test_mobius_matches_the_division_body():
+    # stage masks from the per-arity byte-pattern table, against the long
+    # division of the all-ones word
+    rng = random.Random(59)
+    for arity in range(1, 11):
+        size = 1 << arity
+        for bits in (0, 1, (1 << size) - 1, *(rng.getrandbits(size) for _ in range(6))):
+            assert bfcore._mobius(bits, arity) == oracle_mobius(bits, arity)
 
 
 def test_byte_pack_matches_the_shift_pack():
@@ -608,6 +618,16 @@ def test_packed_arity_gap_matches_arity_gap():
         families += expected == 2 and classify_gap(f).tag is not GapTag.GAP_ONE
     # the members at n = 4 and n = 6 alone, per family and constant
     assert families >= 2 * (11 + 12 + 4 + 12) + 2 * (57 + 30 + 20 + 60)
+
+
+def test_packed_classify_gap_matches_the_old_body():
+    high = 0
+    for n, vec in packed_gap_cases():
+        f = Zhegalkin(n, frozenset(bfcore.bits_of(vec)))
+        expected = gap_outcome(oracle_classify_gap, f)
+        assert gap_outcome(lambda _: bfcore._classify_gap_vec(vec, n), f) == expected, f
+        high += any(m.bit_count() > 2 for m in f.monomials)
+    assert high > 1000
 
 
 def test_packed_arity_gap_stops_at_the_first_gap_one_pair(monkeypatch):

@@ -16,7 +16,6 @@ import pytest
 
 from boolminor import bfcore, graphs, verify
 from boolminor import hypergraph as hg
-from boolminor.bfcore import Zhegalkin
 
 
 def edge_sum(nb):
@@ -29,20 +28,27 @@ def edge_sum(nb):
 def faults(monkeypatch):
     """Wrong answers from the primitives the sweeps compare, on fixed inputs.
 
-    The graph classifiers are faulted in their private bodies over the
-    neighborhoods, which the labeled loop calls, and the public wrappers are
-    rebound to the faulted bodies, so each route gives the same wrong answer
-    once; a fault is keyed on ``edge_sum(nb) == sum(g.edges)``.
+    The direct definition and the graph classifiers are faulted in their
+    private bodies, over the ANF vector and over the neighborhoods, which
+    the keylemma shard and the labeled loop call, and the public wrappers
+    are rebound to the faulted bodies, so each route gives the same wrong
+    answer once; a fault is keyed on ``sum(bits_of(vec)) == sum(f.monomials)``
+    or ``edge_sum(nb) == sum(g.edges)``.
     """
-    direct, minor = bfcore.is_irreducible_direct, bfcore.is_minor
+    cover_of, minor = bfcore._irreducible_cover, bfcore.is_minor
     quotient, classify = hg.verify_quotient_map, graphs._classify_join_irreducible
     aux, sat = graphs.lemma_aux_check, graphs._satisfies_property_p
 
-    def bad_direct(f):
-        cover = direct(f)
-        if sum(f.monomials) % 7 == 3:
-            return None if cover is not None else Zhegalkin(1, frozenset())
+    def bad_cover(vec, n):
+        cover = cover_of(vec, n)
+        if sum(bfcore.bits_of(vec)) % 7 == 3:
+            return None if cover is not None else ((), 0)
         return cover
+
+    def bad_direct(f):
+        # the vector of f as it is, dummy variables and all
+        cover = bad_cover(bfcore._pack(f.monomials), f.arity)
+        return None if cover is None else bfcore._class_poly(cover)
 
     def bad_minor(g, f):
         witness = minor(g, f)
@@ -61,6 +67,7 @@ def faults(monkeypatch):
     def bad_sat(nb):
         return sat(nb) != (edge_sum(nb) % 17 == 2)
 
+    monkeypatch.setattr(bfcore, "_irreducible_cover", bad_cover)
     monkeypatch.setattr(bfcore, "is_irreducible_direct", bad_direct)
     monkeypatch.setattr(bfcore, "is_minor", bad_minor)
     monkeypatch.setattr(hg, "verify_quotient_map", lambda m, hp, h: quotient(m, hp, h) and m.image[0] != 1)
@@ -84,18 +91,22 @@ def test_edge_sum_reads_the_edge_masks_off_the_neighborhoods():
 
 @pytest.fixture
 def gap_faults(monkeypatch):
-    """A wrong family for some polynomials and a gap of 3 for one vector."""
-    classify, gap_vec = bfcore.classify_gap, bfcore._arity_gap_vec
+    """A wrong family for some polynomials and a gap of 3 for one vector.
 
-    def bad_classify(f):
-        cls = classify(f)
-        if sum(f.monomials) % 13 == 4:
+    The family is faulted in the vector body the gap shard calls, and the
+    public ``classify_gap`` is rebound to the faulted body."""
+    classify, gap_vec = bfcore._classify_gap_vec, bfcore._arity_gap_vec
+
+    def bad_classify(vec, n):
+        cls = classify(vec, n)
+        if sum(bfcore.bits_of(vec)) % 13 == 4:
             if cls.tag is bfcore.GapTag.GAP_ONE:
                 return bfcore.GapClass(bfcore.GapTag.TRIANGLE, 1)
             return bfcore.GapClass(bfcore.GapTag.GAP_ONE)
         return cls
 
-    monkeypatch.setattr(bfcore, "classify_gap", bad_classify)
+    monkeypatch.setattr(bfcore, "_classify_gap_vec", bad_classify)
+    monkeypatch.setattr(bfcore, "classify_gap", lambda f: bad_classify(bfcore._pack(f.monomials), f.arity))
     monkeypatch.setattr(bfcore, "_arity_gap_vec", lambda vec, n: 3 if vec % 29 == 7 else gap_vec(vec, n))
 
 

@@ -1,5 +1,9 @@
 """The bit-fold primitive and its call sites, against set-based recomputation."""
 
+import signal
+from contextlib import contextmanager
+
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -105,3 +109,31 @@ def test_brute_quotient_oracle_stays_independent_of_bfcore():
             if getattr(obj, "__module__", None) == verify.__name__ and name not in seen:
                 pending.append(obj)
     assert {"_brute_quotient", "_lane_tables", "_check_range"} <= seen
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the body once ``seconds`` have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_negative_mask_is_refused_not_walked():
+    # mask & -mask never clears a negative mask's bits
+    with deadline(2):
+        for mask in (-1, -6, -(1 << 70)):
+            for call in (lambda: bfcore.bits_of(mask), lambda: bfcore.fold(mask, [1] * 80)):
+                with pytest.raises(ValueError, match="a mask must be nonnegative, got (-|a negative)"):
+                    call()
+    # the echo names a huge mask by its size
+    with pytest.raises(ValueError, match="got a negative 1001-bit integer$"):
+        bfcore.bits_of(-(1 << 1000))

@@ -389,6 +389,18 @@ def test_classify_at_the_table_arity_cap_refuses_quickly(capsys):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_cli_convert_at_the_table_arity_cap_is_fast(capsys, tmp_path):
+    # the two Moebius transforms of a 2^20-bit table run in linear time
+    rng = random.Random(21)
+    text = f"tt:{rng.getrandbits(1 << 20):0262144X} arity=20"
+    path = tmp_path / "t20.txt"
+    path.write_text(text, encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "convert", "--file", str(path), "--to", "table")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and err == "" and out == text + "\n"
+
+
 def test_cli_refuses_declared_arity_zero(capsys):
     # the zero polynomial takes the declared arity like any other
     for text in ("0", "1"):
