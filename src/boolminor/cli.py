@@ -6,7 +6,8 @@ steiner-check, poset, verify.  Inputs come from an inline argument, a file
 ``_INPUT_MAX_BYTES`` characters deep.  Plain text is the default output;
 ``--format structured`` emits JSON.  Verification failures print one
 machine-readable record per line and exit nonzero; malformed input exits
-with status 2, and Ctrl-C with status 130 and one line on stderr.
+with status 2, as does a sweep whose worker process died, and Ctrl-C with
+status 130; each prints one line on stderr.
 
 ``verify`` passes each sweep only the flags named in its signature
 (``_SWEEP_PARAMS``), and only those given, so every default lives in the

@@ -11,6 +11,9 @@ are concatenated in job order, so the ``FAIL`` lines come out in the same
 order at any worker count.  A sampled phase runs its exhaustive phase's
 shard with a seed; ``seed=None`` means exhaustive.
 
+At two workers or more a sweep runs all its phases in one process pool,
+opened by ``_pool``: the one place in the package that starts processes.
+
 The labeled-graph sweep decomposes the 2^C(n,2) edge masks into orbits
 under vertex permutations with ``bfcore._orbit_partition`` (the engine the
 poset enumeration runs on ANF vectors, here fed the pair masks), evaluates
@@ -22,9 +25,9 @@ implementation is labeling-invariant.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
-import multiprocessing
 import os
 import random
 import signal
@@ -86,27 +89,52 @@ class VerifyResult:
         return not self.failures
 
 
-def _pool_map(fn, jobs: list, workers: int) -> list:
-    if workers <= 1 or len(jobs) <= 1:
-        return [fn(job) for job in jobs]
-    # a sweep may fork several pools: built first, the 4-variable orbit table
-    # that names small classes is shared with every worker, not rebuilt in each
+@contextlib.contextmanager
+def _pool(workers: int):
+    """The one process pool of a sweep, or ``None`` at one worker.
+
+    Every sharded phase of the sweep runs in it, so each worker keeps its
+    caches from one phase to the next.  The workers are forked after the
+    4-variable orbit table that names small classes is built, so they share
+    it, and they ignore Ctrl-C: the parent alone stops.  Leaving the block
+    cancels the shards not yet handed to a worker and waits for the rest.
+    A worker that dies ends the sweep with a ``ChildProcessError`` (an
+    ``OSError``) instead of a hang.
+    """
+    if workers <= 1:
+        yield None
+        return
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+    from multiprocessing import get_context
+
     bfcore._anf_orbits(4)
-    # the workers ignore Ctrl-C: the parent alone stops, and leaving the pool
-    # terminates them without a traceback each
-    with multiprocessing.Pool(
-        processes=min(workers, len(jobs)),
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=get_context("fork"),
         initializer=signal.signal,
         initargs=(signal.SIGINT, signal.SIG_IGN),
-    ) as pool:
-        return pool.map(fn, jobs, chunksize=1)
+    )
+    try:
+        yield pool
+    except BrokenExecutor:
+        raise ChildProcessError("a worker process died before its shard finished") from None
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
-def _run_shards(fn, jobs: list, workers: int) -> dict:
-    """Run ``fn`` on every job and add the returned dicts key by key, in job
-    order: ints and Counters sum, failure lists concatenate.  No jobs, no keys."""
+def _run_shards(fn, jobs: list, pool) -> dict:
+    """Run ``fn`` on every job, in the sweep's ``pool`` when it has one, and
+    add the returned dicts key by key, in job order: ints and Counters sum,
+    failure lists concatenate.  No jobs, no keys."""
+    if pool is None:
+        parts = map(fn, jobs)
+    else:
+        # not Executor.map: on an error it cancels the pending futures from
+        # this thread, racing the pool's own thread, which fails them when a
+        # worker dies; the shutdown in _pool cancels them in that thread
+        parts = [future.result() for future in [pool.submit(fn, job) for job in jobs]]
     merged: dict = {}
-    for part in _pool_map(fn, jobs, workers):
+    for part in parts:
         for key, value in part.items():
             merged[key] = merged[key] + value if key in merged else value
     return merged
@@ -165,7 +193,8 @@ def gap_sweep(max_arity: int = 4, workers: int | None = None) -> VerifyResult:
     workers = resolve_workers(workers)
     total = 1 << (1 << max_arity)
     jobs = [(max_arity, s, e) for s, e in _split_range(total, workers * 8)]
-    merged = _run_shards(_gap_shard, jobs, workers)
+    with _pool(workers) as pool:
+        merged = _run_shards(_gap_shard, jobs, pool)
     gap_counts = merged["gap_counts"]
     family_counts = merged["family_counts"]
     low_ess = merged["low_ess"]
@@ -350,15 +379,14 @@ def correspondence_sweep(
     jobs = [
         (None, max_vertices, s, e) for s, e in _split_range(universe_size, workers * 4)
     ]
-    merged = _run_shards(_correspondence_shard, jobs, workers)
+    sample_jobs = [(seed, max_vertices, s, e) for s, e in _split_range(samples, workers * 4)]
+    with _pool(workers) as pool:
+        merged = _run_shards(_correspondence_shard, jobs, pool)
+        sampled = _run_shards(_correspondence_shard, sample_jobs, pool)
     pairs = merged["pairs"]
     positives = merged["positives"]
-    failures = merged["mismatches"]
-
-    sample_jobs = [(seed, max_vertices, s, e) for s, e in _split_range(samples, workers * 4)]
-    merged = _run_shards(_correspondence_shard, sample_jobs, workers)
-    sample_positives = merged.get("positives", 0)
-    failures += merged.get("mismatches", [])
+    failures = merged["mismatches"] + sampled.get("mismatches", [])
+    sample_positives = sampled.get("positives", 0)
 
     lines = [
         f"{pairs} exhaustive pairs checked (hypergraphs on 1..{max_vertices} vertices)",
@@ -424,18 +452,19 @@ def contraction_criterion_sweep(
     lines = []
     failures: list[dict] = []
     data: dict = {"per_vertex_count": {}, "seed": seed}
-    for n in range(1, max_vertices + 1):
-        total = 1 << (1 << n)
-        jobs = [(None, n, s, e) for s, e in _split_range(total, workers * 4)]
-        merged = _run_shards(_criterion_shard, jobs, workers)
-        checked = merged["checked"]
-        irreducible = merged["irreducible"]
-        failures += merged["mismatches"]
-        lines.append(f"n={n}: {checked} hypergraphs checked, irreducible: {irreducible}")
-        data["per_vertex_count"][n] = {"checked": checked, "irreducible": irreducible}
     sample_n = max_vertices + 1
-    jobs = [(seed, sample_n, s, e) for s, e in _split_range(samples, workers * 4)]
-    merged = _run_shards(_criterion_shard, jobs, workers)
+    with _pool(workers) as pool:
+        for n in range(1, max_vertices + 1):
+            total = 1 << (1 << n)
+            jobs = [(None, n, s, e) for s, e in _split_range(total, workers * 4)]
+            merged = _run_shards(_criterion_shard, jobs, pool)
+            checked = merged["checked"]
+            irreducible = merged["irreducible"]
+            failures += merged["mismatches"]
+            lines.append(f"n={n}: {checked} hypergraphs checked, irreducible: {irreducible}")
+            data["per_vertex_count"][n] = {"checked": checked, "irreducible": irreducible}
+        jobs = [(seed, sample_n, s, e) for s, e in _split_range(samples, workers * 4)]
+        merged = _run_shards(_criterion_shard, jobs, pool)
     checked = merged.get("checked", 0)
     irreducible = merged.get("irreducible", 0)
     failures += merged.get("mismatches", [])
@@ -627,60 +656,61 @@ def graph_sweep(
     failures: list[dict] = []
     p_failures: list[dict] = []
     data: dict = {"per_vertex_count": {}, "seed": seed}
-    for n in range(1, max_vertices + 1):
-        pairs = _pair_list(n)
-        total = 1 << len(pairs)
-        rep_of, reps = _orbit_partition(pairs, n)
+    with _pool(workers) as pool:
+        for n in range(1, max_vertices + 1):
+            pairs = _pair_list(n)
+            total = 1 << len(pairs)
+            rep_of, reps = _orbit_partition(pairs, n)
 
-        rep_jobs = [(n, reps[s:e]) for s, e in _split_range(len(reps), workers * 4)]
-        merged = _run_shards(_rep_oracle_shard, rep_jobs, workers)
-        verdicts = dict(merged["verdicts"])
-        failures += merged["failures"]
+            rep_jobs = [(n, reps[s:e]) for s, e in _split_range(len(reps), workers * 4)]
+            merged = _run_shards(_rep_oracle_shard, rep_jobs, pool)
+            verdicts = dict(merged["verdicts"])
+            failures += merged["failures"]
 
-        labeled_jobs = [
-            (n, start, stop, rep_of[start:stop], verdicts)
-            for start, stop in _split_range(total, workers * 8)
-        ]
-        merged = _run_shards(_labeled_shard, labeled_jobs, workers)
-        ji_counter = merged["ji_counter"]
-        p_counter = merged["p_counter"]
-        failures += merged["mismatches"]
-        p_failures += merged["p_mismatches"]
+            labeled_jobs = [
+                (n, start, stop, rep_of[start:stop], verdicts)
+                for start, stop in _split_range(total, workers * 8)
+            ]
+            merged = _run_shards(_labeled_shard, labeled_jobs, pool)
+            ji_counter = merged["ji_counter"]
+            p_counter = merged["p_counter"]
+            failures += merged["mismatches"]
+            p_failures += merged["p_mismatches"]
 
-        irreducible_labeled = sum(
-            cnt for cls, cnt in ji_counter.items() if cls != "NotIrreducible"
-        )
-        lines.append(
-            f"n={n}: {total} labeled graphs, {len(reps)} classes,"
-            f" irreducible labeled: {irreducible_labeled}"
-        )
-        fam_line = " ".join(
-            f"{cls}={cnt}" for cls, cnt in sorted(ji_counter.items()) if cls != "NotIrreducible"
-        )
-        lines.append(f"  families: {fam_line}" if fam_line else "  families: none")
-        if n >= 2:
-            p_line = " ".join(f"{k}={v}" for k, v in sorted(p_counter.items()))
-            lines.append(f"  property-P: {p_line}" if p_line else "  property-P: none")
-        data["per_vertex_count"][n] = {
-            "labeled": total,
-            "classes": len(reps),
-            "families": dict(ji_counter),
-            "property_p": dict(p_counter),
-        }
+            irreducible_labeled = sum(
+                cnt for cls, cnt in ji_counter.items() if cls != "NotIrreducible"
+            )
+            lines.append(
+                f"n={n}: {total} labeled graphs, {len(reps)} classes,"
+                f" irreducible labeled: {irreducible_labeled}"
+            )
+            fam_line = " ".join(
+                f"{cls}={cnt}" for cls, cnt in sorted(ji_counter.items()) if cls != "NotIrreducible"
+            )
+            lines.append(f"  families: {fam_line}" if fam_line else "  families: none")
+            if n >= 2:
+                p_line = " ".join(f"{k}={v}" for k, v in sorted(p_counter.items()))
+                lines.append(f"  property-P: {p_line}" if p_line else "  property-P: none")
+            data["per_vertex_count"][n] = {
+                "labeled": total,
+                "classes": len(reps),
+                "families": dict(ji_counter),
+                "property_p": dict(p_counter),
+            }
 
-        # seeded spot checks: the oracle must not depend on the labeling
-        rng = random.Random(f"{seed}:spot:{n}")
-        for _ in range(min(_GRAPHS_SPOT_SAMPLES, total)):
-            m = rng.randrange(total)
-            g = _graph_from_mask(n, m, pairs)
-            if hg.is_irreducible_by_contractions(g) != verdicts[rep_of[m]]:
-                failures.append(
-                    {
-                        "sweep": "graphs-spot",
-                        "graph": format_graph_line(g),
-                        "orbit_verdict": bool(verdicts[rep_of[m]]),
-                    }
-                )
+            # seeded spot checks: the oracle must not depend on the labeling
+            rng = random.Random(f"{seed}:spot:{n}")
+            for _ in range(min(_GRAPHS_SPOT_SAMPLES, total)):
+                m = rng.randrange(total)
+                g = _graph_from_mask(n, m, pairs)
+                if hg.is_irreducible_by_contractions(g) != verdicts[rep_of[m]]:
+                    failures.append(
+                        {
+                            "sweep": "graphs-spot",
+                            "graph": format_graph_line(g),
+                            "orbit_verdict": bool(verdicts[rep_of[m]]),
+                        }
+                    )
 
     failures.extend(_c5_blowup_check())
     lines.append("C5-quotient blow-ups on <= 8 vertices: none irreducible")

@@ -204,7 +204,8 @@ def sigint_ignored(_job):
 
 
 def test_pool_workers_leave_ctrl_c_to_the_parent():
-    assert verify._pool_map(sigint_ignored, [0, 1], 2) == [True, True]
+    with verify._pool(2) as pool:
+        assert list(pool.map(sigint_ignored, [0, 1])) == [True, True]
 
 
 def test_cli_irreducible_conjunction(capsys):
@@ -467,6 +468,13 @@ def test_verify_deterministic_across_workers():
     g1 = verify.graph_sweep(4, workers=1)
     g2 = verify.graph_sweep(4, workers=2)
     assert g1.lines == g2.lines
+    # the two-phase sweeps run both phases in one pool
+    for sweep, args in (
+        (verify.contraction_criterion_sweep, (3, 200)),
+        (verify.correspondence_sweep, (2, 200)),
+    ):
+        one, two = sweep(*args, workers=1), sweep(*args, workers=2)
+        assert (one.lines, one.data, one.failures) == (two.lines, two.data, two.failures)
 
 
 def test_poset_structured_export_parses_back(capsys, tmp_path):
