@@ -621,14 +621,20 @@ def is_minor(g: Zhegalkin, f: Zhegalkin) -> Optional[MinorWitness]:
 def arity_gap(f: Zhegalkin) -> int:
     """Minimum essential-arity drop over all one-step identifications.
 
-    Defined only for ess >= 2; the result is always 1 or 2.
+    Defined only for ess >= 2; the result is always 1 or 2.  No pair keeps
+    more than ess - 1 variables, so the scan stops at the first that does.
     """
     fvars = sorted(essential_variables(f))
-    if len(fvars) < 2:
+    ess = len(fvars)
+    if ess < 2:
         raise ValueError("arity gap requires at least two essential variables")
-    pairs = itertools.combinations(fvars, 2)
-    best_after = max(support_mask(_identify_masks(f.monomials, i - 1, j - 1)).bit_count() for i, j in pairs)
-    return len(fvars) - best_after
+    best_after = -1
+    for i, j in itertools.combinations(fvars, 2):
+        after = support_mask(_identify_masks(f.monomials, i - 1, j - 1)).bit_count()
+        if after == ess - 1:
+            return 1
+        best_after = max(best_after, after)
+    return ess - best_after
 
 
 def _arity_gap_vec(vec: int, n: int) -> int:

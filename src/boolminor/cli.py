@@ -12,8 +12,9 @@ status 130; each prints one line on stderr.
 ``verify`` passes each sweep only the flags named in its signature
 (``_SWEEP_PARAMS``), and only those given, so every default lives in the
 sweep's signature.  A size above the sweep's cap or a negative sample count
-exits 2 before any work, with a message naming the flag.
-Worker counts come from --workers or BOOLMINOR_WORKERS, at most the CPU count.
+exits 2 before any work, with a message naming the flag.  The worker
+count comes from --workers alone: one when it is left out, at most the CPU
+count, and a value below 1 exits 2 the same way.
 """
 
 from __future__ import annotations

@@ -22,7 +22,8 @@ The isomorphism search has a source side (``_plan``), prepared once per
 source, and a target side (``_matches``).  ``_first_bijections`` drives
 both for ``is_isomorphic`` and for the group check behind the contraction
 and Steiner checks (``_all_isomorphic``): it screens every member, plans
-the first once, and stops at the first miss.
+the first once, and stops at the first miss.  It is the one group screen:
+callers hand it whole groups, unscreened.
 
 Isolated vertices are kept; support reduction is an explicit step.
 """
@@ -414,12 +415,12 @@ def contraction_classes(h: Hypergraph) -> ContractionClassPartition:
     sup = support(h)
     if len(sup) < 2:
         raise ValueError("contraction classes need a support of at least two vertices")
-    classes = [
+    # the groups come in the order of their first pairs
+    classes = tuple(
         ContractionClass(tuple(pairs), bfcore._class_poly(key), key[1])
         for key, pairs in bfcore._one_step_groups(h.edges).items()
-    ]
-    classes.sort(key=lambda c: c.pairs[0])
-    return ContractionClassPartition(support=sup, classes=tuple(classes))
+    )
+    return ContractionClassPartition(support=sup, classes=classes)
 
 
 def lemma_condition_holds(partition: ContractionClassPartition) -> bool:
@@ -447,7 +448,8 @@ def _irreducible_by_contractions(edges: frozenset[int], n: int) -> bool:
     |support| - 1 essential vertices, and the contractions that keep that
     many are the top group whenever there is one: the scan stops at the
     first of them whose edge count or constant term differs from the first
-    one's, a second isomorphism class.
+    one's, a second isomorphism class.  Any other top group goes whole to
+    the group check, whose one screen rejects such a member as well.
     """
     sup = bits_of(support_mask(edges))
     most = len(sup) - 1
@@ -465,11 +467,7 @@ def _irreducible_by_contractions(edges: frozenset[int], n: int) -> bool:
     if not merged:
         return False
     top = max(ess for _, ess in merged)
-    group = [m for m, ess in merged if ess == top]
-    # no plan for a group that its edge counts or constant terms already split
-    if len({(len(m), 0 in m) for m in group}) > 1:
-        return False
-    return _all_isomorphic(n, group)
+    return _all_isomorphic(n, [m for m, ess in merged if ess == top])
 
 
 # ---------------------------------------------------------------------------

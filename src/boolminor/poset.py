@@ -39,9 +39,13 @@ class Block(Enum):
 
 
 def block_of(poly: Zhegalkin) -> Block:
-    nonconstant = sum(1 for m in poly.monomials if m)
-    constant = 0 in poly.monomials
-    if nonconstant % 2 == 0:
+    return _block(len(poly.monomials), 0 in poly.monomials)
+
+
+def _block(count: int, constant: int) -> Block:
+    """The block of a function with ``count`` monomials, the constant
+    monomial among them when ``constant`` is 1 (or True)."""
+    if (count - constant) % 2 == 0:
         return Block.ONE if constant else Block.ZERO
     return Block.NEGATED_PROJECTION if constant else Block.PROJECTION
 

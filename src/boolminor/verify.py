@@ -11,8 +11,11 @@ are concatenated in job order, so the ``FAIL`` lines come out in the same
 order at any worker count.  A sampled phase runs its exhaustive phase's
 shard with a seed; ``seed=None`` means exhaustive.
 
-At two workers or more a sweep runs all its phases in one process pool,
-opened by ``_pool``: the one place in the package that starts processes.
+A sweep's worker count is its own ``workers`` argument alone (None means
+1, below 1 is refused), clamped to the CPU count; nothing here reads the
+environment.  At two workers or more a sweep runs all its phases in one
+process pool, opened by ``_pool``: the one place in the package that starts
+processes.
 
 The labeled-graph sweep decomposes the 2^C(n,2) edge masks into orbits
 under vertex permutations with ``bfcore._orbit_partition`` (the engine the
@@ -38,7 +41,6 @@ from . import bfcore, designs, graphs, poset
 from . import hypergraph as hg
 from .bfcore import TruthTable, Zhegalkin, _orbit_partition, bits_of
 from .formats import (
-    _shown,
     format_graph_line,
     format_hypergraph_doc,
     format_polynomial,
@@ -46,7 +48,6 @@ from .formats import (
 )
 
 DEFAULT_SEED = 271828
-WORKERS_ENV = "BOOLMINOR_WORKERS"
 
 # The largest size each sweep accepts; one more is out of desk reach.
 GAP_MAX_ARITY = 4  # 5 means 2^32 truth tables
@@ -59,15 +60,11 @@ _GRAPHS_SPOT_SAMPLES = 200  # seeded labeled masks per vertex count whose orbit 
 
 
 def resolve_workers(requested: int | None = None) -> int:
-    """``requested``, else ``BOOLMINOR_WORKERS``, else 1; at most the CPU count.
-
-    The variable, when set and not empty, must be 1 to 20 ASCII digits."""
-    if requested is None or requested < 1:
-        env = os.environ.get(WORKERS_ENV, "")
-        if env and not (len(env) <= 20 and env.isascii() and env.isdigit()):
-            raise ValueError(f"{WORKERS_ENV} must be 1 to 20 ASCII digits, got {_shown(env)!r}")
-        requested = int(env) if env else 1
-    return max(1, min(requested, os.cpu_count() or 1))
+    """``requested``, or 1 when None, at most the CPU count; below 1 is refused."""
+    if requested is None:
+        return 1
+    _check_range("workers", requested, 1)
+    return min(requested, os.cpu_count() or 1)
 
 
 def _check_range(name: str, value: int, low: int, high: int | None = None) -> None:
@@ -786,16 +783,18 @@ def poset_sweep(
     counts: Counter = Counter()
     for r in records:
         counts[(r.ess, r.block.value)] += 1
-        # parity block is preserved by every one-variable identification
-        fvars = sorted(bfcore.essential_variables(r.canon))
-        for i, j in itertools.combinations(fvars, 2):
-            child = bfcore.identify(r.canon, i, j)
-            if poset.block_of(child) is not r.block:
+        # parity block is preserved by every one-variable identification,
+        # read off each child's vector: its monomial count and constant bit
+        n = r.canon.arity
+        vec = bfcore._pack(r.canon.monomials)
+        for bi, bj in itertools.combinations(bits_of(bfcore.support_mask(r.canon.monomials)), 2):
+            child = bfcore._identify_vec(vec, bi, bj, n)
+            if poset._block(child.bit_count(), child & 1) is not r.block:
                 failures.append(
                     {
                         "sweep": "poset-block",
                         "class": format_polynomial(r.canon),
-                        "identified": format_polynomial(child),
+                        "identified": format_polynomial(Zhegalkin(n, frozenset(bits_of(child)))),
                     }
                 )
         for cov in r.lower_covers:

@@ -112,14 +112,28 @@ def oracle_mobius(bits, arity):
     return bits & full
 
 
+def oracle_one_step_groups(monomials):
+    """``bfcore._one_step_groups`` as it was before it walked the packed
+    vector: every support pair identified on monomial sets, reduced, and
+    canonicalized by the uncached search."""
+    groups = {}
+    sup = bfcore.support_mask(monomials)
+    for i, j in itertools.combinations([b + 1 for b in bits_of(sup)], 2):
+        reduced, ess = bfcore._reduce_masks(bfcore._identify_masks(monomials, i - 1, j - 1))
+        bfcore._check_canonical_ess(ess)
+        groups.setdefault((bfcore._canonical_search(reduced, ess)[0], ess), []).append((i, j))
+    return groups
+
+
 def oracle_maximal_one_steps(f: Zhegalkin):
     """The lower-cover scan as it was before it walked the packed vector
-    lazily: every support pair grouped by ``_one_step_groups`` first, the
-    groups stably sorted by descending ess, and each class kept unless it
-    lies below a kept class of higher ess."""
+    lazily: every support pair grouped by the set-based
+    ``oracle_one_step_groups`` first, the groups stably sorted by descending
+    ess, and each class kept unless it lies below a kept class of higher
+    ess.  It shares no step of the walk it checks."""
     bfcore._check_canonical_ess(bfcore.essential_arity(f))
     found = []
-    for canon, ess in sorted(bfcore._one_step_groups(f.monomials), key=lambda key: -key[1]):
+    for canon, ess in sorted(oracle_one_step_groups(f.monomials), key=lambda key: -key[1]):
         cls = Zhegalkin(max(ess, 1), frozenset(canon))
         if not any(m_ess > ess and bfcore.is_minor(cls, m) is not None for m, m_ess in found):
             found.append((cls, ess))
@@ -140,6 +154,19 @@ def oracle_irreducible_by_contractions(h):
     if len({(len(m), 0 in m) for m in group}) > 1:
         return False
     return hg._all_isomorphic(h.vertex_count, group)
+
+
+def oracle_arity_gap(f: Zhegalkin) -> int:
+    """``bfcore.arity_gap`` as it was before it stopped at the first pair
+    that keeps ess - 1 variables: the drop under the best of all pairs."""
+    fvars = sorted(bfcore.essential_variables(f))
+    if len(fvars) < 2:
+        raise ValueError("arity gap requires at least two essential variables")
+    pairs = itertools.combinations(fvars, 2)
+    best_after = max(
+        bfcore.support_mask(bfcore._identify_masks(f.monomials, i - 1, j - 1)).bit_count() for i, j in pairs
+    )
+    return len(fvars) - best_after
 
 
 def oracle_classify_gap(f: Zhegalkin) -> GapClass:

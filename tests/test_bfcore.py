@@ -10,7 +10,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boolminor import bfcore, hypergraph
@@ -33,7 +33,7 @@ from boolminor.bfcore import (
     zhegalkin_from_truth_table,
 )
 from boolminor.hypergraph import Hypergraph
-from oracles import oracle_classify_gap, oracle_mobius
+from oracles import oracle_arity_gap, oracle_classify_gap, oracle_mobius, oracle_one_step_groups
 
 
 def poly(arity, *monos):
@@ -495,6 +495,49 @@ def test_gap_requires_two_essential():
         classify_gap(poly(1, ()))
 
 
+@st.composite
+def gap_functions(draw):
+    """A function on 1-7 variables, some often unused, or a sparse
+    63-variable polynomial: up to 30 monomials of degree 1-6 on random
+    variables, sometimes with a constant term."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 7))
+        live = draw(st.integers(0, (1 << n) - 1))
+        masks = draw(st.frozensets(st.integers(0, (1 << n) - 1), max_size=14))
+        return Zhegalkin(n, frozenset(m & live for m in masks))
+    monomial = st.frozensets(st.integers(1, 63), min_size=1, max_size=6).map(bfcore.mask_of)
+    masks = draw(st.frozensets(monomial, max_size=30))
+    return Zhegalkin(63, masks | ({0} if draw(st.booleans()) else set()))
+
+
+def first_pairs(gap_of, f):
+    """How many support pairs ``gap_of`` identifies on f, and its outcome."""
+    calls = []
+    identify_masks = bfcore._identify_masks
+    bfcore._identify_masks = lambda *args: calls.append(args) or identify_masks(*args)
+    try:
+        outcome = gap_outcome(gap_of, f)
+    finally:
+        bfcore._identify_masks = identify_masks
+    return len(calls), outcome
+
+
+@settings(max_examples=300, deadline=None)
+@given(gap_functions())
+@example(Zhegalkin(63, frozenset({1 << 62, 1 << 3})))
+@example(Zhegalkin(63, frozenset({1 << 62 | 1 << 40, 1 << 62 | 1, 1 << 40 | 1, 0})))
+@example(Zhegalkin(63, frozenset({1 << 62 | 1 << 40, 1 << 62})))
+def test_arity_gap_matches_the_full_scan_and_stops_at_the_first_gap_one_pair(f):
+    outcome = gap_outcome(arity_gap, f)
+    assert outcome == gap_outcome(oracle_arity_gap, f)
+    fvars = sorted(essential_variables(f))
+    pairs = list(itertools.combinations(fvars, 2))
+    # the pairs up to the first that keeps ess - 1, or all of them
+    drops = [essential_arity(identify(f, i, j)) for i, j in pairs]
+    expected = drops.index(len(fvars) - 1) + 1 if len(fvars) - 1 in drops else len(pairs)
+    assert first_pairs(arity_gap, f) == (expected, outcome)
+
+
 def test_classify_gap_examples():
     c = classify_gap(poly(3, (1,), (2,), (3,), ()))
     assert (c.tag, c.constant) == (GapTag.LINEAR_SUM, 1)
@@ -697,18 +740,6 @@ def test_conjunctions_and_disjunctions_irreducible():
 def pack(monomials) -> int:
     """The ANF vector of a monomial set: bit m for monomial m."""
     return sum(1 << m for m in monomials)
-
-
-def oracle_one_step_groups(monomials):
-    """The former ``_one_step_groups``: every support pair identified on
-    monomial sets, reduced, and canonicalized by the uncached search."""
-    groups = {}
-    sup = bfcore.support_mask(monomials)
-    for i, j in itertools.combinations([b + 1 for b in bfcore.bits_of(sup)], 2):
-        reduced, ess = bfcore._reduce_masks(bfcore._identify_masks(monomials, i - 1, j - 1))
-        bfcore._check_canonical_ess(ess)
-        groups.setdefault((bfcore._canonical_search(reduced, ess)[0], ess), []).append((i, j))
-    return groups
 
 
 @st.composite

@@ -4,18 +4,21 @@ Each sweep reports a disagreement as a dict with a fixed schema, printed as
 one ``FAIL`` line.  Here the checked primitives are patched to give wrong
 answers on chosen inputs, in-process at ``workers=1`` so no pool starts, and
 the exact records of ``gap``, ``keylemma``, ``correspondence`` and
-``graphs`` are compared: their kinds, keys, values and order.
+``graphs`` are compared: their kinds, keys, values and order.  The poset
+sweep's block records are compared with those of the check it replaced.
 """
 
 import hashlib
+import itertools
 import json
 import random
 from pathlib import Path
 
 import pytest
 
-from boolminor import bfcore, graphs, verify
+from boolminor import bfcore, graphs, poset, verify
 from boolminor import hypergraph as hg
+from boolminor.formats import format_polynomial
 
 
 def edge_sum(nb):
@@ -146,6 +149,27 @@ def test_graph_failure_records(faults):
     assert result.failures == EXPECTED_GRAPHS
     assert result.data["graph_mismatches"] == 13
     assert result.data["property_p_mismatches"] == 4
+
+
+def test_poset_block_failure_records(monkeypatch):
+    # a block rule that is wrong for three monomials with the constant among
+    # them, which identifications reach and leave; the records are the ones
+    # the check gave when it identified each pair on monomial sets
+    block = poset._block
+    monkeypatch.setattr(poset, "_block", lambda count, constant: block(count + (count == 3 and constant), constant))
+    result = verify.poset_sweep(3)
+    expected = [
+        {
+            "sweep": "poset-block",
+            "class": format_polynomial(r.canon),
+            "identified": format_polynomial(child),
+        }
+        for r in poset.enumerate_classes(3)
+        for i, j in itertools.combinations(sorted(bfcore.essential_variables(r.canon)), 2)
+        if poset.block_of(child := bfcore.identify(r.canon, i, j)) is not r.block
+    ]
+    assert len(expected) >= 10
+    assert [f for f in result.failures if f["sweep"] == "poset-block"] == expected
 
 
 def _keylemma(doc, by_contr, direct):

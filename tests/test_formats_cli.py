@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_fold import deadline
 
 from boolminor import cli, verify
 from boolminor.bfcore import TruthTable, Zhegalkin
@@ -513,30 +514,41 @@ def test_cli_requires_one_source(capsys, tmp_path):
 
 def test_resolve_workers_clamped_to_cpu_count(monkeypatch):
     monkeypatch.setattr(verify.os, "cpu_count", lambda: 3)
-    monkeypatch.delenv(verify.WORKERS_ENV, raising=False)
     assert verify.resolve_workers(100_000) == 3
     assert verify.resolve_workers(2) == 2
     assert verify.resolve_workers(None) == 1
-    monkeypatch.setenv(verify.WORKERS_ENV, "100000")
-    assert verify.resolve_workers(None) == 3
-    assert verify.resolve_workers(0) == 3
     monkeypatch.setattr(verify.os, "cpu_count", lambda: None)
     assert verify.resolve_workers(100_000) == 1
-    monkeypatch.setenv(verify.WORKERS_ENV, "")
     assert verify.resolve_workers(None) == 1
-    monkeypatch.setenv(verify.WORKERS_ENV, "abc")
-    assert verify.resolve_workers(2) == 1  # a flag value wins; the variable is not read
+    for value in (0, -1):
+        with pytest.raises(ValueError, match=f"^workers must be >= 1, got {value}$"):
+            verify.resolve_workers(value)
 
 
-@pytest.mark.parametrize("value", ["²", "abc", "-1", " 2", "9" * 5000])
-def test_cli_rejects_a_malformed_workers_variable(value):
-    env = dict(os.environ, PYTHONPATH=str(SRC), **{verify.WORKERS_ENV: value})
-    argv = [sys.executable, "-m", "boolminor.cli", "verify", "gap", "--max-arity", "1"]
-    run = subprocess.run(argv, env=env, capture_output=True)
-    err = run.stderr.decode()
-    assert run.returncode == 2 and run.stdout == b""
-    assert err.startswith(f"error: {verify.WORKERS_ENV} must be 1 to 20 ASCII digits, got ")
-    assert len(run.stderr) < 200 and "Traceback" not in err
+def test_a_sweep_reads_no_worker_count_from_the_environment():
+    # a variable that once named the worker count: a malformed value made
+    # the library call raise, a number made it fork a pool nobody asked for
+    code = (
+        "import sys; from boolminor import verify; "
+        "print(verify.contraction_criterion_sweep(2, 5).lines); "
+        "print('concurrent.futures.process' in sys.modules)"
+    )
+    lines = [
+        "n=1: 4 hypergraphs checked, irreducible: 0",
+        "n=2: 16 hypergraphs checked, irreducible: 10",
+        "n=3: 5 sampled hypergraphs checked, irreducible: 2",
+    ]
+    for value in ("abc", "2"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), BOOLMINOR_WORKERS=value)
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines() == [repr(lines), "False"], value
+
+
+def test_cli_refuses_workers_below_one_naming_the_flag(capsys):
+    code, out, err = run_cli(capsys, "verify", "gap", "--max-arity", "1", "--workers", "0")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: --workers must be >= 1, got 0"]
 
 
 @pytest.mark.parametrize(
@@ -579,6 +591,20 @@ def test_cli_canonical_cap_fails_fast(capsys, verb):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "capped at 9 essential variables, got 12" in err
+
+
+def test_cli_gap_on_a_wide_sparse_polynomial_stops_early(capsys, tmp_path):
+    # 20,000 monomials of degree 1-6 on x1..x63, about 370,000 characters:
+    # walking all 1,953 support pairs took 25 s, the first pair settles it
+    rng = random.Random(24)
+    terms = set()
+    while len(terms) < 20_000:
+        terms.add(tuple(sorted(rng.sample(range(1, 64), rng.randint(1, 6)))))
+    path = tmp_path / "wide.txt"
+    path.write_text(" + ".join("*".join(f"x{v}" for v in t) for t in sorted(terms)))
+    with deadline(5):
+        code, out, err = run_cli(capsys, "gap", "--file", str(path))
+    assert (code, out, err) == (0, "gap: 1; family: GapOne\n", "")
 
 
 def test_verify_flags_are_sweep_parameters_and_default_to_none():

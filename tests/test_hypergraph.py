@@ -11,6 +11,7 @@ from strategies import small_hypergraphs, symmetric_hypergraphs
 
 from boolminor import bfcore, designs, hypergraph
 from boolminor.bfcore import TruthTable, Zhegalkin, support_mask
+from boolminor.formats import format_polynomial
 from boolminor.graphs import complete, path
 from boolminor.hypergraph import (
     Hypergraph,
@@ -466,6 +467,20 @@ def test_contraction_classes_composite_has_two_top_classes():
     part = contraction_classes(composite)
     top = max(c.ess for c in part.classes)
     assert sum(1 for c in part.classes if c.ess == top) >= 2
+
+
+def test_contraction_classes_come_in_first_pair_order():
+    # five classes, their ess not monotone: the order is that of each
+    # class's first pair, as the one-step grouping yields them
+    h = hypergraph_of(Zhegalkin.from_sets(4, [(1, 2), (2, 3), (3, 4), (1,)]))
+    got = [(c.pairs, format_polynomial(c.canon), c.ess) for c in contraction_classes(h).classes]
+    assert got == [
+        (((1, 2),), "x1*x2 + x1*x3", 3),
+        (((1, 3), (2, 4)), "x1*x2 + x1", 2),
+        (((1, 4),), "x1*x2 + x1*x3 + x2*x3 + x1", 3),
+        (((2, 3),), "x1*x2 + x1*x3 + x1 + x2", 3),
+        (((3, 4),), "x1*x3 + x2*x3 + x1 + x2", 3),
+    ]
 
 
 def isomorphism_classes(h):

@@ -4,11 +4,14 @@ The direct side (``bfcore._irreducible_cover`` over the lazy lower-cover
 scan ``bfcore._maximal_one_steps``) and the contraction side
 (``hypergraph._irreducible_by_contractions``) both stop early, on the fact
 that no identification keeps more than ess - 1 essential variables.  Here
-each must agree with its former full-scan body, kept in ``oracles``.
+each must agree with its former full-scan body, kept in ``oracles``.  The
+direct side's oracle groups the pairs on monomial sets with the uncached
+canonical search, so it shares no step of the packed walk it checks.
 """
 
 import itertools
 import random
+import types
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,12 +19,29 @@ from hypothesis import strategies as st
 from boolminor import bfcore, verify
 from boolminor import hypergraph as hg
 from boolminor.bfcore import Zhegalkin, bits_of
-from oracles import oracle_irreducible_by_contractions, oracle_maximal_one_steps
+from oracles import oracle_irreducible_by_contractions, oracle_maximal_one_steps, oracle_one_step_groups
 
 
 def oracle_cover(f):
     covers = list(itertools.islice(oracle_maximal_one_steps(f), 2))
     return covers[0] if len(covers) == 1 else None
+
+
+def names_in(code: types.CodeType) -> set[str]:
+    """The global and attribute names a code object reads, nested code
+    (lambdas, comprehensions, generators) included."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= names_in(const)
+    return names
+
+
+def test_scan_oracle_shares_no_step_of_the_packed_walk():
+    walk = {"_one_step_groups", "_identifications", "_class_of", "_canonical_reduced", "_identify_vec", "_drop_var"}
+    assert "oracle_one_step_groups" in names_in(oracle_maximal_one_steps.__code__)
+    for oracle in (oracle_maximal_one_steps, oracle_one_step_groups):
+        assert not names_in(oracle.__code__) & walk, oracle.__name__
 
 
 @st.composite
