@@ -621,24 +621,18 @@ def is_minor(g: Zhegalkin, f: Zhegalkin) -> Optional[MinorWitness]:
 def arity_gap(f: Zhegalkin) -> int:
     """Minimum essential-arity drop over all one-step identifications.
 
-    Defined only for ess >= 2; the result is always 1 or 2.  No pair keeps
-    more than ess - 1 variables, so the scan stops at the first that does.
+    Defined only for ess >= 2; the result is 1, or 2 exactly on the four
+    families that :func:`classify_gap` names (Couceiro & Lehtonen 2007), so
+    it is read off that match and identifies no pair.  The ``gap`` sweep
+    checks it against the brute-force gap, ``_arity_gap_vec``.
     """
-    fvars = sorted(essential_variables(f))
-    ess = len(fvars)
-    if ess < 2:
+    if essential_arity(f) < 2:
         raise ValueError("arity gap requires at least two essential variables")
-    best_after = -1
-    for i, j in itertools.combinations(fvars, 2):
-        after = support_mask(_identify_masks(f.monomials, i - 1, j - 1)).bit_count()
-        if after == ess - 1:
-            return 1
-        best_after = max(best_after, after)
-    return ess - best_after
+    return 1 if classify_gap(f).tag is GapTag.GAP_ONE else 2
 
 
 def _arity_gap_vec(vec: int, n: int) -> int:
-    """``arity_gap`` on the ANF vector of an n-variable function.
+    """The brute-force gap, on the ANF vector of an n-variable function.
 
     An identification removes the identified-away variable, so no pair
     keeps more than ess - 1 variables: the scan stops at the first pair

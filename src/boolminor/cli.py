@@ -85,10 +85,8 @@ def _cmd_convert(args) -> int:
         out = format_polynomial(poly)
     elif args.to == "table":
         out = format_truth_table(bfcore.truth_table_from_zhegalkin(poly))
-    elif args.to == "hypergraph":
-        out = format_hypergraph_doc(hg.hypergraph_of(poly))
     else:
-        raise SystemExit(f"unknown target {args.to!r}")
+        out = format_hypergraph_doc(hg.hypergraph_of(poly))
     print(out)
     return 0
 

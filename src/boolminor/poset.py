@@ -109,9 +109,8 @@ def _compute_records(max_ess: int) -> tuple[ClassRecord, ...]:
     arity = max(max_ess, 1)
     canons: dict[frozenset[int], Zhegalkin] = {}
     for anf in bfcore._anf_orbits(arity)[1]:
-        canon_tuple, ess = bfcore._class_of(anf)
-        canon = frozenset(canon_tuple)
-        canons[canon] = Zhegalkin(max(ess, 1), canon)
+        canon = bfcore._class_poly(bfcore._class_of(anf))
+        canons[canon.monomials] = canon
     if max_ess == 0:
         # only the two constants exist below arity 1
         canons = {
@@ -227,10 +226,17 @@ def _checksum(body: bytes) -> str:
 def _write_cache(path: str, max_ess: int, records: tuple[ClassRecord, ...]) -> None:
     body = _render_records(list(records)).encode("utf-8")
     head = f"{_CACHE_HEADER} max_ess={max_ess} count={len(records)} crc32={_checksum(body)}\n"
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(head.encode("utf-8") + body)
-    os.replace(tmp, path)
+    # a per-process name, created exclusively: a file already there is never
+    # opened, since a FIFO would block the open until a reader came
+    tmp = f"{path}.{os.getpid()}.tmp"
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            fh.write(head.encode("utf-8") + body)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read_cache(path: str, max_ess: int) -> Optional[tuple[ClassRecord, ...]]:

@@ -1,6 +1,7 @@
 """Brute-force oracles shared by the test modules."""
 
 import itertools
+import types
 from collections import Counter
 
 from boolminor import bfcore, graphs
@@ -8,6 +9,17 @@ from boolminor import hypergraph as hg
 from boolminor.bfcore import GapClass, GapTag, Zhegalkin, bits_of
 from boolminor.formats import format_graph_line
 from boolminor.graphs import JIGraphClass, JIKind
+
+
+def names_in(code: types.CodeType) -> set[str]:
+    """The global and attribute names a code object reads, nested code
+    (lambdas, comprehensions, generators) included: the independence
+    guards read an oracle through this, not through ``co_names`` alone."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= names_in(const)
+    return names
 
 
 def per_node_isomorphisms(h1, h2):
@@ -157,8 +169,11 @@ def oracle_irreducible_by_contractions(h):
 
 
 def oracle_arity_gap(f: Zhegalkin) -> int:
-    """``bfcore.arity_gap`` as it was before it stopped at the first pair
-    that keeps ess - 1 variables: the drop under the best of all pairs."""
+    """The arity gap by its definition, the drop under the best of all
+    support pairs: the set-side check of both ``bfcore.arity_gap``, which
+    reads the gap off the family match, and the brute-force gap
+    ``bfcore._arity_gap_vec``, which stops at the first pair that keeps
+    ess - 1 variables."""
     fvars = sorted(bfcore.essential_variables(f))
     if len(fvars) < 2:
         raise ValueError("arity gap requires at least two essential variables")

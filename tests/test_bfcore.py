@@ -5,9 +5,11 @@ against the independent oracles in this file (pointwise evaluation for the
 polynomial transform, table-level coordinate copying for identification).
 """
 
+import contextlib
 import itertools
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,7 +35,7 @@ from boolminor.bfcore import (
     zhegalkin_from_truth_table,
 )
 from boolminor.hypergraph import Hypergraph
-from oracles import oracle_arity_gap, oracle_classify_gap, oracle_mobius, oracle_one_step_groups
+from oracles import names_in, oracle_arity_gap, oracle_classify_gap, oracle_mobius, oracle_one_step_groups
 
 
 def poly(arity, *monos):
@@ -510,16 +512,16 @@ def gap_functions(draw):
     return Zhegalkin(63, masks | ({0} if draw(st.booleans()) else set()))
 
 
-def first_pairs(gap_of, f):
-    """How many support pairs ``gap_of`` identifies on f, and its outcome."""
-    calls = []
-    identify_masks = bfcore._identify_masks
-    bfcore._identify_masks = lambda *args: calls.append(args) or identify_masks(*args)
-    try:
-        outcome = gap_outcome(gap_of, f)
-    finally:
-        bfcore._identify_masks = identify_masks
-    return len(calls), outcome
+@contextlib.contextmanager
+def pair_scans_refused():
+    """``_identify_masks`` and ``_identify_vec``, the two pair
+    identifications, raise while the block runs."""
+
+    def refuse(*args):
+        raise AssertionError("a pair was identified")
+
+    with mock.patch.object(bfcore, "_identify_masks", refuse), mock.patch.object(bfcore, "_identify_vec", refuse):
+        yield
 
 
 @settings(max_examples=300, deadline=None)
@@ -527,15 +529,27 @@ def first_pairs(gap_of, f):
 @example(Zhegalkin(63, frozenset({1 << 62, 1 << 3})))
 @example(Zhegalkin(63, frozenset({1 << 62 | 1 << 40, 1 << 62 | 1, 1 << 40 | 1, 0})))
 @example(Zhegalkin(63, frozenset({1 << 62 | 1 << 40, 1 << 62})))
-def test_arity_gap_matches_the_full_scan_and_stops_at_the_first_gap_one_pair(f):
-    outcome = gap_outcome(arity_gap, f)
+@example(poly(3, (1, 2), (3,)))  # a product and a single outside it
+@example(poly(4, (1, 2), (2, 3), (3, 4)))  # three products, not a triangle
+def test_arity_gap_matches_the_full_scan_and_identifies_no_pair(f):
+    with pair_scans_refused():
+        outcome = gap_outcome(arity_gap, f)
     assert outcome == gap_outcome(oracle_arity_gap, f)
-    fvars = sorted(essential_variables(f))
-    pairs = list(itertools.combinations(fvars, 2))
-    # the pairs up to the first that keeps ess - 1, or all of them
-    drops = [essential_arity(identify(f, i, j)) for i, j in pairs]
-    expected = drops.index(len(fvars) - 1) + 1 if len(fvars) - 1 in drops else len(pairs)
-    assert first_pairs(arity_gap, f) == (expected, outcome)
+
+
+def test_arity_gap_on_the_worst_case_of_the_pair_scan():
+    # x1..x40 as linear terms plus 20,000 monomials of degree 2-6 on
+    # x41..x63: the first 39 pairs each cancel two variables, so a scan that
+    # stops at the first pair keeping ess - 1 still identifies 40 pairs
+    rng = random.Random(13)
+    monomials = {1 << v for v in range(40)}
+    while len(monomials) < 20_040:
+        monomials.add(bfcore.mask_of(rng.sample(range(41, 64), rng.randint(2, 6))))
+    f = Zhegalkin(63, frozenset(monomials))
+    start = time.perf_counter()
+    with pair_scans_refused():
+        assert arity_gap(f) == 1
+    assert time.perf_counter() - start < 0.5
 
 
 def test_classify_gap_examples():
@@ -556,7 +570,7 @@ def test_gap_classification_agrees_exhaustive_arity3():
         p = zhegalkin_from_truth_table(TruthTable(3, bits))
         if essential_arity(p) < 2:
             continue
-        gap = arity_gap(p)
+        gap = oracle_arity_gap(p)
         assert gap in (1, 2)
         assert (classify_gap(p).tag is not GapTag.GAP_ONE) == (gap == 2)
         gap2 += gap == 2
@@ -571,6 +585,13 @@ def gap_outcome(gap_of, f):
     except ValueError as err:
         return str(err)
     return (result.tag, result.constant) if isinstance(result, bfcore.GapClass) else result
+
+
+def test_gap_oracles_stay_independent_of_the_family_match():
+    # the family match is what both gap oracles check, so neither may read it
+    family = {"_gap_family", "classify_gap", "_classify_gap_vec", "arity_gap"}
+    assert not names_in(oracle_arity_gap.__code__) & (family | {"GapTag"})
+    assert not names_in(oracle_classify_gap.__code__) & family
 
 
 def test_classify_gap_matches_the_old_body_exhaustive_arity3():
@@ -652,12 +673,13 @@ def packed_gap_cases():
             yield n, pack(f.monomials)
 
 
-def test_packed_arity_gap_matches_arity_gap():
+def test_packed_arity_gap_and_arity_gap_match_the_full_scan():
     families = 0
     for n, vec in packed_gap_cases():
         f = Zhegalkin(n, frozenset(bfcore.bits_of(vec)))
-        expected = gap_outcome(arity_gap, f)
+        expected = gap_outcome(oracle_arity_gap, f)
         assert gap_outcome(lambda _: bfcore._arity_gap_vec(vec, n), f) == expected, f
+        assert gap_outcome(arity_gap, f) == expected, f
         families += expected == 2 and classify_gap(f).tag is not GapTag.GAP_ONE
     # the members at n = 4 and n = 6 alone, per family and constant
     assert families >= 2 * (11 + 12 + 4 + 12) + 2 * (57 + 30 + 20 + 60)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from boolminor import bfcore, designs, verify
 from boolminor.bfcore import vars_of
 from boolminor.hypergraph import Hypergraph, VertexMap, support_reduce
+from oracles import names_in
 
 
 @st.composite
@@ -82,15 +83,6 @@ def test_mask_tables(data):
     assert vars_of(image) == {table[v - 1] + 1 for v in vars_of(mask)}
 
 
-def _names(code):
-    """Global names a code object and its nested code objects read."""
-    names = set(code.co_names)
-    for const in code.co_consts:
-        if hasattr(const, "co_names"):
-            names |= _names(const)
-    return names
-
-
 def test_brute_quotient_oracle_stays_independent_of_bfcore():
     # the oracle checks bfcore's minor test, so neither it nor any verify
     # helper it calls (the lane tables, the sample generator's fold) may run
@@ -101,7 +93,7 @@ def test_brute_quotient_oracle_stays_independent_of_bfcore():
         fn = pending.pop()
         fn = getattr(fn, "__wrapped__", fn)  # under lru_cache
         seen.add(fn.__name__)
-        names = _names(fn.__code__)
+        names = names_in(fn.__code__)
         assert not names & {"bfcore", "fold"}, fn.__name__
         for name in names:
             obj = getattr(verify, name, None)

@@ -11,7 +11,6 @@ canonical search, so it shares no step of the packed walk it checks.
 
 import itertools
 import random
-import types
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -19,22 +18,12 @@ from hypothesis import strategies as st
 from boolminor import bfcore, verify
 from boolminor import hypergraph as hg
 from boolminor.bfcore import Zhegalkin, bits_of
-from oracles import oracle_irreducible_by_contractions, oracle_maximal_one_steps, oracle_one_step_groups
+from oracles import names_in, oracle_irreducible_by_contractions, oracle_maximal_one_steps, oracle_one_step_groups
 
 
 def oracle_cover(f):
     covers = list(itertools.islice(oracle_maximal_one_steps(f), 2))
     return covers[0] if len(covers) == 1 else None
-
-
-def names_in(code: types.CodeType) -> set[str]:
-    """The global and attribute names a code object reads, nested code
-    (lambdas, comprehensions, generators) included."""
-    names = set(code.co_names)
-    for const in code.co_consts:
-        if isinstance(const, types.CodeType):
-            names |= names_in(const)
-    return names
 
 
 def test_scan_oracle_shares_no_step_of_the_packed_walk():

@@ -6,6 +6,7 @@ import pytest
 
 from boolminor import bfcore
 from boolminor.bfcore import Zhegalkin, bits_of, canonical_form
+from oracles import names_in
 
 
 def permutation_oracle(positions, n):
@@ -36,7 +37,7 @@ def permutation_oracle(positions, n):
 
 def test_oracle_stays_independent_of_bfcore():
     # the oracle checks bfcore's orbit search, so it must not run bfcore code
-    names = set(permutation_oracle.__code__.co_names)
+    names = names_in(permutation_oracle.__code__)
     assert not names & {"bfcore", "fold", "_orbit_partition", "_mask_tables"}
     for name in names:
         assert getattr(globals().get(name), "__module__", None) != bfcore.__name__

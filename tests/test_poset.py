@@ -3,6 +3,7 @@
 import itertools
 import os
 import random
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -368,6 +369,31 @@ def test_cache_path_that_is_not_a_regular_file_exits_2(tmp_path):
     assert err.splitlines() == [f"error: cache path {str(fifo)!r} is not a regular file"]
     with pytest.raises(ValueError, match="not a regular file"):
         enumerate_classes(2, cache_path=str(tmp_path))
+
+
+def test_cache_write_never_opens_a_fifo_at_the_temp_name(tmp_path):
+    # a FIFO blocks any open of its name until a reader comes, so the write
+    # must never open a name that already exists
+    cache = tmp_path / "c"
+    os.mkfifo(tmp_path / "c.tmp")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    argv = [sys.executable, "-m", "boolminor.cli", "poset", "--max-ess", "1", "--cache", str(cache)]
+    run = subprocess.run(argv, env=env, capture_output=True, timeout=10)
+    assert run.returncode == 0 and run.stderr == b""
+    assert poset._read_cache(str(cache), 1) == enumerate_classes(1)
+    # no temp file is left behind, and the FIFO is untouched
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c", "c.tmp"]
+    assert stat.S_ISFIFO((tmp_path / "c.tmp").stat().st_mode)
+
+
+def test_a_failed_cache_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    def fail(*args):
+        raise OSError("replace failed")
+
+    monkeypatch.setattr(poset.os, "replace", fail)
+    with pytest.raises(OSError, match="replace failed"):
+        poset._write_cache(str(tmp_path / "c"), 1, enumerate_classes(1))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_oversize_cache_is_stale_and_read_within_the_bound(tmp_path, monkeypatch):
