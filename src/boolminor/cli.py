@@ -2,19 +2,19 @@
 
 Verbs: convert, classify, gap, irreducible, iso, graph-classify,
 steiner-check, poset, verify.  Inputs come from an inline argument, a file
-(--file PATH), or standard input (`-`), the last two read at most
-``_INPUT_MAX_BYTES`` characters deep.  Plain text is the default output;
-``--format structured`` emits JSON.  Verification failures print one
-machine-readable record per line and exit nonzero; malformed input exits
-with status 2, as does a sweep whose worker process died, and Ctrl-C with
-status 130; each prints one line on stderr.
+(--file PATH), or standard input (`-`), exactly one, the last two read at
+most ``_INPUT_MAX_BYTES`` characters deep.  Every verb but ``poset`` prints
+through ``_emit``: plain text, or JSON with ``--format structured``.
+Verification failures print one machine-readable record per line and exit
+nonzero; malformed input exits with status 2, as does a sweep whose worker
+process died, and Ctrl-C with status 130; each prints one line on stderr.
 
-``verify`` passes each sweep only the flags named in its signature
-(``_SWEEP_PARAMS``), and only those given, so every default lives in the
-sweep's signature.  A size above the sweep's cap or a negative sample count
-exits 2 before any work, with a message naming the flag.  The worker
-count comes from --workers alone: one when it is left out, at most the CPU
-count, and a value below 1 exits 2 the same way.
+``verify`` has one sub-parser per sweep, its flags the parameters of the
+sweep's signature (``_SWEEP_PARAMS``): a flag the sweep does not take exits
+2, and one left out keeps the sweep's default.  A size above the sweep's
+cap or a negative sample count exits 2 before any work, with a message
+naming the flag.  The worker count comes from --workers alone: one when it
+is left out, at most the CPU count, and a value below 1 exits 2 the same way.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def _cmd_convert(args) -> int:
         out = format_truth_table(bfcore.truth_table_from_zhegalkin(poly))
     else:
         out = format_hypergraph_doc(hg.hypergraph_of(poly))
-    print(out)
+    _emit(args, [out], {args.to: out})
     return 0
 
 
@@ -189,14 +189,12 @@ def _cmd_graph_classify(args) -> int:
 
 
 def _cmd_steiner_check(args) -> int:
+    text = _read_input(args)
     builtin = designs.builtin_instances()
     if args.input in builtin:
-        h = builtin[args.input]
-        name = args.input
+        h, name = builtin[text], text
     else:
-        text = _read_input(args)
-        h = parse_any_hypergraph(text)
-        name = args.file or "input"
+        h, name = parse_any_hypergraph(text), args.file or "input"
     params = designs.design_parameters(h)
     if params is None or params.lambda_ != 1:
         found = "no 2-design" if params is None else f"2-({params.n},{params.k},{params.lambda_})"
@@ -220,42 +218,38 @@ def _cmd_poset(args) -> int:
     return 0
 
 
-# Each sweep's parameter names, read from its signature once, at import: a
-# wrapper put in ``verify.ALL_SWEEPS`` later (``perfbench/tracer.py`` puts
-# ``(*args, **kwargs)`` ones there) still gets the flags.
+# Each sweep's parameters and their flags, read from its signature once, at
+# import: a wrapper put in ``verify.ALL_SWEEPS`` later (``perfbench/tracer.py``
+# puts ``(*args, **kwargs)`` ones there) still gets the flags.  A flag is its
+# parameter's name in dashes, taking an integer, but for the poset cache's
+# path, which is --cache.
 _SWEEP_PARAMS = {
-    name: tuple(inspect.signature(sweep).parameters)
+    name: {
+        param: "--cache" if param == "cache_path" else "--" + param.replace("_", "-")
+        for param in inspect.signature(sweep).parameters
+    }
     for name, sweep in verify.ALL_SWEEPS.items()
 }
 
 
 def _cmd_verify(args) -> int:
-    kwargs = {
-        name: getattr(args, name)
-        for name in _SWEEP_PARAMS[args.sweep]
-        if getattr(args, name, None) is not None
-    }
+    flags = _SWEEP_PARAMS[args.sweep]
+    kwargs = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
     try:
         result = verify.ALL_SWEEPS[args.sweep](**kwargs)
     except ValueError as exc:
         # a bound message leads with the parameter; name the flag the user typed
         name, _, rest = str(exc).partition(" ")
         if name in kwargs:
-            raise ValueError(f"--{name.replace('_', '-')} {rest}") from None
+            raise ValueError(f"{flags[name]} {rest}") from None
         raise
-    if args.format == "structured":
-        print(
-            json.dumps(
-                {"sweep": result.name, "ok": result.ok, "data": result.data, "failures": result.failures},
-                sort_keys=True,
-            )
-        )
-    else:
-        for line in result.lines:
-            print(line)
-        for failure in result.failures:
-            print("FAIL " + json.dumps(failure, sort_keys=True))
-        print("ok" if result.ok else "FAILED")
+    _emit(
+        args,
+        result.lines
+        + ["FAIL " + json.dumps(failure, sort_keys=True) for failure in result.failures]
+        + ["ok" if result.ok else "FAILED"],
+        {"sweep": result.name, "ok": result.ok, "data": result.data, "failures": result.failures},
+    )
     return 0 if result.ok else 1
 
 
@@ -330,15 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_poset)
 
     p = subs.add_parser("verify", help="run an exhaustive verification sweep")
-    p.add_argument("sweep", choices=sorted(verify.ALL_SWEEPS))
-    p.add_argument("--max-arity", type=_int_flag)
-    p.add_argument("--max-vertices", type=_int_flag)
-    p.add_argument("--max-ess", type=_int_flag)
-    p.add_argument("--samples", type=_int_flag)
-    p.add_argument("--seed", type=_int_flag)
-    p.add_argument("--workers", type=_int_flag)
-    p.add_argument("--cache", dest="cache_path", help="poset record cache file")
-    p.add_argument("--format", choices=("text", "structured"), default="text")
+    sweeps = p.add_subparsers(dest="sweep", required=True)
+    for name, flags in sorted(_SWEEP_PARAMS.items()):
+        sp = sweeps.add_parser(name)
+        for param, flag in flags.items():
+            sp.add_argument(flag, dest=param, type=None if param == "cache_path" else _int_flag)
+        sp.add_argument("--format", choices=("text", "structured"), default="text")
     p.set_defaults(fn=_cmd_verify)
     return parser
 

@@ -257,15 +257,18 @@ def detect_kind(text: str) -> str:
 
 
 def parse_any_polynomial(text: str, arity: Optional[int] = None) -> Zhegalkin:
-    """Accept a polynomial, a truth table, or a hypergraph document."""
+    """Accept a polynomial, a truth table, a hypergraph document or a graph
+    line; a declared ``arity`` other than the one the input states is refused."""
     kind = detect_kind(text)
+    if kind == "polynomial":
+        return parse_polynomial(text, arity)
     if kind == "table":
-        return zhegalkin_from_truth_table(parse_truth_table(text, arity))
-    if kind == "hypergraph":
-        return polynomial_of(parse_hypergraph_doc(text))
-    if kind == "graph":
-        return polynomial_of(parse_graph(text))
-    return parse_polynomial(text, arity)
+        poly = zhegalkin_from_truth_table(parse_truth_table(text, arity))
+    else:
+        poly = polynomial_of(parse_hypergraph_doc(text) if kind == "hypergraph" else parse_graph(text))
+    if arity is not None and arity != poly.arity:
+        raise ValueError(f"declared arity {arity} differs from the input's arity {poly.arity}")
+    return poly
 
 
 def parse_any_hypergraph(text: str) -> Hypergraph:

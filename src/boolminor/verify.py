@@ -11,11 +11,12 @@ are concatenated in job order, so the ``FAIL`` lines come out in the same
 order at any worker count.  A sampled phase runs its exhaustive phase's
 shard with a seed; ``seed=None`` means exhaustive.
 
-A sweep's worker count is its own ``workers`` argument alone (None means
-1, below 1 is refused), clamped to the CPU count; nothing here reads the
-environment.  At two workers or more a sweep runs all its phases in one
-process pool, opened by ``_pool``: the one place in the package that starts
-processes.
+A sweep's parameters are its flags: ``boolminor verify`` reads them off the
+signatures in ``ALL_SWEEPS``.  Its worker count is its own ``workers``
+argument alone (None means 1, below 1 is refused), clamped to the CPU
+count; nothing here reads the environment.  At two workers or more a sweep
+runs all its phases in one process pool, opened by ``_pool``: the one place
+in the package that starts processes.
 
 The labeled-graph sweep decomposes the 2^C(n,2) edge masks into orbits
 under vertex permutations with ``bfcore._orbit_partition`` (the engine the

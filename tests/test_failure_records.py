@@ -3,11 +3,15 @@
 Each sweep reports a disagreement as a dict with a fixed schema, printed as
 one ``FAIL`` line.  Here the checked primitives are patched to give wrong
 answers on chosen inputs, in-process at ``workers=1`` so no pool starts, and
-the exact records of ``gap``, ``keylemma``, ``correspondence`` and
-``graphs`` are compared: their kinds, keys, values and order.  The poset
-sweep's block records are compared with those of the check it replaced.
+the exact records of every sweep are compared: their kinds, keys, values
+and order.  The poset and Steiner records are faulted in the records and
+reports the checks read.  The poset sweep's block records are compared with
+those of the check it replaced, and the ``FAIL`` lines and the structured
+document that ``boolminor verify`` prints of the gap records are pinned
+byte for byte.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -16,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from boolminor import bfcore, graphs, poset, verify
+from boolminor import bfcore, cli, designs, graphs, poset, verify
 from boolminor import hypergraph as hg
 from boolminor.formats import format_polynomial
 
@@ -119,6 +123,38 @@ def test_gap_failure_records(gap_faults):
     assert result.data["gap_counts"] == {1: 4, 2: 5, 3: 1}
 
 
+_GAP_RECORDS = (
+    '{"family": "GapOne", "gap": 2, "polynomial": "x1*x2 + x1", "sweep": "gap", "table": "tt:2 arity=2"}',
+    '{"family": "LinearSum", "gap": 3, "polynomial": "x1 + x2 + 1", "sweep": "gap", "table": "tt:9 arity=2"}',
+    '{"family": "GapOne", "gap": 2, "polynomial": "x1*x2 + x1 + 1", "sweep": "gap", "table": "tt:D arity=2"}',
+)
+
+
+@pytest.mark.parametrize(
+    "fmt, expected",
+    [
+        (
+            "text",
+            "16 tables checked\n"
+            "skipped (fewer than two essential variables): 6\n"
+            "gap counts: 1->4 2->5 3->1\n"
+            "family counts: GapOne=6 LinearSum=2 XYplusX=2\n"
+            + "".join(f"FAIL {record}\n" for record in _GAP_RECORDS)
+            + "FAILED\n",
+        ),
+        (
+            "structured",
+            '{"data": {"family_counts": {"GapOne": 6, "LinearSum": 2, "XYplusX": 2},'
+            ' "gap_counts": {"1": 4, "2": 5, "3": 1}, "low_ess": 6, "tables": 16},'
+            f' "failures": [{", ".join(_GAP_RECORDS)}], "ok": false, "sweep": "gap"}}\n',
+        ),
+    ],
+)
+def test_cli_prints_the_gap_failure_records(gap_faults, capsys, fmt, expected):
+    assert cli.main(["verify", "gap", "--max-arity", "2", "--format", fmt]) == 1
+    assert capsys.readouterr().out == expected
+
+
 def test_gap_sweep_output_is_worker_invariant():
     result = verify.gap_sweep(4, workers=2)
     text = "\n".join(result.lines + ["ok"]) + "\n"
@@ -170,6 +206,92 @@ def test_poset_block_failure_records(monkeypatch):
     ]
     assert len(expected) >= 10
     assert [f for f in result.failures if f["sweep"] == "poset-block"] == expected
+
+
+def test_poset_failure_records(monkeypatch):
+    # the class "1" is left out, so level 0 lacks a block and two covers
+    # fall outside the universe; one gap and one cover list are wrong
+    enumerate_classes = poset.enumerate_classes
+
+    def bad_enumerate(max_ess, cache_path=None):
+        records = []
+        for r in enumerate_classes(max_ess, cache_path=cache_path):
+            text = format_polynomial(r.canon)
+            if text == "x1*x2":
+                r = dataclasses.replace(r, gap=2)
+            elif text == "x1*x2 + x1 + x2":
+                r = dataclasses.replace(r, lower_covers=())
+            if text != "1":
+                records.append(r)
+        return records
+
+    monkeypatch.setattr(poset, "enumerate_classes", bad_enumerate)
+    assert verify.poset_sweep(2).failures == [
+        {"sweep": "poset", "detail": "level 0 must be the four one-per-block classes", "level0": ["0", "x1 + 1", "x1"]},
+        {"sweep": "poset-cover", "class": "x1 + x2 + 1", "detail": "cover outside the enumerated universe"},
+        {"sweep": "poset-cover", "class": "x1*x2 + x1 + 1", "detail": "cover outside the enumerated universe"},
+        {
+            "sweep": "poset-irreducible",
+            "class": "x1*x2 + x1 + x2",
+            "unique_cover": False,
+            "direct": True,
+            "contraction_criterion": True,
+        },
+        {"sweep": "poset-gap-law", "class": "x1*x2", "cover": "x1", "ess": 2, "cover_ess": 1, "gap": 2},
+    ]
+
+
+def test_steiner_failure_records(monkeypatch):
+    # K4 is 2-set transitive, so its faulted contractions give both kinds
+    report = designs.steiner_report
+    faults = {"K4": {"contractions_isomorphic": False}, "fano": {"minus2_monomorphic": False}}
+    monkeypatch.setattr(
+        designs, "steiner_report", lambda h, name: dataclasses.replace(report(h, name), **faults.get(name, {}))
+    )
+    assert verify.steiner_catalog_report().failures == [
+        {
+            "sweep": "steiner",
+            "instance": "K4",
+            "irreducible": True,
+            "contractions_isomorphic": False,
+            "minus2_monomorphic": True,
+        },
+        {"sweep": "steiner-2set", "instance": "K4", "detail": "2-set transitivity must force isomorphic contractions"},
+        {
+            "sweep": "steiner",
+            "instance": "fano",
+            "irreducible": True,
+            "contractions_isomorphic": True,
+            "minus2_monomorphic": False,
+        },
+    ]
+
+
+def test_graph_spot_and_structure_failure_records(monkeypatch):
+    # the oracle flips on the labeled graph 4: 3-4 alone, which no orbit
+    # has as its representative; one representative fails its template and
+    # has a quotient that is neither complete nor C5
+    by_contr, template, decompose = hg.is_irreducible_by_contractions, graphs.matches_template, graphs.ai_decomposition
+
+    def bad_decompose(g):
+        decomp = decompose(g)
+        return dataclasses.replace(decomp, quotient=graphs.path(3)) if sum(g.edges) % 7 == 2 else decomp
+
+    monkeypatch.setattr(
+        hg, "is_irreducible_by_contractions", lambda h: by_contr(h) != ((h.vertex_count, h.edges) == (4, {0b1100}))
+    )
+    monkeypatch.setattr(graphs, "matches_template", lambda g, cls: template(g, cls) and sum(g.edges) % 7 != 2)
+    monkeypatch.setattr(graphs, "ai_decomposition", bad_decompose)
+    result = verify.graph_sweep(4, workers=1)
+    spot = {"sweep": "graphs-spot", "graph": "4: 3-4", "orbit_verdict": True}
+    assert result.failures == [
+        {"sweep": "graphs-probe", "n": 4, "rep": 30, "probe": "classification does not match its template graph"},
+        {"sweep": "graphs-probe", "n": 4, "rep": 30, "probe": "irreducible connected graph with a bad ai quotient"},
+        # the seeded spot samples draw this mask twice
+        spot,
+        spot,
+    ]
+    assert (result.data["graph_mismatches"], result.data["property_p_mismatches"]) == (4, 0)
 
 
 def _keylemma(doc, by_contr, direct):

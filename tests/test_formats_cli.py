@@ -236,6 +236,46 @@ def test_cli_convert(capsys):
     assert code == 0 and json.loads(out) == {"n": 2, "edges": [[], [1, 2]]}
 
 
+@pytest.mark.parametrize(
+    "text, arity",
+    [("tt:E8 arity=3", 3), ('{"n": 3, "edges": [[1, 2], [2, 3]]}', 3), ("4: 1-2, 2-3", 4)],
+)
+def test_cli_arity_must_match_the_input(capsys, text, arity):
+    code, out, err = run_cli(capsys, "convert", text, "--arity", str(arity + 2), "--to", "table")
+    assert (code, out) == (2, "")
+    assert err == f"error: declared arity {arity + 2} differs from the input's arity {arity}\n"
+    code, out, _ = run_cli(capsys, "convert", text, "--to", "table")
+    assert code == 0 and out.endswith(f" arity={arity}\n")
+    assert run_cli(capsys, "convert", text, "--arity", str(arity), "--to", "table")[:2] == (code, out)
+
+
+def test_cli_convert_structured(capsys):
+    for to, text in (
+        ("polynomial", "x1*x2 + x1*x3 + x2*x3"),
+        ("table", "tt:E8 arity=3"),
+        ("hypergraph", '{"edges": [[1, 2], [1, 3], [2, 3]], "n": 3}'),
+    ):
+        code, out, _ = run_cli(capsys, "convert", "tt:E8 arity=3", "--to", to, "--format", "structured")
+        assert code == 0 and json.loads(out) == {to: text}
+
+
+def test_cli_reads_a_graph_line_and_a_truth_table_where_it_takes_any_input(capsys):
+    # a graph line is a polynomial to classify, a truth table a hypergraph to iso
+    code, out, _ = run_cli(capsys, "classify", "3: 1-2, 2-3")
+    assert (code, out) == run_cli(capsys, "classify", "x1*x2 + x2*x3")[:2]
+    assert code == 0 and "unique lower cover: x1*x2 + x1" in out
+    code, out, _ = run_cli(capsys, "iso", "tt:E8 arity=3", "x1*x2 + x2*x3 + x1*x3")
+    assert (code, out) == (0, "isomorphic: 1->1 2->2 3->3\n")
+
+
+def test_cli_iso_reduce_support(capsys):
+    assert run_cli(capsys, "iso", "3: 1-3", "4: 2-4")[:2] == (0, "not isomorphic\n")
+    code, out, _ = run_cli(capsys, "iso", "3: 1-3", "4: 2-4", "--reduce-support")
+    assert (code, out) == (0, "isomorphic: 1->1 2->2\n")
+    code, out, _ = run_cli(capsys, "iso", "3: 1-3", "4: 2-4", "--reduce-support", "--format", "structured")
+    assert code == 0 and json.loads(out) == {"isomorphic": True, "mapping": {"1": 1, "2": 2}}
+
+
 def test_cli_gap(capsys):
     code, out, _ = run_cli(capsys, "gap", "x1 + x2 + x3 + 1")
     assert code == 0 and out.strip() == "gap: 2; family: LinearSum (c=1)"
@@ -276,6 +316,15 @@ def test_cli_steiner_check(capsys):
     assert "2-set-transitive=True aut-order=168" in out
     code, out, _ = run_cli(capsys, "steiner-check", "3: 1-2")
     assert code == 1 and "not a Steiner system" in out
+
+
+def test_cli_steiner_check_takes_one_input_source(capsys, tmp_path):
+    path = tmp_path / "k3.json"
+    path.write_text('{"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]}')
+    code, out, err = run_cli(capsys, "steiner-check", "fano", "--file", str(path))
+    assert (code, out) == (2, "") and "give exactly one input source" in err
+    code, out, _ = run_cli(capsys, "steiner-check", "--file", str(path))
+    assert code == 0 and out.startswith(f"{path}: 2-(3,2,1)")
 
 
 @pytest.mark.parametrize("n, order", [(10, 3_628_800), (13, 6_227_020_800)])
@@ -439,6 +488,11 @@ def test_cli_poset_export(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "poset", "--max-ess", "1", "--out", str(out_path))
     assert code == 0 and "4 classes written" in out
     assert out_path.read_text().startswith("digraph classes {")
+
+
+def test_cli_poset_writes_to_stdout(capsys):
+    code, out, _ = run_cli(capsys, "poset", "--max-ess", "1")
+    assert (code, out) == (0, 'digraph classes {\n  "0";\n  "1";\n  "x1 + 1";\n  "x1";\n}\n')
 
 
 def test_cli_verify_gap_small(capsys):
@@ -607,33 +661,88 @@ def test_cli_gap_on_a_wide_sparse_polynomial_stops_early(capsys, tmp_path):
     assert (code, out, err) == (0, "gap: 1; family: GapOne\n", "")
 
 
-def test_verify_flags_are_sweep_parameters_and_default_to_none():
-    subs = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    dests = [
-        a.dest
-        for a in subs.choices["verify"]._actions
-        if a.option_strings and a.dest not in ("help", "format")
-    ]
-    params = set().union(*(inspect.signature(fn).parameters for fn in verify.ALL_SWEEPS.values()))
-    args = cli.build_parser().parse_args(["verify", "gap"])
-    # every sweep parameter is a flag: no knob hides from the command line
-    assert sorted(dests) == sorted(params)
-    for dest in dests:
-        # absent, so the sweep's own default applies
-        assert getattr(args, dest) is None, dest
+# one valid command line per verb, and one per sweep under ``verify``
+VERB_ARGV = {
+    "convert": ("convert", "x1", "--to", "table"),
+    "classify": ("classify", "x1*x2"),
+    "gap": ("gap", "x1*x2"),
+    "irreducible": ("irreducible", "x1*x2"),
+    "iso": ("iso", "3: 1-2", "3: 2-3"),
+    "graph-classify": ("graph-classify", "3: 1-2"),
+    "steiner-check": ("steiner-check", "fano"),
+    "poset": ("poset", "--max-ess", "1"),
+    **{f"verify {name}": ("verify", name) for name in verify.ALL_SWEEPS},
+}
+
+
+def sub_parsers(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_every_parsed_flag_is_read_by_its_verb(capsys, monkeypatch):
+    parser = cli.build_parser()
+    verbs = sub_parsers(parser)
+    sweep_parsers = sub_parsers(verbs["verify"])
+    # each sweep's flags are its parameters, absent unless given, so the
+    # sweep's own default applies
+    for name, sweep in verify.ALL_SWEEPS.items():
+        params = set(inspect.signature(sweep).parameters)
+        dests = {a.dest for a in sweep_parsers[name]._actions if a.option_strings and a.dest != "help"}
+        assert dests == params | {"format"}, name
+        args = parser.parse_args(["verify", name])
+        assert all(getattr(args, param) is None for param in params), name
+        monkeypatch.setitem(verify.ALL_SWEEPS, name, lambda _name=name, **kwargs: verify.VerifyResult(_name))
+    assert {argv[0] for argv in VERB_ARGV.values()} == set(verbs)
+    assert {argv[1] for argv in VERB_ARGV.values() if argv[0] == "verify"} == set(sweep_parsers)
+    for label, argv in VERB_ARGV.items():
+        reads = set()
+
+        class Logged(argparse.Namespace):
+            def __getattribute__(self, name):
+                reads.add(name)
+                return super().__getattribute__(name)
+
+        args = parser.parse_args(argv, namespace=Logged())
+        dests = set(vars(args)) - {"verb", "fn"}  # the dispatch
+        reads.clear()
+        args.fn(args)
+        capsys.readouterr()
+        # a flag parsed and never read would be silently ignored
+        assert dests <= reads, (label, dests - reads)
 
 
 def test_cli_verify_passes_flags_through_a_wrapped_sweep(capsys, monkeypatch):
-    seen = {}
+    seen = []
 
     def wrapped(*args, **kwargs):
-        seen.update(kwargs)
+        seen.append(kwargs)
         return verify.VerifyResult("gap")
 
     monkeypatch.setitem(verify.ALL_SWEEPS, "gap", wrapped)
-    code, out, _ = run_cli(capsys, "verify", "gap", "--max-arity", "2", "--seed", "5")
+    code, out, _ = run_cli(capsys, "verify", "gap", "--max-arity", "2", "--workers", "1")
     assert (code, out) == (0, "ok\n")
-    assert seen == {"max_arity": 2}
+    # gap samples nothing, so --seed is refused before the sweep runs
+    code, out, err = run_cli(capsys, "verify", "gap", "--max-arity", "2", "--seed", "5")
+    assert (code, out) == (2, "") and "unrecognized arguments: --seed 5" in err
+    assert seen == [{"max_arity": 2, "workers": 1}]
+
+
+# the flags of every sweep, as the one shared flag list had them
+SWEEP_FLAGS = ("--max-arity", "--max-vertices", "--max-ess", "--samples", "--seed", "--workers", "--cache")
+
+
+def test_cli_verify_refuses_a_flag_its_sweep_does_not_take(capsys):
+    refused = 0
+    for name, sweep in verify.ALL_SWEEPS.items():
+        taken = {"--cache" if p == "cache_path" else "--" + p.replace("_", "-") for p in inspect.signature(sweep).parameters}
+        for flag in SWEEP_FLAGS:
+            if flag in taken:
+                continue
+            refused += 1
+            code, out, err = run_cli(capsys, "verify", name, flag, "1")
+            assert (code, out) == (2, ""), (name, flag)
+            assert f"unrecognized arguments: {flag} 1" in err and "Traceback" not in err
+    assert refused == 26
 
 
 def test_cli_verify_keylemma_matches_library(capsys):
