@@ -125,6 +125,13 @@ class SteinerReport:
     and -2-monomorphy are both printed and deliberately never asserted
     against each other (whether they coincide for Steiner triple systems is
     open).
+
+    Every pair contraction of a Steiner system keeps the same number of
+    essential vertices (n - 1 from four points on), so ``irreducible`` (the
+    contraction criterion) runs the same group check as
+    ``contractions_isomorphic``.  Its independent check is the direct
+    definition, which the tests run on every catalog instance within
+    ``bfcore.CANONICAL_MAX_ESS`` points.
     """
 
     name: str
@@ -238,11 +245,12 @@ def catalog_documents() -> dict[str, str]:
 
 
 def small_steiner_catalog() -> dict[str, Hypergraph]:
-    """Known Steiner systems on at most nine points, plus the shipped ones.
+    """Small known Steiner systems and every :func:`builtin_instances` entry.
 
-    Complete graphs are the k=2 systems; a single block covering everything
-    is the degenerate k=n system; 7 and 9 points carry the two classical
-    triple systems.
+    Complete graphs on 2..7 points are the k=2 systems, and a single block
+    covering all of 3..9 points is the degenerate k=n system.  The shipped
+    instances add the Fano plane, the affine plane of order 3 and the
+    13-point cyclic triple system.
     """
     from .graphs import complete
 
@@ -252,6 +260,4 @@ def small_steiner_catalog() -> dict[str, Hypergraph]:
         catalog[f"K{n}"] = Hypergraph(g.vertex_count, g.edges)
     for n in range(3, 10):
         catalog[f"single-block-{n}"] = Hypergraph(n, frozenset([(1 << n) - 1]))
-    catalog["fano"] = fano_plane()
-    catalog["ag23"] = affine_plane_order3()
-    return catalog
+    return catalog | builtin_instances()

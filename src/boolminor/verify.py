@@ -22,9 +22,9 @@ The labeled-graph sweep decomposes the 2^C(n,2) edge masks into orbits
 under vertex permutations with ``bfcore._orbit_partition`` (the engine the
 poset enumeration runs on ANF vectors, here fed the pair masks), evaluates
 the expensive irreducibility oracles once per orbit representative, and
-still runs the structural classifiers on every labeled mask; seeded spot
-samples re-run the oracle on non-representative masks to confirm the
-implementation is labeling-invariant.
+still runs the structural classifiers on every labeled mask.  Spot samples,
+distinct masks drawn with a fixed seed (every mask at n <= 4), re-run the
+oracle on their labeled graphs to confirm it is labeling-invariant.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def _pool(workers: int):
 def _run_shards(fn, jobs: list, pool) -> dict:
     """Run ``fn`` on every job, in the sweep's ``pool`` when it has one, and
     add the returned dicts key by key, in job order: ints and Counters sum,
-    failure lists concatenate.  No jobs, no keys."""
+    failure lists concatenate."""
     if pool is None:
         parts = map(fn, jobs)
     else:
@@ -139,9 +139,10 @@ def _run_shards(fn, jobs: list, pool) -> dict:
 
 
 def _split_range(total: int, pieces: int) -> list[tuple[int, int]]:
+    """At most ``pieces`` ranges covering ``0..total``; a total of 0 gives one empty range."""
     pieces = max(1, min(pieces, total))
     step = max(1, (total + pieces - 1) // pieces)
-    return [(s, min(s + step, total)) for s in range(0, total, step)]
+    return [(s, min(s + step, total)) for s in range(0, max(total, 1), step)]
 
 
 # ===========================================================================
@@ -383,8 +384,8 @@ def correspondence_sweep(
         sampled = _run_shards(_correspondence_shard, sample_jobs, pool)
     pairs = merged["pairs"]
     positives = merged["positives"]
-    failures = merged["mismatches"] + sampled.get("mismatches", [])
-    sample_positives = sampled.get("positives", 0)
+    failures = merged["mismatches"] + sampled["mismatches"]
+    sample_positives = sampled["positives"]
 
     lines = [
         f"{pairs} exhaustive pairs checked (hypergraphs on 1..{max_vertices} vertices)",
@@ -463,9 +464,9 @@ def contraction_criterion_sweep(
             data["per_vertex_count"][n] = {"checked": checked, "irreducible": irreducible}
         jobs = [(seed, sample_n, s, e) for s, e in _split_range(samples, workers * 4)]
         merged = _run_shards(_criterion_shard, jobs, pool)
-    checked = merged.get("checked", 0)
-    irreducible = merged.get("irreducible", 0)
-    failures += merged.get("mismatches", [])
+    checked = merged["checked"]
+    irreducible = merged["irreducible"]
+    failures += merged["mismatches"]
     lines.append(
         f"n={sample_n}: {checked} sampled hypergraphs checked, irreducible: {irreducible}"
     )
@@ -509,17 +510,6 @@ def _rep_oracle_shard(job: tuple[int, list[int]]) -> dict:
                     "direct_definition": direct,
                 }
             )
-        if by_contr != cls.irreducible:
-            # recorded here and caught again labeled-side
-            failures.append(
-                {
-                    "sweep": "graphs-rep",
-                    "n": n,
-                    "rep": rep,
-                    "classified": str(cls),
-                    "irreducible_oracle": by_contr,
-                }
-            )
         probes: list[str] = []
         if cls.irreducible and not graphs.matches_template(g, cls):
             probes.append("classification does not match its template graph")
@@ -527,19 +517,11 @@ def _rep_oracle_shard(job: tuple[int, list[int]]) -> dict:
         if connected:
             if not graphs.lemma_aux_check(g):
                 probes.append("edge-contraction probe failed")
-            decomp = graphs.ai_decomposition(g)
-            prime = graphs.is_ai_prime(g)
             if by_contr:
-                q = decomp.quotient
-                qn = q.vertex_count
-                q_complete = len(q.edges) == qn * (qn - 1) // 2 and qn >= 2
-                q_c5 = (
-                    qn == 5
-                    and all(m.bit_count() == 2 for m in graphs.neighborhoods(q))
-                )
-                if not (q_complete or q_c5):
+                fam = graphs.classify_property_p(graphs.ai_decomposition(g).quotient)
+                if fam is None or fam.kind not in (graphs.PropertyPKind.COMPLETE, graphs.PropertyPKind.C5):
                     probes.append("irreducible connected graph with a bad ai quotient")
-            if not prime:
+            if not graphs.is_ai_prime(g):
                 in_families = cls.kind in (
                     graphs.JIKind.K2_JOIN_EMPTY,
                     graphs.JIKind.EMPTY_JOIN_EMPTY,
@@ -623,12 +605,9 @@ def _c5_blowup_check() -> list[dict]:
         for sizes in itertools.product(range(1, 5), repeat=5):
             if sum(sizes) != total or max(sizes) < 2:
                 continue
-            blocks = []
-            nxt = 1
-            for s in sizes:
-                blocks.append(tuple(range(nxt, nxt + s)))
-                nxt += s
-            g = graphs.lexicographic_sum(tuple(blocks), quotient)
+            starts = itertools.accumulate(sizes, initial=1)
+            blocks = tuple(tuple(range(a, a + s)) for a, s in zip(starts, sizes))
+            g = graphs.lexicographic_sum(blocks, quotient)
             if hg.is_irreducible_by_contractions(g) or (
                 bfcore.is_irreducible_direct(hg.polynomial_of(g)) is not None
             ):
@@ -698,8 +677,7 @@ def graph_sweep(
 
             # seeded spot checks: the oracle must not depend on the labeling
             rng = random.Random(f"{seed}:spot:{n}")
-            for _ in range(min(_GRAPHS_SPOT_SAMPLES, total)):
-                m = rng.randrange(total)
+            for m in rng.sample(range(total), min(_GRAPHS_SPOT_SAMPLES, total)):
                 g = _graph_from_mask(n, m, pairs)
                 if hg.is_irreducible_by_contractions(g) != verdicts[rep_of[m]]:
                     failures.append(
@@ -727,10 +705,8 @@ def steiner_catalog_report() -> VerifyResult:
     lines = []
     failures = []
     data: dict = {"instances": {}}
-    catalog: dict[str, hg.Hypergraph] = dict(designs.small_steiner_catalog())
-    catalog["sts13"] = designs.cyclic_sts13()
-    for name in sorted(catalog):
-        h = catalog[name]
+    catalog = designs.small_steiner_catalog()
+    for name, h in sorted(catalog.items()):
         report = designs.steiner_report(h, name)
         lines.extend(report.lines())
         data["instances"][name] = report.structured()
@@ -782,8 +758,10 @@ def poset_sweep(
         )
 
     counts: Counter = Counter()
+    per_ess: Counter = Counter()
     for r in records:
         counts[(r.ess, r.block.value)] += 1
+        per_ess[r.ess] += 1
         # parity block is preserved by every one-variable identification,
         # read off each child's vector: its monomial count and constant bit
         n = r.canon.arity
@@ -835,11 +813,10 @@ def poset_sweep(
 
     # no comparabilities across the four blocks
     rng = random.Random(f"{seed}:poset")
-    recs = list(records)
     checked_pairs = 0
     for _ in range(500):
-        a = rng.choice(recs)
-        b = rng.choice(recs)
+        a = rng.choice(records)
+        b = rng.choice(records)
         if a.block is b.block:
             continue
         checked_pairs += 1
@@ -853,9 +830,6 @@ def poset_sweep(
             )
 
     lines = [f"{len(records)} classes enumerated up to ess {max_ess}"]
-    per_ess: Counter = Counter()
-    for r in records:
-        per_ess[r.ess] += 1
     lines.append(
         "classes by ess: " + " ".join(f"{e}->{per_ess[e]}" for e in sorted(per_ess))
     )

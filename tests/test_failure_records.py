@@ -11,6 +11,7 @@ document that ``boolminor verify`` prints of the gap records are pinned
 byte for byte.
 """
 
+import ast
 import dataclasses
 import hashlib
 import itertools
@@ -183,7 +184,7 @@ def test_correspondence_failure_records(faults):
 def test_graph_failure_records(faults):
     result = verify.graph_sweep(4, workers=1)
     assert result.failures == EXPECTED_GRAPHS
-    assert result.data["graph_mismatches"] == 13
+    assert result.data["graph_mismatches"] == 12
     assert result.data["property_p_mismatches"] == 4
 
 
@@ -241,6 +242,48 @@ def test_poset_failure_records(monkeypatch):
     ]
 
 
+def test_poset_blocks_incomparable_failure_records(monkeypatch):
+    # a projection and a negated projection are made comparable; the
+    # enumeration compares classes of one block only, so it is untouched
+    clean = verify.poset_sweep(2)
+    minor, pair = bfcore.is_minor, {"x1", "x1*x2 + 1"}
+
+    def bad_minor(g, f):
+        if {format_polynomial(g), format_polynomial(f)} == pair:
+            return bfcore.MinorWitness(())
+        return minor(g, f)
+
+    monkeypatch.setattr(bfcore, "is_minor", bad_minor)
+    result = verify.poset_sweep(2)
+    assert result.lines == clean.lines
+    assert result.failures == [
+        {"sweep": "poset-blocks-incomparable", "first": "x1", "second": "x1*x2 + 1"},
+        {"sweep": "poset-blocks-incomparable", "first": "x1*x2 + 1", "second": "x1"},
+    ]
+
+
+def test_every_failure_kind_is_pinned_here():
+    # each "sweep" literal of a record, and each kind the correspondence
+    # shard picks, must occur in this file, so no kind ships unpinned
+    kinds = set()
+    for node in ast.walk(ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Dict):
+            kinds.update(
+                v.value for k, v in zip(node.keys, node.values)
+                if isinstance(k, ast.Constant) and k.value == "sweep" and isinstance(v, ast.Constant)
+            )
+        elif isinstance(node, ast.FunctionDef) and node.name == "_correspondence_shard":
+            kinds.update(
+                a.value.value for a in ast.walk(node)
+                if isinstance(a, ast.Assign) and isinstance(a.value, ast.Constant)
+                and [getattr(t, "id", None) for t in a.targets] == ["kind"] and a.value.value
+            )
+    assert {"gap", "correspondence", "correspondence-public-check"} <= kinds
+    here = ast.parse(Path(__file__).read_text(encoding="utf-8"))
+    literals = {c.value for c in ast.walk(here) if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    assert sorted(kinds - literals) == []
+
+
 def test_steiner_failure_records(monkeypatch):
     # K4 is 2-set transitive, so its faulted contractions give both kinds
     report = designs.steiner_report
@@ -283,15 +326,13 @@ def test_graph_spot_and_structure_failure_records(monkeypatch):
     monkeypatch.setattr(graphs, "matches_template", lambda g, cls: template(g, cls) and sum(g.edges) % 7 != 2)
     monkeypatch.setattr(graphs, "ai_decomposition", bad_decompose)
     result = verify.graph_sweep(4, workers=1)
-    spot = {"sweep": "graphs-spot", "graph": "4: 3-4", "orbit_verdict": True}
     assert result.failures == [
         {"sweep": "graphs-probe", "n": 4, "rep": 30, "probe": "classification does not match its template graph"},
         {"sweep": "graphs-probe", "n": 4, "rep": 30, "probe": "irreducible connected graph with a bad ai quotient"},
-        # the seeded spot samples draw this mask twice
-        spot,
-        spot,
+        # at n <= 4 the spot samples are every mask, each drawn once
+        {"sweep": "graphs-spot", "graph": "4: 3-4", "orbit_verdict": True},
     ]
-    assert (result.data["graph_mismatches"], result.data["property_p_mismatches"]) == (4, 0)
+    assert (result.data["graph_mismatches"], result.data["property_p_mismatches"]) == (3, 0)
 
 
 def _keylemma(doc, by_contr, direct):
@@ -346,7 +387,6 @@ EXPECTED_GRAPHS = [
     _oracle(4, 1),
     # one representative, every kind of its records, in this order
     _oracle(4, 7),
-    {"sweep": "graphs-rep", "n": 4, "rep": 7, "classified": "NotIrreducible", "irreducible_oracle": True},
     {"sweep": "graphs-probe", "n": 4, "rep": 7, "probe": "edge-contraction probe failed"},
     {"sweep": "graphs-probe", "n": 4, "rep": 7, "probe": "non-prime connected case disagrees with its families"},
     _oracle(4, 63),

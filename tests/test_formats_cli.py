@@ -502,6 +502,7 @@ def test_cli_verify_gap_small(capsys):
     assert out.strip().endswith("ok")
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize(
     "sweep, sample_line",
     [
@@ -509,8 +510,11 @@ def test_cli_verify_gap_small(capsys):
         ("correspondence", "0 sampled pairs checked (4..5 vertices, seed 271828)"),
     ],
 )
-def test_cli_verify_zero_samples(capsys, sweep, sample_line):
-    code, out, _ = run_cli(capsys, "verify", sweep, "--max-vertices", "2", "--samples", "0")
+def test_cli_verify_zero_samples(capsys, monkeypatch, sweep, sample_line, workers):
+    # at two workers the empty sampled phase runs one empty shard in the pool;
+    # resolve_workers clamps the count to the CPU count
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, _ = run_cli(capsys, "verify", sweep, "--max-vertices", "2", "--samples", "0", "--workers", workers)
     assert code == 0
     assert sample_line in out.splitlines()
     assert out.strip().endswith("ok")

@@ -5,6 +5,7 @@ The patched shards below are module-level functions, so a worker can
 unpickle them by name; the pool forks, so each worker sees the patch.
 """
 
+import contextlib
 import os
 import signal
 import subprocess
@@ -42,9 +43,15 @@ def recording_labeled_shard(job):
 
 
 def children():
-    """The pids of this process's live or unreaped children."""
-    tasks = Path("/proc/self/task")
-    return [pid for task in tasks.iterdir() for pid in (task / "children").read_text().split()]
+    """The pids of this process's live or unreaped children.
+
+    A thread that exits between the listing and the read is skipped: Linux
+    hands its children to a live thread, so none is missed."""
+    pids = []
+    for task in Path("/proc/self/task").iterdir():
+        with contextlib.suppress(FileNotFoundError):
+            pids += (task / "children").read_text().split()
+    return pids
 
 
 @pytest.fixture
