@@ -401,20 +401,26 @@ def _drop_var(vec: int, k: int, n: int) -> int:
 # equivalence and canonical forms
 
 
+def _relabel(monomials: Iterable[int], keep: int) -> frozenset[int]:
+    """Move the bits of ``keep`` onto bits 0, 1, 2, ... in order.
+
+    Every monomial must lie inside ``keep``, so none cancels: the one
+    renumbering of surviving variables (support reduction, contraction,
+    pair deletion).
+    """
+    images = [0] * keep.bit_length()
+    for new, old in enumerate(bits_of(keep)):
+        images[old] = 1 << new
+    return frozenset(fold(m, images) for m in monomials)
+
+
 def _reduce_masks(monomials: frozenset[int]) -> tuple[frozenset[int], int]:
     """Relabel the occurring variables onto bits 0..ess-1, order preserved."""
     sup = support_mask(monomials)
-    if sup == 0:
-        return monomials, 0
-    positions = bits_of(sup)
-    ess = len(positions)
-    if positions == list(range(ess)):
+    ess = sup.bit_count()
+    if sup == (1 << ess) - 1:
         return monomials, ess
-    images = [0] * (positions[-1] + 1)
-    for new, old in enumerate(positions):
-        images[old] = 1 << new
-    reduced = frozenset(fold(m, images) for m in monomials)
-    return reduced, ess
+    return _relabel(monomials, sup), ess
 
 
 def _check_canonical_ess(ess: int) -> None:

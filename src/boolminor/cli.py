@@ -35,10 +35,7 @@ from .formats import (
     parse_any_hypergraph,
     parse_any_polynomial,
     parse_graph,
-    parse_polynomial,  # re-exported: the grammar's entry point
 )
-
-__all__ = ["main", "parse_polynomial"]
 
 # a truth table at the arity cap is about 262,000 characters
 _INPUT_MAX_BYTES = 64 << 20

@@ -5,8 +5,9 @@ distinct points lies in exactly lambda blocks; lambda = 1 makes it a
 Steiner system, and block size 3 a Steiner triple system.  For Steiner
 systems, irreducibility of the associated Boolean function, isomorphy of
 all pair contractions, and -2-monomorphy (all two-point deletions
-isomorphic) are equivalent; the report type checks all three plus 2-set
-transitivity of the automorphism group.
+isomorphic) are equivalent; the report type checks them (the first two
+by one run of the contraction criterion) plus 2-set transitivity of the
+automorphism group.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .bfcore import _identify_masks, fold
+from .bfcore import _relabel
 from .hypergraph import (
     AUTOMORPHISM_MAX_VERTICES,
     Hypergraph,
@@ -89,12 +90,8 @@ def delete_pair(h: Hypergraph, pair: tuple[int, int]) -> Hypergraph:
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("deleted vertices must exist")
     e_mask = (1 << (i - 1)) | (1 << (j - 1))
-    keep = [v for v in range(n) if not (e_mask >> v) & 1]
-    images = [0] * n
-    for new, old in enumerate(keep):
-        images[old] = 1 << new
-    edges = frozenset(fold(e, images) for e in h.edges if not e & e_mask)
-    return Hypergraph(n - 2, edges)
+    keep = (1 << n) - 1 ^ e_mask
+    return Hypergraph(n - 2, _relabel((e for e in h.edges if not e & e_mask), keep))
 
 
 def is_minus2_monomorphic(h: Hypergraph) -> bool:
@@ -110,12 +107,6 @@ def is_minus2_monomorphic(h: Hypergraph) -> bool:
     return _all_isomorphic(n, (frozenset(e for e in h.edges if not e & pair) for pair in pairs))
 
 
-def _contractions_all_isomorphic(h: Hypergraph) -> bool:
-    # in place, on the n vertices with the identified-away one left isolated
-    pairs = itertools.combinations(range(h.vertex_count), 2)
-    return _all_isomorphic(h.vertex_count, (_identify_masks(h.edges, i, j) for i, j in pairs))
-
-
 @dataclass(frozen=True)
 class SteinerReport:
     """The three equivalent irreducibility conditions plus the group flags.
@@ -126,12 +117,15 @@ class SteinerReport:
     against each other (whether they coincide for Steiner triple systems is
     open).
 
-    Every pair contraction of a Steiner system keeps the same number of
-    essential vertices (n - 1 from four points on), so ``irreducible`` (the
-    contraction criterion) runs the same group check as
-    ``contractions_isomorphic``.  Its independent check is the direct
-    definition, which the tests run on every catalog instance within
-    ``bfcore.CANONICAL_MAX_ESS`` points.
+    ``irreducible`` and ``contractions_isomorphic`` are one run of the
+    contraction criterion, whose top group here is every pair contraction:
+    with blocks of 3 or more points no two blocks share two points, so no
+    contraction cancels an edge and each keeps n - 1 points; with blocks of
+    2 the system is K_n, whose contractions are all alike.
+    ``irreducible == minus2_monomorphic`` is the check that carries the
+    paper's claim.  The tests also compare ``irreducible`` with the direct
+    definition on every catalog instance within ``bfcore.CANONICAL_MAX_ESS``
+    points.
     """
 
     name: str
@@ -180,11 +174,12 @@ def steiner_report(h: Hypergraph, name: str = "steiner-system") -> SteinerReport
     two_set: Optional[bool] = None
     if h.vertex_count <= AUTOMORPHISM_MAX_VERTICES:
         aut_order, two_set = _automorphism_summary(h)
+    irreducible = is_irreducible_by_contractions(h)
     return SteinerReport(
         name=name,
         params=params,
-        irreducible=is_irreducible_by_contractions(h),
-        contractions_isomorphic=_contractions_all_isomorphic(h),
+        irreducible=irreducible,
+        contractions_isomorphic=irreducible,
         minus2_monomorphic=is_minus2_monomorphic(h),
         two_set_transitive=two_set,
         aut_order=aut_order,

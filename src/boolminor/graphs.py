@@ -87,7 +87,7 @@ def _require_positive(n: int) -> None:
 
 def complete(n: int) -> Graph:
     _require_positive(n)
-    return Graph.from_pairs(n, itertools.combinations(range(1, n + 1), 2))
+    return Graph(n, frozenset(_pair_ends(n).keys()))
 
 
 def empty(n: int) -> Graph:
@@ -108,12 +108,7 @@ def cycle(n: int) -> Graph:
 
 
 def complement(g: Graph) -> Graph:
-    n = g.vertex_count
-    edges = frozenset(
-        (1 << (a - 1)) | (1 << (b - 1))
-        for a, b in itertools.combinations(range(1, n + 1), 2)
-    )
-    return Graph(n, edges - g.edges)
+    return Graph(g.vertex_count, frozenset(_pair_ends(g.vertex_count).keys()) - g.edges)
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
@@ -466,7 +461,6 @@ def lemma_aux_check(g: Graph) -> bool:
     def covered(pair: int) -> bool:
         return support_mask(_identify_masks(g.edges, *bits_of(pair))).bit_count() == n - 1
 
-    pairs = (1 << i | 1 << j for i, j in itertools.combinations(range(n), 2))
-    if not any(covered(p) for p in pairs if p not in g.edges):
+    if not any(covered(p) for p in _pair_ends(n) if p not in g.edges):
         return True
     return any(covered(e) for e in g.edges)

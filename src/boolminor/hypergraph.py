@@ -192,9 +192,9 @@ def contract(h: Hypergraph, pair: tuple[int, int]) -> Hypergraph:
     """Identify the two vertices of ``pair``, numbered as :func:`collapse_map` maps them."""
     i, j = pair
     lo, hi = _check_pair(h.vertex_count, i, j)
-    below = (1 << (hi - 1)) - 1
     merged = bfcore._identify_masks(h.edges, lo - 1, hi - 1)
-    return Hypergraph(h.vertex_count - 1, frozenset(m & below | (m >> 1) & ~below for m in merged))
+    keep = (1 << h.vertex_count) - 1 ^ 1 << (hi - 1)
+    return Hypergraph(h.vertex_count - 1, bfcore._relabel(merged, keep))
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +506,12 @@ def ess_drop_analysis(h: Hypergraph, pair: tuple[int, int]) -> EssDropReport:
 
     le_isolated = not (after_sup >> (lo - 1)) & 1
 
-    # merged vertex isolated iff every residue F meets an even number of
-    # the three possible donors F|{i}, F|{j}, F|{i,j}
-    residues = {e & ~e_mask for e in edges if e & e_mask}
-    le_parity = all(
-        sum(1 for cand in (f | ibit, f | jbit, f | e_mask) if cand in edges) % 2 == 0
-        for f in residues
-    )
+    def cancels(f: int) -> bool:
+        # residue F meets an even number of the donors F|{i}, F|{j}, F|{i,j}
+        return sum(1 for cand in (f | ibit, f | jbit, f | e_mask) if cand in edges) % 2 == 0
+
+    # merged vertex isolated iff every residue cancels
+    le_parity = all(cancels(f) for f in {e & ~e_mask for e in edges if e & e_mask})
 
     isolated: list[int] = []
     conditions: list[tuple[int, bool]] = []
@@ -523,10 +522,7 @@ def ess_drop_analysis(h: Hypergraph, pair: tuple[int, int]) -> EssDropReport:
         isolated.append(v)
         vbit = 1 << b
         through_v = [e for e in edges if e & vbit]
-        cond = all(e & e_mask for e in through_v) and all(
-            sum(1 for cand in (s | e_mask, s | ibit, s | jbit) if cand in edges) % 2 == 0
-            for s in {e & ~e_mask for e in through_v}
-        )
+        cond = all(e & e_mask for e in through_v) and all(cancels(e & ~e_mask) for e in through_v)
         conditions.append((v, cond))
     return EssDropReport(
         pair=(i, j),

@@ -169,22 +169,32 @@ def test_steiner_report_reads_the_group_off_one_search(monkeypatch):
     assert report.two_set_transitive and report.aut_order == 168
 
 
+def test_steiner_report_runs_each_group_check_once(monkeypatch):
+    # one group check for the contraction criterion, which also answers
+    # contractions_isomorphic, and one for -2-monomorphy
+    runs = []
+    first_bijections = hypergraph._first_bijections
+
+    def counted(n, members):
+        runs.append(n)
+        return first_bijections(n, members)
+
+    monkeypatch.setattr(hypergraph, "_first_bijections", counted)
+    report = steiner_report(designs.fano_plane(), "fano")
+    assert runs == [7, 7]
+    assert report.irreducible and report.contractions_isomorphic and report.minus2_monomorphic
+
+
 def oracle_contractions_all_isomorphic(h):
     """All pair contractions isomorphic, over renumbered ``contract`` copies."""
     pairs = itertools.combinations(range(1, h.vertex_count + 1), 2)
     return oracle_all_isomorphic(contract(h, pair) for pair in pairs)
 
 
-@settings(max_examples=150, deadline=None)
-@given(small_hypergraphs())
-def test_contraction_check_in_place_matches_renumbering_oracle(h):
-    assert designs._contractions_all_isomorphic(h) == oracle_contractions_all_isomorphic(h)
-
-
 def test_contraction_check_matches_oracle_on_the_catalog():
     for name, h in designs.small_steiner_catalog().items():
         expected = oracle_contractions_all_isomorphic(h)
-        assert designs._contractions_all_isomorphic(h) == expected, name
+        assert steiner_report(h, name).contractions_isomorphic == expected, name
 
 
 @settings(max_examples=150, deadline=None)
@@ -196,8 +206,8 @@ def test_minus2_monomorphy_in_place_matches_renumbering_oracle(h):
 
 
 def test_steiner_irreducible_matches_the_direct_definition():
-    # on a Steiner system the contraction criterion and the contraction
-    # check run one group check; the direct definition is independent of it
+    # on a Steiner system one run of the contraction criterion answers both
+    # contraction flags; the direct definition is independent of it
     catalog = designs.small_steiner_catalog()
     small = {name: h for name, h in catalog.items() if h.vertex_count <= bfcore.CANONICAL_MAX_ESS}
     assert sorted(catalog.keys() - small.keys()) == ["sts13"]

@@ -235,7 +235,6 @@ def test_poset_failure_records(monkeypatch):
             "sweep": "poset-irreducible",
             "class": "x1*x2 + x1 + x2",
             "unique_cover": False,
-            "direct": True,
             "contraction_criterion": True,
         },
         {"sweep": "poset-gap-law", "class": "x1*x2", "cover": "x1", "ess": 2, "cover_ess": 1, "gap": 2},

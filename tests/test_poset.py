@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from boolminor import bfcore, cli, poset
+from boolminor import bfcore, cli, poset, verify
 from boolminor.bfcore import TruthTable, Zhegalkin, bits_of, zhegalkin_from_truth_table
 from boolminor.formats import format_polynomial, parse_polynomial
 from boolminor.poset import (
@@ -239,10 +239,20 @@ def test_cover_scan_matches_all_pairs_and_champion_oracles(classes4):
     assert verdicts == {False, True}
 
 
-def test_irreducibility_matches_unique_cover():
-    for r in enumerate_classes(3):
+def test_irreducibility_matches_unique_cover(classes4):
+    # the poset sweep compares the record's verdict with the contraction
+    # criterion only; its agreement with the direct definition lives here
+    for r in classes4:
         direct = bfcore.is_irreducible_direct(r.canon) is not None
         assert r.irreducible == direct == (len(r.lower_covers) == 1)
+
+
+def test_poset_sweep_runs_no_second_cover_scan(monkeypatch):
+    def refuse(vec, n):
+        raise AssertionError("the poset sweep scanned the covers a record already holds")
+
+    monkeypatch.setattr(bfcore, "_irreducible_cover", refuse)
+    assert verify.poset_sweep(3).ok
 
 
 def test_provisional_flag():
