@@ -637,8 +637,9 @@ def arity_gap(f: Zhegalkin) -> int:
     return 1 if classify_gap(f).tag is GapTag.GAP_ONE else 2
 
 
-def _arity_gap_vec(vec: int, n: int) -> int:
-    """The brute-force gap, on the ANF vector of an n-variable function.
+def _arity_gap_vec(vec: int, n: int) -> int | None:
+    """The brute-force gap, on the ANF vector of an n-variable function;
+    None below two essential variables, where no gap is defined.
 
     An identification removes the identified-away variable, so no pair
     keeps more than ess - 1 variables: the scan stops at the first pair
@@ -648,7 +649,7 @@ def _arity_gap_vec(vec: int, n: int) -> int:
     support = [k for k in range(n) if vec & vm[k]]
     ess = len(support)
     if ess < 2:
-        raise ValueError("arity gap requires at least two essential variables")
+        return None
     best_after = -1
     for bi, bj in itertools.combinations(support, 2):
         w = _identify_vec(vec, bi, bj, n)

@@ -54,8 +54,6 @@ def design_parameters(h: Hypergraph) -> Optional[DesignParams]:
             lam = cover
         elif cover != lam:
             return None
-    if not lam:
-        return None
     return DesignParams(n, k, lam)
 
 

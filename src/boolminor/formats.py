@@ -272,12 +272,10 @@ def parse_any_polynomial(text: str, arity: Optional[int] = None) -> Zhegalkin:
 
 
 def parse_any_hypergraph(text: str) -> Hypergraph:
-    """Accept a hypergraph document, a graph line, or a polynomial."""
+    """Accept a hypergraph document, a graph line, a polynomial or a table."""
     kind = detect_kind(text)
     if kind == "hypergraph":
         return parse_hypergraph_doc(text)
     if kind == "graph":
         return parse_graph(text)
-    if kind == "table":
-        return hypergraph_of(zhegalkin_from_truth_table(parse_truth_table(text)))
-    return hypergraph_of(parse_polynomial(text))
+    return hypergraph_of(parse_any_polynomial(text))

@@ -155,14 +155,13 @@ def _gap_shard(job: tuple[int, int, int]) -> dict:
     family_counts: Counter = Counter()
     low_ess = 0
     mismatches = []
-    var_masks = bfcore._var_masks(arity)
     for table_bits in range(start, stop):
         # the ANF vector: bit m is set when monomial m occurs
         anf = bfcore._mobius(table_bits, arity)
-        if sum(1 for vm in var_masks if anf & vm) < 2:
+        gap = bfcore._arity_gap_vec(anf, arity)
+        if gap is None:
             low_ess += 1
             continue
-        gap = bfcore._arity_gap_vec(anf, arity)
         family = bfcore._classify_gap_vec(anf, arity)
         gap_counts[gap] += 1
         family_counts[family.tag.value] += 1
@@ -478,11 +477,6 @@ def contraction_criterion_sweep(
 # labeled-graph sweep
 
 
-def _pair_list(n: int) -> list[int]:
-    """Pair masks of vertices 0..n-1; bit k of an edge mask is the k-th pair."""
-    return list(graphs._pair_ends(n))
-
-
 def _graph_from_mask(n: int, mask: int, pairs: list[int]) -> graphs.Graph:
     return graphs.Graph(n, frozenset(pairs[k] for k in bits_of(mask)))
 
@@ -491,7 +485,7 @@ def _rep_oracle_shard(job: tuple[int, list[int]]) -> dict:
     """The irreducibility verdict of each orbit representative, and the
     failures of its oracle, classifier and structure probes."""
     n, reps = job
-    pairs = _pair_list(n)
+    pairs = list(graphs._pair_ends(n))
     verdicts = []
     failures = []
     for rep in reps:
@@ -542,7 +536,7 @@ def _labeled_shard(job) -> dict:
     only for a failure record.
     """
     n, start, stop, rep_slice, verdicts = job
-    pairs = _pair_list(n)
+    pairs = list(graphs._pair_ends(n))
     flips = list(graphs._pair_ends(n).values())
     classify = graphs._classify_join_irreducible
     satisfies = graphs._satisfies_property_p
@@ -635,7 +629,7 @@ def graph_sweep(
     data: dict = {"per_vertex_count": {}, "seed": seed}
     with _pool(workers) as pool:
         for n in range(1, max_vertices + 1):
-            pairs = _pair_list(n)
+            pairs = list(graphs._pair_ends(n))
             total = 1 << len(pairs)
             rep_of, reps = _orbit_partition(pairs, n)
 
@@ -688,8 +682,9 @@ def graph_sweep(
                         }
                     )
 
-    failures.extend(_c5_blowup_check())
-    lines.append("C5-quotient blow-ups on <= 8 vertices: none irreducible")
+    c5_failures = _c5_blowup_check()
+    failures.extend(c5_failures)
+    lines.append(f"C5-quotient blow-ups on <= 8 vertices: {len(c5_failures) or 'none'} irreducible")
     all_failures = failures + p_failures
     data["property_p_mismatches"] = len(p_failures)
     data["graph_mismatches"] = len(failures)

@@ -108,6 +108,16 @@ def test_criterion_3_correspondence_sweep():
     )
 
 
+@pytest.mark.parametrize(
+    "step, sweep",
+    [("keylemma", verify.contraction_criterion_sweep), ("correspondence", verify.correspondence_sweep)],
+)
+def test_benchmark_sampled_steps_match_the_reference(step, sweep):
+    # the benchmark runs these two steps at --samples 1000 --workers 1
+    result = sweep(samples=1000, seed=verify.DEFAULT_SEED, workers=1)
+    assert result.ok and stdout_matches_reference(result, step)
+
+
 def test_criterion_4_contraction_criterion_sweep():
     t0 = time.time()
     result = verify.contraction_criterion_sweep(

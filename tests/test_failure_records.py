@@ -186,6 +186,7 @@ def test_graph_failure_records(faults):
     assert result.failures == EXPECTED_GRAPHS
     assert result.data["graph_mismatches"] == 12
     assert result.data["property_p_mismatches"] == 4
+    assert result.lines[-1] == "C5-quotient blow-ups on <= 8 vertices: 2 irreducible"
 
 
 def test_poset_block_failure_records(monkeypatch):

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from boolminor import bfcore, verify
+from boolminor import bfcore, graphs
 from boolminor.bfcore import bits_of, support_mask
 from boolminor.graphs import (
     Graph,
@@ -281,7 +281,7 @@ def test_lemma_aux_matches_renumbering_oracle():
     # (all 26,704 labeled connected ones on 6 would take about 1.7 s)
     checked = 0
     for n in range(2, 7):
-        pairs = verify._pair_list(n)
+        pairs = list(graphs._pair_ends(n))
         masks = range(1 << len(pairs)) if n < 6 else bfcore._orbit_partition(pairs, n)[1]
         for mask in masks:
             g = Graph(n, frozenset(pairs[k] for k in bits_of(mask)))

@@ -21,7 +21,7 @@ from oracles import (
 @functools.lru_cache(maxsize=None)
 def true_verdicts(n):
     """The orbit representative of every mask, and each one's verdict."""
-    rep_of, reps = bfcore._orbit_partition(verify._pair_list(n), n)
+    rep_of, reps = bfcore._orbit_partition(list(graphs._pair_ends(n)), n)
     return rep_of, dict(verify._rep_oracle_shard((n, reps))["verdicts"])
 
 
