@@ -142,12 +142,13 @@ def oracle_maximal_one_steps(f: Zhegalkin):
     lazily: every support pair grouped by the set-based
     ``oracle_one_step_groups`` first, the groups stably sorted by descending
     ess, and each class kept unless it lies below a kept class of higher
-    ess.  It shares no step of the walk it checks."""
+    ess, asked of the unscreened minor search.  It shares no step of the
+    walk it checks."""
     bfcore._check_canonical_ess(bfcore.essential_arity(f))
     found = []
     for canon, ess in sorted(oracle_one_step_groups(f.monomials), key=lambda key: -key[1]):
         cls = Zhegalkin(max(ess, 1), frozenset(canon))
-        if not any(m_ess > ess and bfcore.is_minor(cls, m) is not None for m, m_ess in found):
+        if not any(m_ess > ess and bfcore._minor_search(cls, m) is not None for m, m_ess in found):
             found.append((cls, ess))
             yield cls
 

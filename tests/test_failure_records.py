@@ -243,17 +243,18 @@ def test_poset_failure_records(monkeypatch):
 
 
 def test_poset_blocks_incomparable_failure_records(monkeypatch):
-    # a projection and a negated projection are made comparable; the
-    # enumeration compares classes of one block only, so it is untouched
+    # a projection and a negated projection are made comparable in the
+    # unscreened search the cross-block check asks; the enumeration compares
+    # classes of one block only, so it is untouched
     clean = verify.poset_sweep(2)
-    minor, pair = bfcore.is_minor, {"x1", "x1*x2 + 1"}
+    minor, pair = bfcore._minor_search, {"x1", "x1*x2 + 1"}
 
     def bad_minor(g, f):
         if {format_polynomial(g), format_polynomial(f)} == pair:
             return bfcore.MinorWitness(())
         return minor(g, f)
 
-    monkeypatch.setattr(bfcore, "is_minor", bad_minor)
+    monkeypatch.setattr(bfcore, "_minor_search", bad_minor)
     result = verify.poset_sweep(2)
     assert result.lines == clean.lines
     assert result.failures == [

@@ -27,7 +27,10 @@ def oracle_cover(f):
 
 
 def test_scan_oracle_shares_no_step_of_the_packed_walk():
-    walk = {"_one_step_groups", "_identifications", "_class_of", "_canonical_reduced", "_identify_vec", "_drop_var"}
+    walk = {
+        "_one_step_groups", "_identifications", "_class_of", "_canonical_reduced", "_identify_vec", "_drop_var",
+        "is_minor",
+    }
     assert "oracle_one_step_groups" in names_in(oracle_maximal_one_steps.__code__)
     for oracle in (oracle_maximal_one_steps, oracle_one_step_groups):
         assert not names_in(oracle.__code__) & walk, oracle.__name__

@@ -198,7 +198,7 @@ def all_pairs_covers(f):
     oracle: a one-step class is a cover unless it is a minor of another."""
     classes = bfcore.one_step_identification_classes(f)
     maximal = [
-        a for a in classes if not any(b is not a and bfcore.is_minor(a, b) is not None for b in classes)
+        a for a in classes if not any(b is not a and bfcore._minor_search(a, b) is not None for b in classes)
     ]
     return tuple(sorted(maximal, key=lambda p: sorted(p.monomials)))
 
@@ -214,7 +214,7 @@ def champion_cover(f):
     top = [c for c in classes if bfcore.essential_arity(c) == top_ess]
     if len(top) > 1:
         return None
-    if any(c is not top[0] and bfcore.is_minor(c, top[0]) is None for c in classes):
+    if any(c is not top[0] and bfcore._minor_search(c, top[0]) is None for c in classes):
         return None
     return top[0]
 
@@ -225,7 +225,7 @@ def test_cover_scan_matches_all_pairs_and_champion_oracles(classes4):
         assert bfcore.is_irreducible_direct(r.canon) == champion_cover(r.canon), r.canon
     rng = random.Random(113)
     # dense functions mostly tie at the top ess; sparse ones reach the
-    # is_minor checks below a unique top class
+    # minor checks below a unique top class
     five = [Zhegalkin(5, frozenset(bits_of(rng.getrandbits(32)))) for _ in range(100)]
     five += [Zhegalkin(5, frozenset(rng.sample(range(32), rng.randint(2, 8)))) for _ in range(200)]
     verdicts = set()
@@ -253,6 +253,24 @@ def test_poset_sweep_runs_no_second_cover_scan(monkeypatch):
 
     monkeypatch.setattr(bfcore, "_irreducible_cover", refuse)
     assert verify.poset_sweep(3).ok
+
+
+def test_poset_sweep_asks_the_unscreened_search_across_blocks(monkeypatch):
+    # is_minor's screen refuses every pair across blocks, so a cross-block
+    # check through it would pass by construction
+    crossed = []
+    search = bfcore._minor_search
+
+    def counted(g, f):
+        blocks = {poset._block(len(p.monomials), 0 in p.monomials) for p in (g, f)}
+        if len(blocks) == 2:
+            crossed.append((g, f))
+        return search(g, f)
+
+    monkeypatch.setattr(bfcore, "_minor_search", counted)
+    result = verify.poset_sweep(2)
+    samples = int(result.lines[-1].rsplit(": ", 1)[1])
+    assert samples > 300 and len(crossed) == 2 * samples
 
 
 def test_provisional_flag():
@@ -364,8 +382,9 @@ def test_cross_block_incomparability_small():
     for a, b in itertools.combinations(recs, 2):
         if a.block is b.block:
             continue
-        assert bfcore.is_minor(a.canon, b.canon) is None
-        assert bfcore.is_minor(b.canon, a.canon) is None
+        # the unscreened search: is_minor's screen refuses across blocks
+        assert bfcore._minor_search(a.canon, b.canon) is None
+        assert bfcore._minor_search(b.canon, a.canon) is None
 
 
 def test_cache_path_that_is_not_a_regular_file_exits_2(tmp_path):
