@@ -24,7 +24,8 @@ partitions, 21,147 at the cap).  ``is_minor`` first screens the pair by
 invariants that identification keeps or never raises: the constant term,
 the parity of the monomial count, the count, the degree and ess.  On
 ``verify correspondence --samples 1000`` it refuses 86% of the calls
-before any partition is folded.
+before any partition is folded.  Every module checks its bounds with
+``_check_range`` and its vertex or variable pairs with ``_check_pair``.
 """
 
 from __future__ import annotations
@@ -48,14 +49,42 @@ CANONICAL_MAX_ESS = 9  # checked at entry; near-symmetric sets tie most partial 
 
 def _shown_int(value: int) -> object:
     """An int for an error message, as its bit length when it is huge."""
-    if abs(value) < 10**20:
+    if not isinstance(value, int) or abs(value) < 10**20:
         return value
     return f"a {'negative ' * (value < 0)}{value.bit_length()}-bit integer"
+
+
+def _check_range(name: str, value: int, low: int, high: int | None = None) -> None:
+    """The one bound rule: ``value`` in low..high (no upper end when None),
+    refused before any work with ``<name> must be in <low>..<high>, got <value>``."""
+    # written as one negated test, so that a NaN is refused too
+    if not (low <= value and (high is None or value <= high)):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {bound}, got {_shown_int(value)}")
+
+
+def _check_pair(n: int, i: int, j: int) -> tuple[int, int]:
+    """The one pair rule: the pair ascending, once it names two distinct members
+    of 1..n (variables to identify, vertices to contract or delete)."""
+    if i == j:
+        raise ValueError(f"a pair needs two distinct members, got {_shown_int(i)} twice")
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"pair members must exist in 1..{n}, got {_shown_int(i)} and {_shown_int(j)}")
+    return min(i, j), max(i, j)
 
 
 def _negative_mask(mask: int) -> ValueError:
     # a negative mask never runs out of set bits, so it is refused, not walked
     return ValueError(f"a mask must be nonnegative, got {_shown_int(mask)}")
+
+
+def _mask_beyond(masks: Iterable[int], message: str) -> ValueError:
+    """The error for a mask set with a mask out of its width: a negative mask
+    first, else ``message`` with ``{}`` the top member of the largest mask."""
+    low = min(masks)
+    if low < 0:
+        return _negative_mask(low)
+    return ValueError(message.format(max(masks).bit_length()))
 
 
 def bits_of(mask: int) -> list[int]:
@@ -74,11 +103,9 @@ def mask_of(variables: Iterable[int]) -> int:
     """Bitmask of 1-based variable indices."""
     m = 0
     for v in variables:
-        # checked before the shift: a huge index would build a huge int
+        # checked inline before the shift (a huge index would build a huge int)
         if not 1 <= v <= MAX_POLY_ARITY:
-            # the echo is bounded too: a 4,000-digit index would fill the error line
-            shown = _shown_int(v) if isinstance(v, int) else v
-            raise ValueError(f"variable index must be in 1..{MAX_POLY_ARITY}, got {shown}")
+            _check_range("variable index", v, 1, MAX_POLY_ARITY)
         m |= 1 << (v - 1)
     return m
 
@@ -138,8 +165,7 @@ class TruthTable:
     bits: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.arity <= MAX_TABLE_ARITY:
-            raise ValueError(f"arity must be in 1..{MAX_TABLE_ARITY}, got {self.arity}")
+        _check_range("arity", self.arity, 1, MAX_TABLE_ARITY)
         size = 1 << self.arity
         if not 0 <= self.bits < (1 << size):
             raise ValueError("truth-table bits out of range for the declared arity")
@@ -181,13 +207,14 @@ class Zhegalkin:
     monomials: frozenset[int]
 
     def __post_init__(self) -> None:
+        # both tests inline (every identification builds one); the calls only word the refusal
         if not 1 <= self.arity <= MAX_POLY_ARITY:
-            raise ValueError(f"arity must be in 1..{MAX_POLY_ARITY}, got {self.arity}")
+            _check_range("arity", self.arity, 1, MAX_POLY_ARITY)
         object.__setattr__(self, "monomials", frozenset(self.monomials))
         top = 1 << self.arity
         for m in self.monomials:
             if not 0 <= m < top:
-                raise ValueError(f"monomial names x{m.bit_length()}, beyond arity {self.arity}")
+                raise _mask_beyond(self.monomials, f"monomial names x{{}}, beyond arity {self.arity}")
 
     @classmethod
     def from_sets(cls, arity: int, monomials: Iterable[Iterable[int]]) -> "Zhegalkin":
@@ -297,25 +324,20 @@ def substitute(poly: Zhegalkin, sigma: Mapping[int, int], arity: int) -> Zhegalk
 
     ``sigma`` must be total on 1..poly.arity with values in 1..arity.
     """
-    if not 1 <= arity <= MAX_POLY_ARITY:
-        raise ValueError(f"target arity must be in 1..{MAX_POLY_ARITY}")
+    _check_range("target arity", arity, 1, MAX_POLY_ARITY)
     images = []
     for v in range(1, poly.arity + 1):
         if v not in sigma:
             raise ValueError(f"substitution is not total: variable {v} unmapped")
         t = sigma[v]
-        if not 1 <= t <= arity:
-            raise ValueError(f"substitution sends {v} to {t}, outside 1..{arity}")
+        _check_range(f"the image of x{v}", t, 1, arity)
         images.append(1 << (t - 1))
     return Zhegalkin(arity, map_monomials(poly.monomials, images))
 
 
 def identify(poly: Zhegalkin, i: int, j: int) -> Zhegalkin:
     """Identify variable j with variable i (j becomes inessential)."""
-    if i == j:
-        raise ValueError("degenerate identification: the variables must differ")
-    if not (1 <= i <= poly.arity and 1 <= j <= poly.arity):
-        raise ValueError("identified variables must not exceed the arity")
+    _check_pair(poly.arity, i, j)
     return Zhegalkin(poly.arity, _identify_masks(poly.monomials, i - 1, j - 1))
 
 

@@ -50,13 +50,10 @@ def _read_bounded(fh) -> str:
 
 
 def _read_input(args) -> str:
-    sources = [s for s in (args.input, args.file) if s]
-    if args.input == "-":
-        if args.file:
-            raise ValueError("give exactly one input source")
-        return _read_bounded(sys.stdin)
-    if len(sources) != 1:
+    if len([s for s in (args.input, args.file) if s]) != 1:
         raise ValueError("give exactly one input source (inline, --file, or '-')")
+    if args.input == "-":
+        return _read_bounded(sys.stdin)
     if args.file:
         with open(args.file, encoding="utf-8") as fh:
             return _read_bounded(fh)
@@ -167,7 +164,7 @@ def _cmd_iso(args) -> int:
     mapping = {str(v + 1): found.image[v] for v in range(found.source_count)}
     _emit(
         args,
-        ["isomorphic: " + " ".join(f"{v}->{found.image[v - 1]}" for v in range(1, found.source_count + 1))],
+        ["isomorphic:" + "".join(f" {v}->{found.image[v - 1]}" for v in range(1, found.source_count + 1))],
         {"isomorphic": True, "mapping": mapping},
     )
     return 0
@@ -314,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_steiner_check)
 
     p = subs.add_parser("poset", help="enumerate classes; export DOT or records")
-    p.add_argument("--max-ess", type=_int_flag, default=4)
+    p.add_argument("--max-ess", type=_int_flag, default=poset.MAX_ENUM_ESS)
     p.add_argument("--cache", help="record cache file (resumable enumeration)")
     p.add_argument("--out", help="write the export to a path")
     p.add_argument("--export-format", choices=("dot", "structured"), default="dot")

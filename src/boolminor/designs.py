@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .bfcore import _relabel
+from .bfcore import _check_pair, _relabel
 from .hypergraph import (
     AUTOMORPHISM_MAX_VERTICES,
     Hypergraph,
@@ -81,12 +81,8 @@ def delete_pair(h: Hypergraph, pair: tuple[int, int]) -> Hypergraph:
     Remaining vertices are renumbered contiguously (isomorphism class is
     unaffected).
     """
-    i, j = pair
-    if i == j:
-        raise ValueError("pair deletion needs two distinct vertices")
     n = h.vertex_count
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError("deleted vertices must exist")
+    i, j = _check_pair(n, *pair)
     e_mask = (1 << (i - 1)) | (1 << (j - 1))
     keep = (1 << n) - 1 ^ e_mask
     return Hypergraph(n - 2, _relabel((e for e in h.edges if not e & e_mask), keep))

@@ -16,7 +16,7 @@ import re
 from typing import Optional
 
 from .bfcore import MAX_POLY_ARITY, MAX_TABLE_ARITY, TruthTable, Zhegalkin, bits_of, vars_of
-from .bfcore import zhegalkin_from_truth_table
+from .bfcore import _check_range, zhegalkin_from_truth_table
 from .graphs import Graph
 from .hypergraph import MAX_VERTICES, Hypergraph, hypergraph_of, polynomial_of
 
@@ -34,14 +34,15 @@ def _shown(text: str) -> str:
     return text if len(text) <= 20 else f"{text[:20]}... ({len(text)} characters)"
 
 
-def _bounded_int(digits: str, limit: int, message: str, position: int) -> int:
-    """The value of a digit string; above ``limit``, a ParseError with ``message``.
+def _bounded_int(digits: str, limit: int, bound: str, position: int) -> int:
+    """The value of a digit string; above ``limit``, a ParseError that reads
+    ``<bound>, got <digits>``.
 
     The length test keeps int() off arbitrarily long digit strings.
     """
     digits = digits.lstrip("0") or "0"
     if len(digits) > len(str(limit)) or int(digits) > limit:
-        raise ParseError(message, position)
+        raise ParseError(f"{bound}, got {_shown(digits)}", position)
     return int(digits)
 
 
@@ -79,11 +80,10 @@ def parse_polynomial(text: str, arity: Optional[int] = None) -> Zhegalkin:
                 m = _FACTOR_RE.match(fact)
                 if not m:
                     raise ParseError(f"expected a factor like x3, got {_shown(fact)!r}", fpos)
-                idx = _bounded_int(
-                    m.group(1), MAX_POLY_ARITY, f"variable indices stop at x{MAX_POLY_ARITY}", fpos
-                )
+                bad_index = f"variable index must be in 1..{MAX_POLY_ARITY}"
+                idx = _bounded_int(m.group(1), MAX_POLY_ARITY, bad_index, fpos)
                 if idx < 1:
-                    raise ParseError("variable indices start at 1", fpos)
+                    raise ParseError(bad_index + ", got 0", fpos)
                 mask |= 1 << (idx - 1)
                 max_var = max(max_var, idx)
                 fpos += len(factor) + 1
@@ -128,8 +128,7 @@ def parse_truth_table(text: str, arity: Optional[int] = None) -> TruthTable:
             raise ParseError(f"expected hex digits after 'tt:', got {_shown(digits)!r}", lead + 3)
     else:
         raise ParseError("expected 'tt:<hex> arity=<n>'", 0)
-    if not 1 <= arity <= MAX_TABLE_ARITY:
-        raise ValueError(f"arity must be in 1..{MAX_TABLE_ARITY}, got {arity}")
+    _check_range("arity", arity, 1, MAX_TABLE_ARITY)
     significant = len(digits.lstrip("0"))
     if significant > ((1 << arity) + 3) // 4:
         message = f"{significant} significant hex digits exceed the {1 << arity}-bit table"
@@ -206,7 +205,7 @@ def parse_graph(text: str) -> Graph:
     n = _bounded_int(m.group(1), MAX_VERTICES, f"vertex count must be in 0..{MAX_VERTICES}", 0)
     rest = m.group(2)
     offset = len(text) - len(text.lstrip()) + m.start(2)
-    bad_index = f"vertex index must be in 1..{MAX_POLY_ARITY}, got "
+    bad_index = f"vertex index must be in 1..{MAX_POLY_ARITY}"
     pairs = []
     if rest:
         for item in rest.split(","):
@@ -216,10 +215,10 @@ def parse_graph(text: str) -> Graph:
             offset += len(item) + 1
             if not em:
                 raise ParseError(f"expected an edge like 2-5, got {_shown(part)!r}", pos)
-            a, b = (_bounded_int(d, MAX_POLY_ARITY, bad_index + _shown(d), pos) for d in em.groups())
+            a, b = (_bounded_int(d, MAX_POLY_ARITY, bad_index, pos) for d in em.groups())
             for v in (a, b):
                 if not v:
-                    raise ParseError(bad_index + "0", pos)
+                    raise ParseError(bad_index + ", got 0", pos)
                 if v > n:
                     raise ParseError(f"edge names vertex {v}, beyond {n}", pos)
             if a == b:

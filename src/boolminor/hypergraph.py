@@ -54,16 +54,12 @@ class Hypergraph:
     edges: frozenset[int]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.vertex_count <= MAX_VERTICES:
-            raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}")
+        bfcore._check_range("vertex count", self.vertex_count, 0, MAX_VERTICES)
         object.__setattr__(self, "edges", frozenset(self.edges))
         top = 1 << self.vertex_count
         for e in self.edges:
             if not 0 <= e < top:
-                # name the largest edge out of range, not the first one met
-                high = max(self.edges)
-                bad = high if high >= top else e
-                raise ValueError(f"edge names vertex {bad.bit_length()}, beyond {self.vertex_count}")
+                raise bfcore._mask_beyond(self.edges, f"edge names vertex {{}}, beyond {self.vertex_count}")
 
     @classmethod
     def from_sets(cls, vertex_count: int, edges: Iterable[Iterable[int]]) -> "Hypergraph":
@@ -85,8 +81,7 @@ class VertexMap:
         if len(self.image) != self.source_count:
             raise ValueError("image must assign every source vertex")
         for t in self.image:
-            if not 1 <= t <= self.target_count:
-                raise ValueError(f"image value {t} outside 1..{self.target_count}")
+            bfcore._check_range("image value", t, 1, self.target_count)
 
     def apply_vertex(self, v: int) -> int:
         return self.image[v - 1]
@@ -169,29 +164,19 @@ def compose_quotients(m1: VertexMap, m2: VertexMap) -> VertexMap:
 # contraction of a vertex pair
 
 
-def _check_pair(n: int, i: int, j: int) -> tuple[int, int]:
-    """The pair ascending, once it names two distinct vertices of 1..n."""
-    if i == j:
-        raise ValueError("contraction needs two distinct vertices")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError("contracted vertices must exist")
-    return min(i, j), max(i, j)
-
-
 def collapse_map(n: int, i: int, j: int) -> VertexMap:
     """The canonical quotient map onto the contraction: i,j -> l_e, rest kept.
 
     The merged vertex takes index min(i,j); vertices above max(i,j) shift
     down by one so the vertex set stays contiguous.
     """
-    lo, hi = _check_pair(n, i, j)
+    lo, hi = bfcore._check_pair(n, i, j)
     return VertexMap(n, n - 1, tuple(lo if v in (i, j) else v - (v > hi) for v in range(1, n + 1)))
 
 
 def contract(h: Hypergraph, pair: tuple[int, int]) -> Hypergraph:
     """Identify the two vertices of ``pair``, numbered as :func:`collapse_map` maps them."""
-    i, j = pair
-    lo, hi = _check_pair(h.vertex_count, i, j)
+    lo, hi = bfcore._check_pair(h.vertex_count, *pair)
     merged = bfcore._identify_masks(h.edges, lo - 1, hi - 1)
     keep = (1 << h.vertex_count) - 1 ^ 1 << (hi - 1)
     return Hypergraph(h.vertex_count - 1, bfcore._relabel(merged, keep))
@@ -494,7 +479,7 @@ class EssDropReport:
 
 def ess_drop_analysis(h: Hypergraph, pair: tuple[int, int]) -> EssDropReport:
     i, j = pair
-    lo, hi = _check_pair(h.vertex_count, i, j)
+    lo, hi = bfcore._check_pair(h.vertex_count, i, j)
     # no renumbering: vertex v stays at bit v-1, the merged vertex at lo
     after_sup = support_mask(bfcore._identify_masks(h.edges, lo - 1, hi - 1))
     sup_before = support_mask(h.edges)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 from . import bfcore, designs, graphs, poset
 from . import hypergraph as hg
-from .bfcore import TruthTable, Zhegalkin, _orbit_partition, bits_of
+from .bfcore import TruthTable, Zhegalkin, _check_range, _orbit_partition, bits_of
 from .formats import (
     format_graph_line,
     format_hypergraph_doc,
@@ -66,13 +66,6 @@ def resolve_workers(requested: int | None = None) -> int:
         return 1
     _check_range("workers", requested, 1)
     return min(requested, os.cpu_count() or 1)
-
-
-def _check_range(name: str, value: int, low: int, high: int | None = None) -> None:
-    """Reject a sweep argument before any work is committed."""
-    if value < low or (high is not None and value > high):
-        bound = f">= {low}" if high is None else f"in {low}..{high}"
-        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 @dataclass
@@ -185,7 +178,7 @@ def _gap_shard(job: tuple[int, int, int]) -> dict:
     }
 
 
-def gap_sweep(max_arity: int = 4, workers: int | None = None) -> VerifyResult:
+def gap_sweep(max_arity: int = GAP_MAX_ARITY, workers: int | None = None) -> VerifyResult:
     """Check the gap-two family classification against brute-force gaps."""
     _check_range("max_arity", max_arity, 1, GAP_MAX_ARITY)
     workers = resolve_workers(workers)
@@ -262,8 +255,10 @@ def _brute_quotient(edge_mask1: int, n1: int, targets, n2: int) -> list:
     the oracle the sweep checks ``bfcore.is_minor`` against: it must stay
     independent of bfcore, so it decodes ``edge_mask1`` itself.
     """
-    _check_range("n1", n1, 1, QUOTIENT_MAX_VERTICES)
-    _check_range("n2", n2, 1, QUOTIENT_MAX_VERTICES)
+    # written out, not bfcore._check_range: the oracle runs no bfcore code
+    for name, n in (("n1", n1), ("n2", n2)):
+        if not 1 <= n <= QUOTIENT_MAX_VERTICES:
+            raise ValueError(f"{name} must be in 1..{QUOTIENT_MAX_VERTICES}, got {n}")
     table = _lane_tables(n1, n2)
     full = (1 << n2**n1) - 1
     parity = [0] * (1 << n2)
@@ -364,7 +359,7 @@ def _correspondence_shard(job: tuple[int | None, int, int, int]) -> dict:
 
 
 def correspondence_sweep(
-    max_vertices: int = 3,
+    max_vertices: int = CORRESPONDENCE_MAX_VERTICES,
     samples: int = 10_000,
     seed: int = DEFAULT_SEED,
     workers: int | None = None,
@@ -434,7 +429,7 @@ def _criterion_shard(job: tuple[int | None, int, int, int]) -> dict:
 
 
 def contraction_criterion_sweep(
-    max_vertices: int = 4,
+    max_vertices: int = KEYLEMMA_MAX_VERTICES,
     samples: int = 10_000,
     seed: int = DEFAULT_SEED,
     workers: int | None = None,
@@ -616,7 +611,7 @@ def _c5_blowup_check() -> list[dict]:
 
 
 def graph_sweep(
-    max_vertices: int = 7,
+    max_vertices: int = GRAPHS_MAX_VERTICES,
     workers: int | None = None,
     seed: int = DEFAULT_SEED,
 ) -> VerifyResult:
@@ -731,7 +726,7 @@ def steiner_catalog_report() -> VerifyResult:
 
 
 def poset_sweep(
-    max_ess: int = 4,
+    max_ess: int = poset.MAX_ENUM_ESS,
     cache_path: str | None = None,
     seed: int = DEFAULT_SEED,
 ) -> VerifyResult:

@@ -9,6 +9,8 @@ import itertools
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 from types import SimpleNamespace
@@ -31,6 +33,7 @@ from boolminor.formats import (
 
 WORKERS = min(8, os.cpu_count() or 1)
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def stdout_matches_reference(result, step: str) -> bool:
@@ -116,6 +119,40 @@ def test_benchmark_sampled_steps_match_the_reference(step, sweep):
     # the benchmark runs these two steps at --samples 1000 --workers 1
     result = sweep(samples=1000, seed=verify.DEFAULT_SEED, workers=1)
     assert result.ok and stdout_matches_reference(result, step)
+
+
+def test_benchmark_seed_one_samples_file_no_mismatch():
+    # perfbench/run.py --seed 1 passes DEFAULT_SEED + 1, which no pinned
+    # digest covers: the sampled phases must still agree on every sample
+    seed = verify.DEFAULT_SEED + 1
+    keylemma = verify._criterion_shard((seed, verify.KEYLEMMA_MAX_VERTICES + 1, 0, 1000))
+    correspondence = verify._correspondence_shard((seed, verify.CORRESPONDENCE_MAX_VERTICES, 0, 1000))
+    assert keylemma["checked"] == 1000 and keylemma["mismatches"] == []
+    assert (correspondence["pairs"], correspondence["positives"]) == (1000, 334)
+    assert correspondence["mismatches"] == []
+
+
+@pytest.mark.parametrize("hash_seed", ["1", "2"])
+def test_a_fresh_process_prints_what_this_one_prints(capsys, hash_seed):
+    # the benchmark repeats each step in a new process; a sweep whose output
+    # depended on set order or on state left by an earlier call would differ here
+    runs = [
+        ["verify", "steiner"],
+        ["verify", "gap", "--max-arity", "3"],
+        ["verify", "poset", "--max-ess", "3"],
+        ["verify", "graphs", "--max-vertices", "5"],
+        ["verify", "keylemma", "--max-vertices", "3", "--samples", "200"],
+        ["verify", "correspondence", "--max-vertices", "2", "--samples", "200"],
+    ]
+    here = []
+    for argv in runs:
+        assert cli.main(argv) == 0
+        here.append(capsys.readouterr().out)
+    code = f"from boolminor import cli\nfor argv in {runs!r}:\n    assert cli.main(argv) == 0\n"
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=hash_seed)
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout == "".join(here)
 
 
 def test_criterion_4_contraction_criterion_sweep():

@@ -15,8 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from boolminor import bfcore, hypergraph, verify
+from boolminor import bfcore, hypergraph, poset, verify
 from boolminor.bfcore import (
+    GapClass,
     GapTag,
     MinorWitness,
     TruthTable,
@@ -115,6 +116,44 @@ def test_truth_table_validation():
     t = TruthTable.from_bits([0, 1, 1, 0])
     assert t.arity == 2 and t.bits == 0b0110
     assert t.values() == [0, 1, 1, 0]
+    for values, message in (([0, 1, 1], "power of two"), ([1], "power of two"), ([0, 2], "must be 0/1, got 2")):
+        with pytest.raises(ValueError, match=message):
+            TruthTable.from_bits(values)
+
+
+def test_bounds_echo_a_huge_value_by_its_bit_length():
+    # str() of a 5,000-digit int would raise Python's own digit-limit error
+    for call, message in (
+        (lambda: Zhegalkin(10**30, frozenset()), "arity must be in 1..63, got a 100-bit integer"),
+        (lambda: TruthTable(10**5000, 0), "arity must be in 1..20, got a 16610-bit integer"),
+        (lambda: Hypergraph(10**5000, frozenset()), "vertex count must be in 0..63, got a 16610-bit integer"),
+        (lambda: poset.enumerate_classes(10**5000), "max_ess must be in 0..4, got a 16610-bit integer"),
+        (lambda: bfcore.mask_of([-(10**5000)]), "variable index must be in 1..63, got a negative 16610-bit integer"),
+    ):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+
+def test_an_out_of_range_mask_set_names_its_largest_or_negative_mask():
+    with pytest.raises(ValueError, match="^monomial names x5, beyond arity 3$"):
+        Zhegalkin(3, {1, 8, 16})
+    for call in (lambda: Zhegalkin(2, {-1}), lambda: Hypergraph(3, {-1}), lambda: Zhegalkin(2, {-1, 64})):
+        with pytest.raises(ValueError, match="^a mask must be nonnegative, got -1$"):
+            call()
+
+
+def test_witness_and_gap_class_refuse_malformed_values():
+    for blocks, message in ((((1,), ()), "nonempty"), (((1, 2), (2, 3)), "pairwise disjoint")):
+        with pytest.raises(ValueError, match=message):
+            MinorWitness(blocks)
+    for tag, constant, message in (
+        (GapTag.GAP_ONE, 0, "GapOne carries no constant"),
+        (GapTag.TRIANGLE, None, "carry a constant in"),
+        (GapTag.LINEAR_SUM, 2, "carry a constant in"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            GapClass(tag, constant)
 
 
 def test_hex_convention():
@@ -183,10 +222,13 @@ def test_substitute_examples():
 
 
 def test_substitute_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="variable 2 unmapped"):
         substitute(poly(2, (1, 2)), {1: 1}, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^the image of x2 must be in 1\.\.2, got 3$"):
         substitute(poly(2, (1, 2)), {1: 1, 2: 3}, 2)
+    for arity in (0, 64):
+        with pytest.raises(ValueError, match=rf"^target arity must be in 1\.\.63, got {arity}$"):
+            substitute(poly(2, (1, 2)), {1: 1, 2: 1}, arity)
 
 
 def test_substitute_composes():
@@ -207,8 +249,9 @@ def test_identify_examples():
     disj = poly(2, (1,), (2,), (1, 2))
     assert identify(disj, 1, 2) == poly(2, (1,))
     assert identify(poly(2, (1, 2)), 1, 2) == poly(2, (1,))
-    with pytest.raises(ValueError):
-        identify(majority, 2, 2)
+    for (i, j), message in (((2, 2), "two distinct"), ((0, 1), "must exist"), ((3, 4), "must exist")):
+        with pytest.raises(ValueError, match=message):
+            identify(majority, i, j)
 
 
 def test_identify_matches_table_oracle():

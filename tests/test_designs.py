@@ -41,6 +41,9 @@ def test_fano_parameters():
     assert design_parameters(fano) == DesignParams(7, 3, 1)
     assert is_steiner(fano) and is_steiner_triple(fano)
     assert replication_number(design_parameters(fano)) == 3
+    # lambda (n-1) / (k-1) = 3/2 is no block count
+    with pytest.raises(ValueError, match="inconsistent design parameters"):
+        replication_number(DesignParams(4, 3, 1))
 
 
 def test_ag23_parameters():
@@ -91,8 +94,9 @@ def test_delete_pair_small():
     assert rest.vertex_count == 1 and not rest.edges
     nothing = Hypergraph(4, frozenset())
     assert delete_pair(nothing, (2, 4)) == Hypergraph(2, frozenset())
-    with pytest.raises(ValueError):
-        delete_pair(tri, (2, 2))
+    for pair, message in (((2, 2), "two distinct"), ((0, 1), "must exist"), ((1, 4), "must exist")):
+        with pytest.raises(ValueError, match=message):
+            delete_pair(tri, pair)
 
 
 def test_delete_pair_commutes_with_isomorphism():

@@ -2,6 +2,7 @@
 
 import argparse
 import inspect
+import io
 import itertools
 import json
 import os
@@ -297,6 +298,12 @@ def test_cli_iso(capsys):
     assert code == 0 and out.strip() == "not isomorphic"
 
 
+def test_cli_iso_on_zero_vertices_prints_no_trailing_space(capsys):
+    assert run_cli(capsys, "iso", "0:", "0:") == (0, "isomorphic:\n", "")
+    code, out, err = run_cli(capsys, "iso", "0:", "0:", "--format", "structured")
+    assert (code, json.loads(out), err) == (0, {"isomorphic": True, "mapping": {}}, "")
+
+
 @pytest.mark.parametrize(
     "first, second, expected",
     [
@@ -428,6 +435,25 @@ def test_cli_input_errors(capsys):
         assert len(err) < 1000 and "Traceback" not in err
 
 
+def test_cli_input_checks_print_one_line(capsys, tmp_path):
+    for argv, message in (
+        (("convert", "x21", "--to", "table"), "truth tables are capped at arity 20"),
+        (("verify", "poset", "--cache", str(tmp_path)), f"cache path {str(tmp_path)!r} is not a regular file"),
+        (("iso", '{"n": 64, "edges": []}', "1:"), "vertex count must be in 0..63, got 64 (at position 0)"),
+        # a bound reads the same whichever input form carries the value
+        (("iso", "064: 1-2", "1:"), "vertex count must be in 0..63, got 64 (at position 0)"),
+        (("classify", "tt:F arity=21"), "arity must be in 1..20, got 21 (at position 11)"),
+        (("classify", "tt:F", "--arity", "21"), "arity must be in 1..20, got 21"),
+        (("classify", "x1*x064"), "variable index must be in 1..63, got 64 (at position 3)"),
+        (("classify", "x1 + x0"), "variable index must be in 1..63, got 0 (at position 5)"),
+        (("classify", '{"n": 0, "edges": [[]]}'), "a polynomial needs at least one variable"),
+    ):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+    # singleton blocks are no 2-design: a verdict on stdout, not an error
+    code, out, err = run_cli(capsys, "steiner-check", '{"n": 3, "edges": [[1], [2], [3]]}')
+    assert (code, out, err) == (1, "not a Steiner system (no 2-design)\n", "")
+
+
 def test_classify_at_the_table_arity_cap_refuses_quickly(capsys):
     # 2^20 table bits, about 524,000 monomials: decoded in linear time, then
     # refused at the canonical cap
@@ -555,11 +581,17 @@ def test_poset_structured_export_parses_back(capsys, tmp_path):
         parse_polynomial(line.split("\t")[0])
 
 
-def test_cli_requires_one_source(capsys, tmp_path):
+def test_cli_requires_one_source(capsys, monkeypatch, tmp_path):
     path = tmp_path / "p.txt"
     path.write_text("x1*x2")
     code, _, err = run_cli(capsys, "classify", "x1", "--file", str(path))
     assert code == 2 and "one input source" in err
+    # '-' and --file are two sources, refused before stdin is read
+    stdin = io.StringIO("x1")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, err = run_cli(capsys, "classify", "-", "--file", str(path))
+    assert (code, out, stdin.tell()) == (2, "", 0)
+    assert err == "error: give exactly one input source (inline, --file, or '-')\n"
     code, _, err = run_cli(capsys, "classify")
     assert code == 2
     code, out, _ = run_cli(capsys, "classify", "--file", str(path))

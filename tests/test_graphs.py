@@ -195,6 +195,9 @@ def test_ji_side_conditions():
         JIGraphClass(JIKind.EMPTY_JOIN_EMPTY, (3, 3))
     with pytest.raises(ValueError):
         JIGraphClass(JIKind.BALANCED_MULTIPARTITE, (1, 2))
+    for kind, params, message in ((JIKind.C5, (5,), "C5 takes 0 parameters"), (JIKind.COMPLETE, (), "takes 1 parameters")):
+        with pytest.raises(ValueError, match=message):
+            JIGraphClass(kind, params)
     str(JIGraphClass(JIKind.K2_JOIN_EMPTY, (2,)))
 
 
@@ -206,6 +209,8 @@ def test_template_graph_shapes():
     assert template_graph(JIGraphClass(JIKind.BALANCED_MULTIPARTITE, (3, 2))).vertex_count == 6
     with pytest.raises(ValueError):
         template_graph(JIGraphClass(JIKind.NOT_IRREDUCIBLE))
+    # no graph matches the non-irreducible tag, which has no template
+    assert not matches_template(cycle(4), JIGraphClass(JIKind.NOT_IRREDUCIBLE))
 
 
 # ---------------------------------------------------------------------------

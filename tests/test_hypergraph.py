@@ -114,6 +114,14 @@ def test_quotient_arity_mismatch():
         verify_quotient_map(VertexMap(2, 2, (1, 2)), H(3, (1, 2)), H(2))
 
 
+def test_vertex_map_refuses_a_partial_or_out_of_range_image():
+    with pytest.raises(ValueError, match="image must assign every source vertex"):
+        VertexMap(2, 2, (1,))
+    for image, bad in (((1, 3), 3), ((0, 1), 0)):
+        with pytest.raises(ValueError, match=rf"^image value must be in 1\.\.2, got {bad}$"):
+            VertexMap(2, 2, image)
+
+
 def test_compose_quotients():
     ident = VertexMap.identity(3)
     assert compose_quotients(ident, ident) == ident

@@ -373,6 +373,19 @@ def test_cache_round_trip(tmp_path, capsys):
         assert cache.read_text() == written
 
 
+def test_a_cache_written_at_another_max_ess_is_stale(tmp_path, capsys):
+    # header, CRC and every line are valid, but they hold the classes of ess <= 2
+    cache = tmp_path / "classes.tsv"
+    assert cli.main(["poset", "--max-ess", "2", "--cache", str(cache)]) == 0
+    assert cache.read_text().startswith("#boolminor-classes v2 max_ess=2 count=12 crc32=")
+    capsys.readouterr()
+    assert cli.main(["poset", "--max-ess", "3", "--cache", str(cache), "--export-format", "structured"]) == 0
+    out = capsys.readouterr().out
+    assert out == poset.export(enumerate_classes(3), format="structured")
+    assert len(out.splitlines()) == 80
+    assert cache.read_text().startswith("#boolminor-classes v2 max_ess=3 count=80 crc32=")
+
+
 def test_enumeration_reproducible():
     assert enumerate_classes(2) == enumerate_classes(2)
 
