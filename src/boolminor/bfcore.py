@@ -295,7 +295,7 @@ def zhegalkin_from_truth_table(table: TruthTable) -> Zhegalkin:
 def truth_table_from_zhegalkin(poly: Zhegalkin) -> TruthTable:
     """Inverse of :func:`zhegalkin_from_truth_table`."""
     if poly.arity > MAX_TABLE_ARITY:
-        raise ValueError(f"truth tables are capped at arity {MAX_TABLE_ARITY}")
+        raise ValueError(f"truth tables are capped at arity {MAX_TABLE_ARITY}, got {poly.arity}")
     return TruthTable(poly.arity, _mobius(_pack_bytes(poly.monomials, poly.arity), poly.arity))
 
 
@@ -407,20 +407,6 @@ def _identify_vec(vec: int, bi: int, bj: int, n: int) -> int:
     moved = vec & vm[bj]
     kept_i = moved & vm[bi]
     return vec ^ moved ^ (moved ^ kept_i) >> ((1 << bj) - (1 << bi)) ^ kept_i >> (1 << bj)
-
-
-def _drop_var(vec: int, k: int, n: int) -> int:
-    """The (n-1)-variable vector of ``vec`` with the dummy variable bit k
-    left out, the bits above k moving down one.
-
-    The 2^k-bit chunks alternate between kept and empty; each step merges
-    neighboring runs of kept chunks, doubling their width.
-    """
-    vm = _var_masks(n)
-    for b in range(k + 1, n):
-        vec |= vec >> (1 << (b - 1))
-        vec ^= vec & vm[b]
-    return vec
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +548,9 @@ def _canonical_reduced(vec: int) -> tuple[tuple[int, ...], int]:
     search; a dummy variable defers to the support-reduced vector's entry."""
     reduced, ess = _reduce_masks(frozenset(bits_of(vec)))
     _check_canonical_ess(ess)
-    if _pack(reduced) != vec:
-        return _class_of(_pack(reduced))
+    packed = _pack(reduced)
+    if packed != vec:
+        return _class_of(packed)
     return _canonical_search(reduced, ess)[0], ess
 
 
@@ -776,11 +763,11 @@ def _gap_family(monomials: Iterable[int]) -> GapClass:
 def _identifications(vec: int, n: int) -> Iterator[tuple[int, int, tuple[tuple[int, ...], int]]]:
     """Lazily, per support pair bi < bj (0-based, ascending) of the vector
     of an n-variable function, the pair and the (canonical tuple, ess) key
-    of its identification, the identified-away x_{bj+1} dropped.  Dummy
-    variables in ``vec`` are fine: the lookup names any vector."""
+    of its identification.  Dummy variables, the identified-away x_{bj+1}
+    among them, are fine: the lookup names any vector."""
     vm = _var_masks(n)
     for bi, bj in itertools.combinations([k for k in range(n) if vec & vm[k]], 2):
-        yield bi, bj, _class_of(_drop_var(_identify_vec(vec, bi, bj, n), bj, n))
+        yield bi, bj, _class_of(_identify_vec(vec, bi, bj, n))
 
 
 def _one_step_groups(
@@ -795,9 +782,10 @@ def _one_step_groups(
     """
     reduced, n = _reduce_masks(monomials)
     # an identification drops at most two essential variables (the arity
-    # gap), so a wider support would fail every pair's cap: refuse it
-    # before its 2^n-bit vector is built
-    _check_canonical_ess(n - 2)
+    # gap), so a wider support would fail every pair's cap: refuse it, by
+    # its own ess, before its 2^n-bit vector is built
+    if n - 2 > CANONICAL_MAX_ESS:
+        _check_canonical_ess(n)
     labels = [b + 1 for b in bits_of(support_mask(monomials))]
     groups: dict[tuple[tuple[int, ...], int], list[tuple[int, int]]] = {}
     for bi, bj, key in _identifications(_pack(reduced), n):

@@ -13,13 +13,15 @@ process died, and Ctrl-C with status 130; each prints one line on stderr.
 sweep's signature (``_SWEEP_PARAMS``): a flag the sweep does not take exits
 2, and one left out keeps the sweep's default.  A size above the sweep's
 cap or a negative sample count exits 2 before any work, with a message
-naming the flag.  The worker count comes from --workers alone: one when it
-is left out, at most the CPU count, and a value below 1 exits 2 the same way.
+naming the flag, as ``poset --max-ess`` does.  The worker count comes from
+--workers alone: one when it is left out, at most the CPU count, and a
+value below 1 exits 2 the same way.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import sys
@@ -50,11 +52,11 @@ def _read_bounded(fh) -> str:
 
 
 def _read_input(args) -> str:
-    if len([s for s in (args.input, args.file) if s]) != 1:
+    if len([s for s in (args.input, args.file) if s is not None]) != 1:
         raise ValueError("give exactly one input source (inline, --file, or '-')")
     if args.input == "-":
         return _read_bounded(sys.stdin)
-    if args.file:
+    if args.file is not None:
         with open(args.file, encoding="utf-8") as fh:
             return _read_bounded(fh)
     return args.input
@@ -201,7 +203,8 @@ def _cmd_steiner_check(args) -> int:
 
 
 def _cmd_poset(args) -> int:
-    records = poset.enumerate_classes(args.max_ess, cache_path=args.cache)
+    with _naming_flags({"max_ess"}):
+        records = poset.enumerate_classes(args.max_ess, cache_path=args.cache)
     doc = poset.export(records, format=args.export_format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -212,16 +215,29 @@ def _cmd_poset(args) -> int:
     return 0
 
 
+def _flag(param: str) -> str:
+    """A parameter's flag: its name in dashes, but --cache for the cache path."""
+    return "--cache" if param == "cache_path" else "--" + param.replace("_", "-")
+
+
+@contextlib.contextmanager
+def _naming_flags(given):
+    """A bound message that leads with a ``given`` parameter names its flag instead."""
+    try:
+        yield
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        if name in given:
+            raise ValueError(f"{_flag(name)} {rest}") from None
+        raise
+
+
 # Each sweep's parameters and their flags, read from its signature once, at
 # import: a wrapper put in ``verify.ALL_SWEEPS`` later (``perfbench/tracer.py``
-# puts ``(*args, **kwargs)`` ones there) still gets the flags.  A flag is its
-# parameter's name in dashes, taking an integer, but for the poset cache's
-# path, which is --cache.
+# puts ``(*args, **kwargs)`` ones there) still gets the flags.  Every flag
+# but --cache takes an integer.
 _SWEEP_PARAMS = {
-    name: {
-        param: "--cache" if param == "cache_path" else "--" + param.replace("_", "-")
-        for param in inspect.signature(sweep).parameters
-    }
+    name: {param: _flag(param) for param in inspect.signature(sweep).parameters}
     for name, sweep in verify.ALL_SWEEPS.items()
 }
 
@@ -229,14 +245,8 @@ _SWEEP_PARAMS = {
 def _cmd_verify(args) -> int:
     flags = _SWEEP_PARAMS[args.sweep]
     kwargs = {name: getattr(args, name) for name in flags if getattr(args, name) is not None}
-    try:
+    with _naming_flags(kwargs):
         result = verify.ALL_SWEEPS[args.sweep](**kwargs)
-    except ValueError as exc:
-        # a bound message leads with the parameter; name the flag the user typed
-        name, _, rest = str(exc).partition(" ")
-        if name in kwargs:
-            raise ValueError(f"{flags[name]} {rest}") from None
-        raise
     _emit(
         args,
         result.lines

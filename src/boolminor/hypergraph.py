@@ -312,7 +312,7 @@ def is_isomorphic(h1: Hypergraph, h2: Hypergraph) -> Optional[VertexMap]:
 def _check_automorphism_cap(h: Hypergraph) -> None:
     if h.vertex_count > AUTOMORPHISM_MAX_VERTICES:
         raise ValueError(
-            f"automorphism search is capped at {AUTOMORPHISM_MAX_VERTICES} vertices"
+            f"automorphism search is capped at {AUTOMORPHISM_MAX_VERTICES} vertices, got {h.vertex_count}"
         )
 
 

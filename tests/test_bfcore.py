@@ -309,9 +309,17 @@ def test_one_step_groups_refuse_a_wide_support_at_entry():
     # its packed vector would have 2^63 bits
     wide = Hypergraph.from_sets(63, [range(1, 64)])
     start = time.perf_counter()
-    with pytest.raises(ValueError, match=f"capped at {cap} essential variables"):
+    with pytest.raises(ValueError, match=f"capped at {cap} essential variables, got 63$"):
         hypergraph.contraction_classes(wide)
     assert time.perf_counter() - start < 1.0
+    # the entry check names the support's own ess, as the per-function check does
+    path = Hypergraph.from_sets(cap + 3, [[i, i + 1] for i in range(1, cap + 3)])
+    for call in (
+        lambda: hypergraph.contraction_classes(path),
+        lambda: bfcore.one_step_identification_classes(Zhegalkin(path.vertex_count, path.edges)),
+    ):
+        with pytest.raises(ValueError, match=f"^canonical form is capped at {cap} essential variables, got {cap + 3}$"):
+            call()
     # an identification drops at most two essential variables, so a support
     # of cap + 2 passes the entry check: the linear sum loses both
     # identified variables on every pair
@@ -945,17 +953,3 @@ def test_packed_identification_matches_the_set_identification(n, data):
     monomials = frozenset(bfcore.bits_of(vec))
     for bi, bj in itertools.combinations(range(n), 2):
         assert bfcore._identify_vec(vec, bi, bj, n) == pack(bfcore._identify_masks(monomials, bi, bj))
-
-
-@given(st.integers(1, 6), st.data())
-def test_dropping_dummy_variables_matches_support_reduction(n, data):
-    live = data.draw(st.integers(0, (1 << n) - 1))
-    masks = data.draw(st.frozensets(st.integers(0, (1 << n) - 1), max_size=20))
-    monomials = frozenset(m & live for m in masks)
-    vec, width = pack(monomials), n
-    for k in reversed(range(n)):
-        if not any(m >> k & 1 for m in monomials):
-            vec = bfcore._drop_var(vec, k, width)
-            width -= 1
-    reduced, ess = bfcore._reduce_masks(monomials)
-    assert (vec, width) == (pack(reduced), ess)

@@ -437,7 +437,8 @@ def test_cli_input_errors(capsys):
 
 def test_cli_input_checks_print_one_line(capsys, tmp_path):
     for argv, message in (
-        (("convert", "x21", "--to", "table"), "truth tables are capped at arity 20"),
+        (("convert", "x21", "--to", "table"), "truth tables are capped at arity 20, got 21"),
+        (("convert", "x63", "--to", "table"), "truth tables are capped at arity 20, got 63"),
         (("verify", "poset", "--cache", str(tmp_path)), f"cache path {str(tmp_path)!r} is not a regular file"),
         (("iso", '{"n": 64, "edges": []}', "1:"), "vertex count must be in 0..63, got 64 (at position 0)"),
         # a bound reads the same whichever input form carries the value
@@ -596,6 +597,11 @@ def test_cli_requires_one_source(capsys, monkeypatch, tmp_path):
     assert code == 2
     code, out, _ = run_cli(capsys, "classify", "--file", str(path))
     assert code == 0 and "irreducible: True" in out
+    # an empty inline input is a given source: parsed, not counted as missing
+    for text in ("", " "):
+        assert run_cli(capsys, "classify", text) == (2, "", "error: empty polynomial (at position 0)\n")
+    code, out, err = run_cli(capsys, "classify", "", "--file", str(path))
+    assert (code, out) == (2, "") and err == "error: give exactly one input source (inline, --file, or '-')\n"
 
 
 # ---------------------------------------------------------------------------
@@ -666,11 +672,16 @@ def test_cli_verify_rejects_out_of_range(capsys, argv, message):
     assert err.startswith(f"error: {flag} {bound}, got ")
 
 
-@pytest.mark.parametrize("value", ["-1", "5"])
+@pytest.mark.parametrize("value", ["-1", "5", "9"])
 def test_cli_poset_rejects_out_of_range(capsys, value):
+    # both verbs name the flag typed, each with its own bound
     code, out, err = run_cli(capsys, "poset", f"--max-ess={value}")
     assert code == 2 and out == ""
-    assert err == f"error: max_ess must be in 0..4, got {value}\n"
+    assert err == f"error: --max-ess must be in 0..4, got {value}\n"
+    if value != "-1":
+        assert run_cli(capsys, "verify", "poset", "--max-ess", value) == (
+            2, "", f"error: --max-ess must be in 1..4, got {value}\n"
+        )
 
 
 @pytest.mark.parametrize("verb", ["classify", "irreducible"])

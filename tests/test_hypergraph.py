@@ -298,9 +298,10 @@ def test_fano_automorphism_group_order():
 
 
 def test_automorphism_cap():
-    with pytest.raises(ValueError):
+    # the refusal names the cap and the refused vertex count
+    with pytest.raises(ValueError, match="^automorphism search is capped at 13 vertices, got 14$"):
         automorphisms(H(14))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^automorphism search is capped at 13 vertices, got 14$"):
         is_2set_transitive(H(14))
 
 
