@@ -4,10 +4,11 @@ A function lives in two interchangeable representations: a truth table
 (the 2^n evaluation bits) and a multilinear GF(2) polynomial (a set of
 monomials, also called the algebraic normal form).  Internally a third one,
 the packed ANF vector (an int whose bit m is set when monomial m occurs, the
-Moebius transform of the truth table), keys the one cache of canonical forms
-and makes identifying two variables four masked shifts; a function on x1..x4
-is looked up by its minimum in the 4-variable orbit table.  Conventions,
-fixed once and used everywhere:
+Moebius transform of the truth table), makes identifying two variables four
+masked shifts and keys the one cache of canonical forms.  The lookup resolves
+dummy variables before that cache, by support reduction beyond x1..x4 and by
+the 4-variable orbit table on x1..x4, so the cache holds searched classes
+only.  Conventions, fixed once and used everywhere:
 
 * point indices: x_k is bit k-1 of the index, so x_1 is the least
   significant bit;
@@ -534,9 +535,11 @@ def _canonical_search(
 
 
 def _class_of(vec: int) -> tuple[tuple[int, ...], int]:
-    """The (canonical tuple, ess) of the packed ANF vector ``vec``.  Below
-    2^16 (x1..x4 only) its 4-variable orbit minimum, which is always
-    support-reduced, stands in for it."""
+    """The (canonical tuple, ess) of the packed ANF vector ``vec``.  Dummy
+    variables are resolved here, before the cache: beyond x1..x4 by
+    :func:`_packed`, on x1..x4 by the 4-variable orbit minimum, always reduced."""
+    if vec >> 16:
+        vec = _packed(frozenset(bits_of(vec)))[0]
     if vec < 1 << 16:
         vec = _anf_orbits(4)[0][vec]
     return _canonical_reduced(vec)
@@ -544,20 +547,17 @@ def _class_of(vec: int) -> tuple[tuple[int, ...], int]:
 
 @lru_cache(maxsize=1 << 16)
 def _canonical_reduced(vec: int) -> tuple[tuple[int, ...], int]:
-    """:func:`_class_of`, cached.  An ess above the cap is refused before the
-    search; a dummy variable defers to the support-reduced vector's entry."""
-    reduced, ess = _reduce_masks(frozenset(bits_of(vec)))
-    _check_canonical_ess(ess)
-    packed = _pack(reduced)
-    if packed != vec:
-        return _class_of(packed)
+    """:func:`_class_of` on a support-reduced vector, cached, so the cache
+    holds searched classes only: each entry is one canonical search."""
+    reduced = frozenset(bits_of(vec))
+    ess = support_mask(reduced).bit_count()
     return _canonical_search(reduced, ess)[0], ess
 
 
-def _packed(poly: Zhegalkin) -> tuple[int, int]:
-    """The vector of the support-reduced ``poly`` and its ess.  An ess above
+def _packed(monomials: frozenset[int]) -> tuple[int, int]:
+    """The vector of the support-reduced ``monomials`` and its ess.  An ess above
     the cap is refused first: a 63-variable support would pack to 2^63 bits."""
-    reduced, ess = _reduce_masks(poly.monomials)
+    reduced, ess = _reduce_masks(monomials)
     _check_canonical_ess(ess)
     return _pack(reduced), ess
 
@@ -576,7 +576,7 @@ def canonical_form(poly: Zhegalkin) -> Zhegalkin:
     whose ascending monomial-mask sequence is lexicographically least wins.
     Constants canonicalize at arity 1.
     """
-    return _class_poly(_class_of(_packed(poly)[0]))
+    return _class_poly(_class_of(_packed(poly.monomials)[0]))
 
 
 def is_equivalent(f: Zhegalkin, g: Zhegalkin) -> bool:
@@ -847,7 +847,7 @@ def is_irreducible_direct(f: Zhegalkin) -> Optional[Zhegalkin]:
     Every strict minor lies below some one-step identification, so f is
     irreducible exactly when its one-step classes have a single maximal one.
     """
-    cover = _irreducible_cover(*_packed(f))
+    cover = _irreducible_cover(*_packed(f.monomials))
     return None if cover is None else _class_poly(cover)
 
 

@@ -74,7 +74,7 @@ class ClassRecord:
 def _sorted_covers(f: Zhegalkin) -> tuple[Zhegalkin, ...]:
     """The lower covers of f's class (its maximal one-step classes), ordered
     by sorted monomials."""
-    keys = bfcore._maximal_one_steps(*bfcore._packed(f))
+    keys = bfcore._maximal_one_steps(*bfcore._packed(f.monomials))
     return tuple(sorted(map(bfcore._class_poly, keys), key=lambda p: sorted(p.monomials)))
 
 

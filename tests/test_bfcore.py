@@ -912,8 +912,9 @@ def test_class_lookup_matches_the_uncached_search(vec):
 
 
 def test_one_class_is_searched_once(monkeypatch):
-    # the orbit table names every relabeling on x1..x4, and a dummy variable
-    # hands the lookup on to the support-reduced vector
+    # the orbit table names every relabeling on x1..x4, and a vector with a
+    # dummy variable is support-reduced before the cache, so the one search
+    # is the cache's one entry
     calls = []
     search = bfcore._canonical_search
     monkeypatch.setattr(bfcore, "_canonical_search", lambda *args: calls.append(args) or search(*args))
@@ -926,6 +927,7 @@ def test_one_class_is_searched_once(monkeypatch):
         for positions in itertools.combinations(range(n), 4):
             keys.add(bfcore._class_of(pack(bfcore.fold(m, [1 << p for p in positions]) for m in f)))
     assert len(keys) == 1 and len(calls) == 1
+    assert bfcore._canonical_reduced.cache_info().currsize == 1
 
 
 def test_a_wide_support_is_refused_before_it_is_packed(monkeypatch):

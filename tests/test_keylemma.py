@@ -59,7 +59,7 @@ def scan_functions(draw):
 @example(Zhegalkin(63, frozenset({1 << 62 | 1 << 40 | 1, 1 << 7})))
 def test_lazy_scan_yields_the_sorted_scan_classes_in_order(f):
     expected = list(oracle_maximal_one_steps(f))
-    keys = list(bfcore._maximal_one_steps(*bfcore._packed(f)))
+    keys = list(bfcore._maximal_one_steps(*bfcore._packed(f.monomials)))
     assert [bfcore._class_poly(key) for key in keys] == expected
     # the scan takes a vector with dummy variables as it is
     if f.arity <= 7:
@@ -107,8 +107,8 @@ def test_the_scan_stops_at_the_second_top_class(monkeypatch):
 def test_keylemma_canonical_searches_stay_bounded(monkeypatch):
     # a drift-free count of the sweep's work: canonical searches over n <= 4
     # and 1,000 samples at n = 5; the full grouping of every pair made
-    # 3,409, the lazy scan makes 1,606 (a cache miss on a vector with a
-    # dummy variable hands it on and runs no search)
+    # 3,409, the lazy scan makes 1,606; a vector with a dummy variable is
+    # support-reduced before the cache, so each entry is one search
     calls = []
     search = bfcore._canonical_search
     monkeypatch.setattr(bfcore, "_canonical_search", lambda *args: calls.append(args) or search(*args))
@@ -116,3 +116,4 @@ def test_keylemma_canonical_searches_stay_bounded(monkeypatch):
     result = verify.contraction_criterion_sweep(4, 1000, workers=1)
     assert not result.failures
     assert 0 < len(calls) <= 1606
+    assert bfcore._canonical_reduced.cache_info().currsize == len(calls)
