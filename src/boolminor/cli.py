@@ -339,9 +339,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # built and read inside the try, so a Ctrl-C there exits 130 too;
+    # argparse's SystemExit passes through
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,11 @@ arity, arity gap, parity block, lower covers (the maximal strict minors),
 level, and irreducibility verdict.  The four blocks come from two
 minor-invariant bits: the parity of the number of nonconstant monomials and
 the constant term.
+
+The record cache holds machine data, not export text: each class by its
+packed ANF vector in hex, and its lower covers by the positions of their
+records in the same file, so writing and reading it format and parse no
+polynomial.
 """
 
 from __future__ import annotations
@@ -22,13 +27,13 @@ from functools import cache
 from typing import Callable, Iterable, Optional
 
 from . import bfcore
-from .bfcore import Zhegalkin, essential_arity
+from .bfcore import Zhegalkin, bits_of, essential_arity, support_mask
 
 MAX_ENUM_ESS = 4
 
-_CACHE_HEADER = "#boolminor-classes v2"
-# the cache at MAX_ENUM_ESS is 712,456 bytes; a longer file is stale
-_CACHE_MAX_BYTES = 4 << 20
+_CACHE_HEADER = "#boolminor-classes v3"
+# the cache at MAX_ENUM_ESS is 128,334 bytes; a longer file is stale
+_CACHE_MAX_BYTES = 1 << 20
 
 
 class Block(Enum):
@@ -205,14 +210,19 @@ def _renderer() -> Callable[[Zhegalkin], str]:
     return cache(format_polynomial)
 
 
+def _fields(r: ClassRecord) -> list[str]:
+    """The ess, gap, block and level fields of a record's line."""
+    gap = "-" if r.gap is None else str(r.gap)
+    level = f"{r.level}+" if r.level_provisional else str(r.level)
+    return [str(r.ess), gap, r.block.value, level]
+
+
 def _render_records(recs: list[ClassRecord]) -> str:
     text = _renderer()
     lines = []
     for r in recs:
-        gap = "-" if r.gap is None else str(r.gap)
-        level = f"{r.level}+" if r.level_provisional else str(r.level)
         cov = ";".join(text(c) for c in r.lower_covers) or "-"
-        lines.append("\t".join([text(r.canon), str(r.ess), gap, r.block.value, level, cov]))
+        lines.append("\t".join([text(r.canon), *_fields(r), cov]))
     return "\n".join(lines) + "\n"
 
 
@@ -223,7 +233,15 @@ def _checksum(body: bytes) -> str:
 
 
 def _write_cache(path: str, max_ess: int, records: tuple[ClassRecord, ...]) -> None:
-    body = _render_records(list(records)).encode("utf-8")
+    """Write the records, one line each: the canonical form's packed ANF
+    vector in lowercase hex, the ess, gap, block and level fields, and the
+    lower covers as the 0-based positions of their records (``-`` for none)."""
+    position = {r.canon.monomials: i for i, r in enumerate(records)}
+    lines = []
+    for r in records:
+        cov = ",".join(str(position[c.monomials]) for c in r.lower_covers) or "-"
+        lines.append("\t".join([f"{bfcore._pack(r.canon.monomials):x}", *_fields(r), cov]))
+    body = ("\n".join(lines) + "\n").encode("utf-8")
     head = f"{_CACHE_HEADER} max_ess={max_ess} count={len(records)} crc32={_checksum(body)}\n"
     # a per-process name, created exclusively: a file already there is never
     # opened, since a FIFO would block the open until a reader came
@@ -243,11 +261,13 @@ def _read_cache(path: str, max_ess: int) -> Optional[tuple[ClassRecord, ...]]:
 
     An older format version, a body whose CRC-32 differs from the header's
     or a file longer than ``_CACHE_MAX_BYTES`` is stale, even when every
-    line would still parse.  A path that is not a regular file (a FIFO
-    would block the read, a device would never end) raises ValueError.
+    line would still parse, and so is a malformed line.  A vector must be
+    its own lowercase hex rendering within the vector width, 2^max_ess bits
+    (2 at max_ess 0); a cover must be the canonical decimal position of an
+    earlier record, and reads as that record's canonical form.  A path
+    that is not a regular file (a FIFO would block the read, a device would
+    never end) raises ValueError.
     """
-    from .formats import parse_polynomial
-
     if not stat.S_ISREG(os.stat(path).st_mode):
         raise ValueError(f"cache path {path!r} is not a regular file")
     with open(path, "rb") as fh:
@@ -268,24 +288,41 @@ def _read_cache(path: str, max_ess: int) -> Optional[tuple[ClassRecord, ...]]:
     body = [line for line in lines if line.strip()]
     if fields.get("max_ess") != str(max_ess) or fields.get("count") != str(len(body)):
         return None
-    poly = cache(parse_polynomial)  # each distinct text is parsed, and so checked, once
+    width = 1 << max(max_ess, 1)  # one bit per monomial
+    # each record so far by its position in canonical decimal, the one
+    # spelling of a cover
+    earlier: dict[str, Zhegalkin] = {}
     records = []
     try:
         for line in body:
-            canon_text, ess_s, gap_s, block_s, level_s, cov_s = line.split("\t")
-            covs = tuple(poly(c) for c in cov_s.split(";")) if cov_s != "-" else ()
+            vec_s, ess_s, gap_s, block_s, level_s, cov_s = line.split("\t")
+            canon = _hex_canon(vec_s, width)
             records.append(
                 ClassRecord(
-                    canon=poly(canon_text),
+                    canon=canon,
                     ess=int(ess_s),
                     gap=None if gap_s == "-" else int(gap_s),
                     block=Block(block_s),
                     level=int(level_s.rstrip("+")),
                     level_provisional=level_s.endswith("+"),
-                    lower_covers=covs,
+                    lower_covers=() if cov_s == "-" else tuple(earlier[c] for c in cov_s.split(",")),
                 )
             )
-    except ValueError:
+            earlier[str(len(earlier))] = canon
+    except (KeyError, ValueError):
         # a malformed line makes the whole cache stale
         return None
     return tuple(records)
+
+
+def _hex_canon(text: str, width: int) -> Zhegalkin:
+    """The canonical form a cache line names by its vector, at the arity of
+    its largest variable (1 for a constant)."""
+    # refused by length first: int() and bits_of never see a long digit run
+    if len(text) > max(width >> 2, 1):
+        raise ValueError("a vector wider than the cache's")
+    vec = int(text, 16)
+    if f"{vec:x}" != text or vec >> width:
+        raise ValueError(f"{text!r} is not a vector of the cache")
+    monomials = frozenset(bits_of(vec))
+    return Zhegalkin(max(support_mask(monomials).bit_length(), 1), monomials)

@@ -201,6 +201,16 @@ def test_ctrl_c_ends_a_sweep_with_one_line(capsys, monkeypatch):
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
+def test_ctrl_c_while_the_parser_is_built_exits_130(capsys, monkeypatch):
+    def interrupted():
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "build_parser", interrupted)
+    code, out, err = run_cli(capsys, "gap", "x1")
+    assert (code, out) == (130, "")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def sigint_ignored(_job):
     return signal.getsignal(signal.SIGINT) == signal.SIG_IGN
 

@@ -6,6 +6,7 @@ import random
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -161,8 +162,30 @@ def old_render_records(recs):
     return "\n".join(lines) + "\n"
 
 
-def test_rendering_and_reading_memos_keep_every_record(classes4, tmp_path):
-    rendered = poset._render_records(list(classes4)).split("\n")
+def v2_read(text):
+    """The records as the v2 cache read them, each line of the structured
+    rendering parsed by ``parse_polynomial``, kept as the oracle of the v3
+    read."""
+    records = []
+    for line in text.splitlines():
+        canon, ess, gap, block, level, cov = line.split("\t")
+        records.append(
+            poset.ClassRecord(
+                canon=parse_polynomial(canon),
+                ess=int(ess),
+                gap=None if gap == "-" else int(gap),
+                block=Block(block),
+                level=int(level.rstrip("+")),
+                level_provisional=level.endswith("+"),
+                lower_covers=() if cov == "-" else tuple(parse_polynomial(c) for c in cov.split(";")),
+            )
+        )
+    return records
+
+
+def test_rendering_memo_and_cache_read_keep_every_record(classes4, tmp_path):
+    text = poset._render_records(list(classes4))
+    rendered = text.split("\n")
     expected = old_render_records(classes4).split("\n")
     assert len(rendered) == len(expected)
     # line by line: pytest's diff of the whole text would take minutes
@@ -170,7 +193,28 @@ def test_rendering_and_reading_memos_keep_every_record(classes4, tmp_path):
         assert got == want
     cache = tmp_path / "classes.tsv"
     poset._write_cache(str(cache), 4, classes4)
-    assert poset._read_cache(str(cache), 4) == classes4
+    read = poset._read_cache(str(cache), 4)
+    assert read == classes4
+    oracle = v2_read(text)
+    assert len(read) == len(oracle)
+    for got, want in zip(read, oracle):
+        assert got == want
+
+
+def test_cache_write_and_read_format_and_parse_no_polynomial(classes4, tmp_path, monkeypatch):
+    from boolminor import formats
+
+    def refuse(*args):
+        raise AssertionError("the record cache handled polynomial text")
+
+    for module, name in ((formats, "parse_polynomial"), (formats, "format_polynomial"), (poset, "_render_records")):
+        monkeypatch.setattr(module, name, refuse)
+    cache = tmp_path / "classes.tsv"
+    assert enumerate_classes(4, cache_path=str(cache)) == classes4
+    # the size the byte bound is set against
+    assert cache.stat().st_size == 128_334
+    monkeypatch.setattr(poset, "_compute_records", refuse)
+    assert enumerate_classes(4, cache_path=str(cache)) == classes4
 
 
 def test_depth_levels_match_minimal_stripping(classes4):
@@ -314,76 +358,156 @@ def test_export_structured_round_trips_canon():
         assert parse_polynomial(text) == r.canon
 
 
+def verify_argv(cache, max_ess):
+    return ["verify", "poset", "--max-ess", str(max_ess), "--cache", str(cache)]
+
+
+def clean_run(tmp_path, capsys, max_ess):
+    """At ``max_ess``: the records, the cache they write, and ``verify
+    poset``'s stdout on that cache."""
+    cache = tmp_path / f"clean-{max_ess}.tsv"
+    recs = enumerate_classes(max_ess, cache_path=str(cache))
+    assert cli.main(verify_argv(cache, max_ess)) == 0
+    return max_ess, recs, cache.read_bytes(), capsys.readouterr().out
+
+
+def assert_stale(cache, content, clean, capsys):
+    """``content`` at ``cache`` is stale: it is recomputed and rewritten byte
+    for byte, and ``verify poset`` on it prints the clean stdout."""
+    max_ess, recs, written, clean_out = clean
+    cache.write_bytes(content)
+    assert poset._read_cache(str(cache), max_ess) is None
+    assert enumerate_classes(max_ess, cache_path=str(cache)) == recs
+    assert cache.read_bytes() == written
+    cache.write_bytes(content)
+    assert cli.main(verify_argv(cache, max_ess)) == 0
+    assert capsys.readouterr().out == clean_out
+    assert cache.read_bytes() == written
+    # rewritten once: the next run reads it
+    assert poset._read_cache(str(cache), max_ess) == recs
+
+
+def v3(body, max_ess=2):
+    """``body`` under a v3 header whose count and checksum match it, so it
+    reaches the line reader."""
+    count = body.count(b"\n")
+    return f"#boolminor-classes v3 max_ess={max_ess} count={count} crc32={poset._checksum(body)}\n".encode() + body
+
+
+# x1, then x1*x2 covered by the record at position 0
+LINE_X1 = b"2\t1\t-\tProjection\t0\t-\n"
+
+
+def x1x2_covered_by(index):
+    return LINE_X1 + b"8\t2\t1\tProjection\t1+\t" + index + b"\n"
+
+
 def test_cache_round_trip(tmp_path, capsys):
+    clean = clean_run(tmp_path, capsys, 2)
+    _, recs, written, _ = clean
     cache = tmp_path / "classes.tsv"
-    recs = enumerate_classes(2, cache_path=str(cache))
-    written = cache.read_text()
-    again = enumerate_classes(2, cache_path=str(cache))
-    assert again == recs
-    head, body = written.split("\n", 1)
-    assert head.startswith("#boolminor-classes v2 max_ess=2 count=12 crc32=")
+    assert enumerate_classes(2, cache_path=str(cache)) == recs
+    assert cache.read_bytes() == written
+    assert enumerate_classes(2, cache_path=str(cache)) == recs
+    head, body = written.split(b"\n", 1)
+    assert head.startswith(b"#boolminor-classes v3 max_ess=2 count=12 crc32=")
     # a cache whose lines all parse is still stale when its body no longer
-    # matches the header's checksum, or when it predates the checksum
-    lines = body.splitlines()
+    # matches the header's checksum, or when it predates the checksum or
+    # this format; v2 is the cache as the export text wrote it
+    lines = body.decode().splitlines()
     fields = lines[-1].split("\t")
     level = fields[4].rstrip("+")
     fields[4] = fields[4].replace(level, str((int(level) + 1) % 10))
     tampered = "\n".join(lines[:-1] + ["\t".join(fields)]) + "\n"
-    assert poset._read_cache(str(cache), 2) == recs
-    argv = ["verify", "poset", "--max-ess", "2", "--cache", str(cache)]
-    assert cli.main(argv) == 0
-    clean_out = capsys.readouterr().out
-    stale = (
-        head + "\n" + tampered,
-        f"#boolminor-classes v1 max_ess=2 count=12\n{body}",
-        head.replace("v2", "v1", 1) + "\n" + body,
-    )
-    for content in stale:
-        cache.write_text(content)
-        assert poset._read_cache(str(cache), 2) is None
-        assert enumerate_classes(2, cache_path=str(cache)) == recs
-        assert cache.read_text() == written
-        cache.write_text(content)
-        assert cli.main(argv) == 0
-        assert capsys.readouterr().out == clean_out
-        assert cache.read_text() == written
-    # stale, foreign or malformed cache content is recomputed and rewritten;
-    # each malformed body sits under a v2 header whose checksum matches it,
-    # so it reaches the line parser
-    def v2(body):
-        crc = poset._checksum(body).encode()
-        return b"#boolminor-classes v2 max_ess=2 count=1 crc32=" + crc + b"\n" + body
-
-    header = b"#boolminor-classes v1 max_ess=2 count=1\n"
+    export_text = poset._render_records(list(recs)).encode()
+    crc2 = poset._checksum(export_text).encode()
+    for content in (
+        head + b"\n" + tampered.encode(),
+        b"#boolminor-classes v1 max_ess=2 count=12\n" + body,
+        head.replace(b"v3", b"v1", 1) + b"\n" + body,
+        b"#boolminor-classes v2 max_ess=2 count=12 crc32=" + crc2 + b"\n" + export_text,
+    ):
+        assert_stale(cache, content, clean, capsys)
+    # foreign or malformed content is recomputed and rewritten; each
+    # malformed body also sits under a v3 header whose count and checksum
+    # match it, so it reaches the line reader
     malformed = (
-        b"x1\t1\n",
-        b"x1 +\t1\t-\tProjection\t0\t-\n",
-        b"x1\t1\t-\tSideways\t0\t-\n",
+        b"2\t1\n",
+        b"2\t1\t-\tProjection\t0\t-\t-\n",
+        b"2\t1\t-\tSideways\t0\t-\n",
         b"\xff\xfe\n",
+        # wider than the 4-bit vector width at max_ess 2, by value or by padding
+        b"10\t1\t-\tProjection\t0\t-\n",
+        b"00000002\t1\t-\tProjection\t0\t-\n",
+        # a cover index out of range (itself, or past the end), negative,
+        # or not a canonical decimal
+        *(x1x2_covered_by(i) for i in (b"1", b"2", b"-1", b"-0", b"+0", b"00", b" 0", b"0x0", b"0.0", b"a", b"")),
     )
     for content in (
         b"#something-else\n",
-        *(header + body for body in malformed),
-        *(v2(body) for body in malformed),
+        *(b"#boolminor-classes v1 max_ess=2 count=1\n" + body for body in malformed),
+        *(v3(body) for body in malformed),
     ):
-        cache.write_bytes(content)
-        assert poset._read_cache(str(cache), 2) is None
-        fresh = enumerate_classes(2, cache_path=str(cache))
-        assert fresh == recs
-        assert cache.read_text() == written
+        assert_stale(cache, content, clean, capsys)
+    # the cover lines read once the index is well formed
+    cache.write_bytes(v3(x1x2_covered_by(b"0")))
+    x1, x1x2 = poset._read_cache(str(cache), 2)
+    assert (x1.canon, x1x2.canon, x1x2.lower_covers) == (poly(1, (1,)), poly(2, (1, 2)), (x1.canon,))
+    # past the 2-bit width at max_ess 1, though within one hex digit
+    assert_stale(cache, v3(b"4\t1\t-\tProjection\t0\t-\n", 1), clean_run(tmp_path, capsys, 1), capsys)
+
+
+def test_a_vector_that_is_not_its_own_rendering_is_stale(classes4, tmp_path, capsys):
+    spellings = (b"0x1f", b"+1f", b"1_f", b"1F", b" 1f")
+    assert {int(s, 16) for s in spellings} == {0x1F}
+    # each spelling fits in the 4-digit width at max_ess 4, so the rendering
+    # check, not the length, refuses it
+    cache = tmp_path / "classes.tsv"
+    poset._write_cache(str(cache), 4, classes4)
+    body = cache.read_bytes().split(b"\n", 1)[1]
+    assert body.startswith(b"0\t")  # the zero function's record
+    for spelling in spellings:
+        cache.write_bytes(v3(spelling + body[1:], 4))
+        assert poset._read_cache(str(cache), 4) is None
+    # at max_ess 3 the lowercase rendering reads, and each other spelling is
+    # recomputed and rewritten
+    rest = b"\t3\t1\tProjection\t2+\t-\n"
+    cache.write_bytes(v3(b"1f" + rest, 3))
+    assert [r.canon for r in poset._read_cache(str(cache), 3)] == [Zhegalkin(3, frozenset(range(5)))]
+    clean = clean_run(tmp_path, capsys, 3)
+    for spelling in spellings:
+        assert_stale(cache, v3(spelling + rest, 3), clean, capsys)
+
+
+def test_a_hex_run_at_the_byte_bound_is_refused_by_length(tmp_path, capsys, monkeypatch):
+    clean = clean_run(tmp_path, capsys, 2)
+    rest = b"\t1\t-\tProjection\t0\t-\n"
+    head = len(v3(rest))
+    content = v3(b"f" * (poset._CACHE_MAX_BYTES - head) + rest)
+    assert len(content) == poset._CACHE_MAX_BYTES
+    cache = tmp_path / "classes.tsv"
+    cache.write_bytes(content)
+    parsed = []
+    monkeypatch.setattr(poset, "int", lambda text, *base: parsed.append(text) or int(text, *base), raising=False)
+    start = time.perf_counter()
+    assert poset._read_cache(str(cache), 2) is None
+    assert time.perf_counter() - start < 1
+    # the run never reached int()
+    assert parsed == []
+    assert_stale(cache, content, clean, capsys)
 
 
 def test_a_cache_written_at_another_max_ess_is_stale(tmp_path, capsys):
     # header, CRC and every line are valid, but they hold the classes of ess <= 2
     cache = tmp_path / "classes.tsv"
     assert cli.main(["poset", "--max-ess", "2", "--cache", str(cache)]) == 0
-    assert cache.read_text().startswith("#boolminor-classes v2 max_ess=2 count=12 crc32=")
+    assert cache.read_text().startswith("#boolminor-classes v3 max_ess=2 count=12 crc32=")
     capsys.readouterr()
     assert cli.main(["poset", "--max-ess", "3", "--cache", str(cache), "--export-format", "structured"]) == 0
     out = capsys.readouterr().out
     assert out == poset.export(enumerate_classes(3), format="structured")
     assert len(out.splitlines()) == 80
-    assert cache.read_text().startswith("#boolminor-classes v2 max_ess=3 count=80 crc32=")
+    assert cache.read_text().startswith("#boolminor-classes v3 max_ess=3 count=80 crc32=")
 
 
 def test_enumeration_reproducible():
