@@ -24,6 +24,7 @@ import zlib
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 from . import bfcore
@@ -256,6 +257,12 @@ def _write_cache(path: str, max_ess: int, records: tuple[ClassRecord, ...]) -> N
         raise
 
 
+# the reader maps these over each line's covers: cheaper than a generator
+# per record, 3,984 records at max_ess 4
+_level = attrgetter("level")
+_canon = attrgetter("canon")
+
+
 def _read_cache(path: str, max_ess: int) -> Optional[tuple[ClassRecord, ...]]:
     """The cached records, or None when the cache is stale or unparsable.
 
@@ -264,7 +271,11 @@ def _read_cache(path: str, max_ess: int) -> Optional[tuple[ClassRecord, ...]]:
     line would still parse, and so is a malformed line.  A vector must be
     its own lowercase hex rendering within the vector width, 2^max_ess bits
     (2 at max_ess 0); a cover must be the canonical decimal position of an
-    earlier record, and reads as that record's canonical form.  A path
+    earlier record, and reads as that record's canonical form.  The other
+    fields must be what the writer writes for the vector and its covers:
+    the ess is the support's size, the block the vector's, the gap ``-``
+    below ess 2 and ``1`` or ``2`` from there, and the level one above the
+    deepest cover's (0 with none), with ``+`` exactly at ess == max_ess.  A path
     that is not a regular file (a FIFO would block the read, a device would
     never end) raises ValueError.
     """
@@ -291,28 +302,31 @@ def _read_cache(path: str, max_ess: int) -> Optional[tuple[ClassRecord, ...]]:
     width = 1 << max(max_ess, 1)  # one bit per monomial
     # each record so far by its position in canonical decimal, the one
     # spelling of a cover
-    earlier: dict[str, Zhegalkin] = {}
-    records = []
+    earlier: dict[str, ClassRecord] = {}
     try:
         for line in body:
             vec_s, ess_s, gap_s, block_s, level_s, cov_s = line.split("\t")
             canon = _hex_canon(vec_s, width)
-            records.append(
-                ClassRecord(
-                    canon=canon,
-                    ess=int(ess_s),
-                    gap=None if gap_s == "-" else int(gap_s),
-                    block=Block(block_s),
-                    level=int(level_s.rstrip("+")),
-                    level_provisional=level_s.endswith("+"),
-                    lower_covers=() if cov_s == "-" else tuple(earlier[c] for c in cov_s.split(",")),
-                )
+            covers = [] if cov_s == "-" else [earlier[c] for c in cov_s.split(",")]
+            ess = support_mask(canon.monomials).bit_count()
+            record = ClassRecord(
+                canon=canon,
+                ess=ess,
+                gap=None if ess < 2 else {"1": 1, "2": 2}[gap_s],  # else KeyError
+                block=_block(len(canon.monomials), 0 in canon.monomials),
+                level=1 + max(map(_level, covers), default=-1),
+                level_provisional=(ess == max_ess),
+                lower_covers=tuple(map(_canon, covers)),
             )
-            earlier[str(len(earlier))] = canon
+            # the ess, block and level fields, and whether a gap is there,
+            # follow from the vector and the covers
+            if _fields(record) != [ess_s, gap_s, block_s, level_s]:
+                raise ValueError("a field disagrees with the vector or its covers")
+            earlier[str(len(earlier))] = record
     except (KeyError, ValueError):
         # a malformed line makes the whole cache stale
         return None
-    return tuple(records)
+    return tuple(earlier.values())
 
 
 def _hex_canon(text: str, width: int) -> Zhegalkin:

@@ -229,7 +229,6 @@ def _parity_fold(edges: list[int], image: tuple[int, ...]) -> int:
     return acc
 
 
-@functools.lru_cache(maxsize=None)
 def _lane_tables(n1: int, n2: int) -> tuple[tuple[int, ...], ...]:
     """``A[v][w]``: bit i set when map i sends vertex v to w.
 
@@ -243,28 +242,17 @@ def _lane_tables(n1: int, n2: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, lanes))
 
 
-def _brute_quotient(edge_mask1: int, n1: int, targets, n2: int) -> list:
-    """For each edge mask in ``targets``, the first vertex map (in
-    ``itertools.product`` order) whose parity fold of ``edge_mask1`` equals
-    it, or None.
-
-    Exhaustive over all n2^n1 maps, bit-sliced: one int carries one bit
-    (lane) per map.  ``parity[t]`` holds the maps under which an odd number
-    of edges land exactly on the vertex set t, so the maps that fold onto a
-    target are the AND over t of ``parity[t]`` or its complement.  This is
-    the oracle the sweep checks ``bfcore.is_minor`` against: it must stay
-    independent of bfcore, so it decodes ``edge_mask1`` itself.
-    """
-    # written out, not bfcore._check_range: the oracle runs no bfcore code
-    for name, n in (("n1", n1), ("n2", n2)):
-        if not 1 <= n <= QUOTIENT_MAX_VERTICES:
-            raise ValueError(f"{name} must be in 1..{QUOTIENT_MAX_VERTICES}, got {n}")
+@functools.lru_cache(maxsize=None)
+def _exact_images(n1: int, n2: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """``images[e]``: for the vertex set e of the larger side, the pairs
+    ``(t, lanes)``, one per vertex set t that some map sends e exactly onto,
+    ``lanes`` holding those maps.  The lanes of one e partition all n2^n1
+    maps.  The split depends on the sizes alone, so it is built once per
+    size pair, not once per sample."""
     table = _lane_tables(n1, n2)
     full = (1 << n2**n1) - 1
-    parity = [0] * (1 << n2)
+    images = []
     for e in range(1 << n1):
-        if not edge_mask1 >> e & 1:
-            continue
         vertex_lanes = [table[v] for v in range(n1) if e >> v & 1]
         # split the maps by the exact image of e, one target vertex at a time
         exact = {0: full}
@@ -280,8 +268,34 @@ def _brute_quotient(edge_mask1: int, n1: int, targets, n2: int) -> list:
                 if on != lane:
                     split[t] = lane ^ on
             exact = split
-        for t, lane in exact.items():
-            parity[t] ^= lane
+        images.append(tuple(exact.items()))
+    return tuple(images)
+
+
+def _brute_quotient(edge_mask1: int, n1: int, targets, n2: int) -> list:
+    """For each edge mask in ``targets``, the first vertex map (in
+    ``itertools.product`` order) whose parity fold of ``edge_mask1`` equals
+    it, or None.
+
+    Exhaustive over all n2^n1 maps, bit-sliced: one int carries one bit
+    (lane) per map.  ``parity[t]`` holds the maps under which an odd number
+    of edges land exactly on the vertex set t: the XOR, over the edges, of
+    the lanes that ``_exact_images`` files under t, so the maps that fold
+    onto a target are the AND over t of ``parity[t]`` or its complement.
+    This is the oracle the sweep checks ``bfcore.is_minor`` against: it must
+    stay independent of bfcore, so it decodes ``edge_mask1`` itself.
+    """
+    # written out, not bfcore._check_range: the oracle runs no bfcore code
+    for name, n in (("n1", n1), ("n2", n2)):
+        if not 1 <= n <= QUOTIENT_MAX_VERTICES:
+            raise ValueError(f"{name} must be in 1..{QUOTIENT_MAX_VERTICES}, got {n}")
+    images = _exact_images(n1, n2)
+    full = (1 << n2**n1) - 1
+    parity = [0] * (1 << n2)
+    for e in range(1 << n1):
+        if edge_mask1 >> e & 1:
+            for t, lanes in images[e]:
+                parity[t] ^= lanes
     found = []
     for em2 in targets:
         maps = 0 if em2 >> (1 << n2) else full

@@ -1,10 +1,11 @@
 """Brute-force oracles shared by the test modules."""
 
+import functools
 import itertools
 import types
 from collections import Counter
 
-from boolminor import bfcore, graphs
+from boolminor import bfcore, graphs, verify
 from boolminor import hypergraph as hg
 from boolminor.bfcore import GapClass, GapTag, Zhegalkin, bits_of
 from boolminor.formats import format_graph_line
@@ -294,6 +295,53 @@ def oracle_classify_property_p(g):
     if n in templates and graphs.is_isomorphic(g, templates[n][0]) is not None:
         return graphs.PropertyPClass(templates[n][1])
     return None
+
+
+# the lane tables as the former body read them, cached: the package builds
+# them once per image table and keeps only the image tables
+lane_tables = functools.cache(verify._lane_tables)
+
+
+def oracle_brute_quotient(edge_mask1, n1, targets, n2):
+    """``verify._brute_quotient`` as it was before its exact-image tables
+    were built once per size pair: for each edge of the larger side, every
+    call splits all n2^n1 map lanes by the exact image of that edge, one
+    target vertex at a time.  Kept as the oracle of the cached tables."""
+    table = lane_tables(n1, n2)
+    full = (1 << n2**n1) - 1
+    parity = [0] * (1 << n2)
+    for e in range(1 << n1):
+        if not edge_mask1 >> e & 1:
+            continue
+        vertex_lanes = [table[v] for v in range(n1) if e >> v & 1]
+        exact = {0: full}
+        for w in range(n2):
+            hit = 0
+            for lanes in vertex_lanes:
+                hit |= lanes[w]
+            split = {}
+            for t, lane in exact.items():
+                on = lane & hit
+                if on:
+                    split[t | 1 << w] = on
+                if on != lane:
+                    split[t] = lane ^ on
+            exact = split
+        for t, lane in exact.items():
+            parity[t] ^= lane
+    found = []
+    for em2 in targets:
+        maps = 0 if em2 >> (1 << n2) else full
+        for t, p in enumerate(parity):
+            if not maps:
+                break
+            maps &= p if em2 >> t & 1 else ~p
+        if not maps:
+            found.append(None)
+            continue
+        i = (maps & -maps).bit_length() - 1
+        found.append(tuple(i // n2 ** (n1 - 1 - v) % n2 for v in range(n1)))
+    return found
 
 
 def oracle_labeled_shard(job):

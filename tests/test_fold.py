@@ -85,8 +85,8 @@ def test_mask_tables(data):
 
 def test_brute_quotient_oracle_stays_independent_of_bfcore():
     # the oracle checks bfcore's minor test, so neither it nor any verify
-    # helper it calls (the lane tables, the sample generator's fold) may run
-    # bfcore code
+    # helper it calls (the lane and image tables, the sample generator's
+    # fold) may run bfcore code
     pending = [verify._brute_quotient, verify._parity_fold]
     seen = set()
     while pending:
@@ -100,7 +100,7 @@ def test_brute_quotient_oracle_stays_independent_of_bfcore():
             assert getattr(obj, "__module__", None) != bfcore.__name__, (fn.__name__, name)
             if getattr(obj, "__module__", None) == verify.__name__ and name not in seen:
                 pending.append(obj)
-    assert {"_brute_quotient", "_lane_tables"} <= seen
+    assert {"_brute_quotient", "_exact_images", "_lane_tables"} <= seen
 
 
 @contextmanager

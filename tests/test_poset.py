@@ -442,6 +442,22 @@ def test_cache_round_trip(tmp_path, capsys):
         # a cover index out of range (itself, or past the end), negative,
         # or not a canonical decimal
         *(x1x2_covered_by(i) for i in (b"1", b"2", b"-1", b"-0", b"+0", b"00", b" 0", b"0x0", b"0.0", b"a", b"")),
+        # fields that disagree with the vector or its covers: x1 read back
+        # with ess 3, gap 7 and a provisional level under a matching CRC
+        b"2\t+3\t 7\tProjection\t0++\t-\n",
+        # an ess that is not the support's size, or not its canonical decimal
+        b"2\t2\t1\tProjection\t0\t-\n",
+        b"2\t01\t-\tProjection\t0\t-\n",
+        # the block of another vector
+        b"2\t1\t-\tOne\t0\t-\n",
+        # a gap below ess 2, none at ess 2, or one other than 1 and 2
+        b"2\t1\t1\tProjection\t0\t-\n",
+        *(LINE_X1 + b"8\t2\t" + gap + b"\tProjection\t1+\t0\n" for gap in (b"-", b"0", b"3", b"01", b" 1")),
+        # a level that is not one above the deepest cover's, or whose "+"
+        # does not mark ess == max_ess
+        b"2\t1\t-\tProjection\t1\t-\n",
+        b"2\t1\t-\tProjection\t0+\t-\n",
+        *(LINE_X1 + b"8\t2\t1\tProjection\t" + level + b"\t0\n" for level in (b"0+", b"2+", b"1", b"01+")),
     )
     for content in (
         b"#something-else\n",
@@ -471,7 +487,7 @@ def test_a_vector_that_is_not_its_own_rendering_is_stale(classes4, tmp_path, cap
         assert poset._read_cache(str(cache), 4) is None
     # at max_ess 3 the lowercase rendering reads, and each other spelling is
     # recomputed and rewritten
-    rest = b"\t3\t1\tProjection\t2+\t-\n"
+    rest = b"\t3\t1\tOne\t0+\t-\n"
     cache.write_bytes(v3(b"1f" + rest, 3))
     assert [r.canon for r in poset._read_cache(str(cache), 3)] == [Zhegalkin(3, frozenset(range(5)))]
     clean = clean_run(tmp_path, capsys, 3)
