@@ -13,7 +13,9 @@ the constant term.
 The record cache holds machine data, not export text: each class by its
 packed ANF vector in hex, and its lower covers by the positions of their
 records in the same file, so writing and reading it format and parse no
-polynomial.
+polynomial.  It stores nothing else: one builder, ``_record``, derives the
+other fields from the vector and the covers, for computed and cached
+records alike.
 """
 
 from __future__ import annotations
@@ -28,13 +30,13 @@ from operator import attrgetter
 from typing import Callable, Iterable, Optional
 
 from . import bfcore
-from .bfcore import Zhegalkin, bits_of, essential_arity, support_mask
+from .bfcore import Zhegalkin, bits_of, support_mask
 
 MAX_ENUM_ESS = 4
 
-_CACHE_HEADER = "#boolminor-classes v3"
-# the cache at MAX_ENUM_ESS is 128,334 bytes; a longer file is stale
-_CACHE_MAX_BYTES = 1 << 20
+_CACHE_HEADER = "#boolminor-classes v4"
+# the cache at MAX_ENUM_ESS is 62,678 bytes; a longer file is stale
+_CACHE_MAX_BYTES = 1 << 18
 
 
 class Block(Enum):
@@ -111,40 +113,42 @@ def enumerate_classes(max_ess: int, cache_path: Optional[str] = None) -> tuple[C
 
 
 def _compute_records(max_ess: int) -> tuple[ClassRecord, ...]:
-    arity = max(max_ess, 1)
-    canons: dict[frozenset[int], Zhegalkin] = {}
-    for anf in bfcore._anf_orbits(arity)[1]:
-        canon = bfcore._class_poly(bfcore._class_of(anf))
-        canons[canon.monomials] = canon
+    # in record order: each cover has a smaller ess, so its record is built first
+    canons = sorted(
+        (bfcore._class_poly(bfcore._class_of(anf)) for anf in bfcore._anf_orbits(max(max_ess, 1))[1]),
+        key=lambda c: (support_mask(c.monomials).bit_count(), sorted(c.monomials)),
+    )
     if max_ess == 0:
         # only the two constants exist below arity 1
-        canons = {
-            k: v for k, v in canons.items() if essential_arity(v) == 0
-        }
+        canons = canons[:2]
+    records: dict[frozenset[int], ClassRecord] = {}
+    for canon in canons:
+        covers = [records[c.monomials] for c in _sorted_covers(canon)]
+        records[canon.monomials] = _record(canon, covers, max_ess)
+    return tuple(records.values())
 
-    covers = {key: _sorted_covers(canon) for key, canon in canons.items()}
 
-    layers = _levels_by_depth({k: [c.monomials for c in cov] for k, cov in covers.items()})
-    levels_map = {k: depth for depth, layer in enumerate(layers) for k in layer}
+# _record maps these over a record's covers: cheaper than a generator per
+# record, 3,984 records at max_ess 4
+_level = attrgetter("level")
+_canon = attrgetter("canon")
 
-    records = []
-    for key, canon in canons.items():
-        ess = essential_arity(canon)
-        gap = bfcore.arity_gap(canon) if ess >= 2 else None
-        cov = covers[key]
-        records.append(
-            ClassRecord(
-                canon=canon,
-                ess=ess,
-                gap=gap,
-                block=block_of(canon),
-                level=levels_map[key],
-                level_provisional=(ess == max_ess),
-                lower_covers=cov,
-            )
-        )
-    records.sort(key=lambda r: (r.ess, sorted(r.canon.monomials)))
-    return tuple(records)
+
+def _record(canon: Zhegalkin, covers: list[ClassRecord], max_ess: int) -> ClassRecord:
+    """The record of ``canon`` with the records ``covers`` as its lower
+    covers, each field derived the one way for computed and cached records
+    alike: the level is one above the deepest cover's (0 with none), the
+    rest comes from the canonical form."""
+    ess = support_mask(canon.monomials).bit_count()
+    return ClassRecord(
+        canon=canon,
+        ess=ess,
+        gap=bfcore.arity_gap(canon) if ess >= 2 else None,
+        block=block_of(canon),
+        level=1 + max(map(_level, covers), default=-1),
+        level_provisional=(ess == max_ess),
+        lower_covers=tuple(map(_canon, covers)),
+    )
 
 
 def _levels_by_depth(
@@ -211,19 +215,14 @@ def _renderer() -> Callable[[Zhegalkin], str]:
     return cache(format_polynomial)
 
 
-def _fields(r: ClassRecord) -> list[str]:
-    """The ess, gap, block and level fields of a record's line."""
-    gap = "-" if r.gap is None else str(r.gap)
-    level = f"{r.level}+" if r.level_provisional else str(r.level)
-    return [str(r.ess), gap, r.block.value, level]
-
-
 def _render_records(recs: list[ClassRecord]) -> str:
     text = _renderer()
     lines = []
     for r in recs:
+        gap = "-" if r.gap is None else str(r.gap)
+        level = f"{r.level}+" if r.level_provisional else str(r.level)
         cov = ";".join(text(c) for c in r.lower_covers) or "-"
-        lines.append("\t".join([text(r.canon), *_fields(r), cov]))
+        lines.append("\t".join([text(r.canon), str(r.ess), gap, r.block.value, level, cov]))
     return "\n".join(lines) + "\n"
 
 
@@ -235,13 +234,14 @@ def _checksum(body: bytes) -> str:
 
 def _write_cache(path: str, max_ess: int, records: tuple[ClassRecord, ...]) -> None:
     """Write the records, one line each: the canonical form's packed ANF
-    vector in lowercase hex, the ess, gap, block and level fields, and the
-    lower covers as the 0-based positions of their records (``-`` for none)."""
+    vector in lowercase hex and the lower covers as the 0-based positions
+    of their records (``-`` for none).  Every other field is derived on
+    read."""
     position = {r.canon.monomials: i for i, r in enumerate(records)}
     lines = []
     for r in records:
         cov = ",".join(str(position[c.monomials]) for c in r.lower_covers) or "-"
-        lines.append("\t".join([f"{bfcore._pack(r.canon.monomials):x}", *_fields(r), cov]))
+        lines.append(f"{bfcore._pack(r.canon.monomials):x}\t{cov}")
     body = ("\n".join(lines) + "\n").encode("utf-8")
     head = f"{_CACHE_HEADER} max_ess={max_ess} count={len(records)} crc32={_checksum(body)}\n"
     # a per-process name, created exclusively: a file already there is never
@@ -257,12 +257,6 @@ def _write_cache(path: str, max_ess: int, records: tuple[ClassRecord, ...]) -> N
         raise
 
 
-# the reader maps these over each line's covers: cheaper than a generator
-# per record, 3,984 records at max_ess 4
-_level = attrgetter("level")
-_canon = attrgetter("canon")
-
-
 def _read_cache(path: str, max_ess: int) -> Optional[tuple[ClassRecord, ...]]:
     """The cached records, or None when the cache is stale or unparsable.
 
@@ -271,13 +265,11 @@ def _read_cache(path: str, max_ess: int) -> Optional[tuple[ClassRecord, ...]]:
     line would still parse, and so is a malformed line.  A vector must be
     its own lowercase hex rendering within the vector width, 2^max_ess bits
     (2 at max_ess 0); a cover must be the canonical decimal position of an
-    earlier record, and reads as that record's canonical form.  The other
-    fields must be what the writer writes for the vector and its covers:
-    the ess is the support's size, the block the vector's, the gap ``-``
-    below ess 2 and ``1`` or ``2`` from there, and the level one above the
-    deepest cover's (0 with none), with ``+`` exactly at ess == max_ess.  A path
-    that is not a regular file (a FIFO would block the read, a device would
-    never end) raises ValueError.
+    earlier record, and reads as that record's canonical form.  Every other
+    field is derived from the vector and the covers by ``_record``, as the
+    computed records are, so none can disagree with them.  A path that is
+    not a regular file (a FIFO would block the read, a device would never
+    end) raises ValueError.
     """
     if not stat.S_ISREG(os.stat(path).st_mode):
         raise ValueError(f"cache path {path!r} is not a regular file")
@@ -305,24 +297,10 @@ def _read_cache(path: str, max_ess: int) -> Optional[tuple[ClassRecord, ...]]:
     earlier: dict[str, ClassRecord] = {}
     try:
         for line in body:
-            vec_s, ess_s, gap_s, block_s, level_s, cov_s = line.split("\t")
+            vec_s, cov_s = line.split("\t")
             canon = _hex_canon(vec_s, width)
             covers = [] if cov_s == "-" else [earlier[c] for c in cov_s.split(",")]
-            ess = support_mask(canon.monomials).bit_count()
-            record = ClassRecord(
-                canon=canon,
-                ess=ess,
-                gap=None if ess < 2 else {"1": 1, "2": 2}[gap_s],  # else KeyError
-                block=_block(len(canon.monomials), 0 in canon.monomials),
-                level=1 + max(map(_level, covers), default=-1),
-                level_provisional=(ess == max_ess),
-                lower_covers=tuple(map(_canon, covers)),
-            )
-            # the ess, block and level fields, and whether a gap is there,
-            # follow from the vector and the covers
-            if _fields(record) != [ess_s, gap_s, block_s, level_s]:
-                raise ValueError("a field disagrees with the vector or its covers")
-            earlier[str(len(earlier))] = record
+            earlier[str(len(earlier))] = _record(canon, covers, max_ess)
     except (KeyError, ValueError):
         # a malformed line makes the whole cache stale
         return None

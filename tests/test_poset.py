@@ -164,7 +164,7 @@ def old_render_records(recs):
 
 def v2_read(text):
     """The records as the v2 cache read them, each line of the structured
-    rendering parsed by ``parse_polynomial``, kept as the oracle of the v3
+    rendering parsed by ``parse_polynomial``, kept as the oracle of the v4
     read."""
     records = []
     for line in text.splitlines():
@@ -212,7 +212,7 @@ def test_cache_write_and_read_format_and_parse_no_polynomial(classes4, tmp_path,
     cache = tmp_path / "classes.tsv"
     assert enumerate_classes(4, cache_path=str(cache)) == classes4
     # the size the byte bound is set against
-    assert cache.stat().st_size == 128_334
+    assert cache.stat().st_size == 62_678
     monkeypatch.setattr(poset, "_compute_records", refuse)
     assert enumerate_classes(4, cache_path=str(cache)) == classes4
 
@@ -227,6 +227,29 @@ def test_depth_levels_match_minimal_stripping(classes4):
     for _ in range(50):
         sub = {k: covers[k] for k in rng.sample(keys, rng.randint(1, 400))}
         assert poset._levels_by_depth(sub) == strip_levels(sub)
+
+
+def test_every_record_field_matches_an_independent_derivation(classes4, monkeypatch):
+    # computed and cached records share one builder, so a read that equals
+    # a computed record no longer checks its fields: each is derived here
+    # another way
+    covers = {r.key(): [c.monomials for c in r.lower_covers] for r in classes4}
+    depth = {k: d for d, layer in enumerate(poset._levels_by_depth(covers)) for k in layer}
+    stripped = {k: d for d, layer in enumerate(strip_levels(covers)) for k in layer}
+    for r in classes4:
+        monomials = r.canon.monomials
+        assert r.gap == bfcore._arity_gap_vec(bfcore._pack(monomials), r.canon.arity)
+        assert r.level == depth[r.key()] == stripped[r.key()]
+        assert r.block is poset._block(len(monomials), 0 in monomials)
+        assert r.ess == bfcore.essential_arity(r.canon)
+        assert r.level_provisional == (r.ess == 4)
+
+    def refuse(*args):
+        raise AssertionError("the records were leveled by a second pass")
+
+    # the records are leveled as they are built
+    monkeypatch.setattr(poset, "_levels_by_depth", refuse)
+    assert poset._compute_records(4) == classes4
 
 
 def test_levels_refuse_a_cover_cycle():
@@ -387,19 +410,43 @@ def assert_stale(cache, content, clean, capsys):
     assert poset._read_cache(str(cache), max_ess) == recs
 
 
-def v3(body, max_ess=2):
-    """``body`` under a v3 header whose count and checksum match it, so it
-    reaches the line reader."""
+def headed(body, max_ess=2, version=4):
+    """``body`` under a ``version`` header whose count and checksum match
+    it, so that at the current version it reaches the line reader."""
     count = body.count(b"\n")
-    return f"#boolminor-classes v3 max_ess={max_ess} count={count} crc32={poset._checksum(body)}\n".encode() + body
+    crc = poset._checksum(body)
+    return f"#boolminor-classes v{version} max_ess={max_ess} count={count} crc32={crc}\n".encode() + body
 
 
-# x1, then x1*x2 covered by the record at position 0
-LINE_X1 = b"2\t1\t-\tProjection\t0\t-\n"
+def v3_body(recs):
+    """The body a v3 cache held for ``recs``: each line the vector, the ess,
+    gap, block and level fields of the structured export, and the covers'
+    positions."""
+    position = {r.key(): i for i, r in enumerate(recs)}
+    lines = []
+    for r, line in zip(recs, poset._render_records(list(recs)).splitlines()):
+        cov = ",".join(str(position[c.monomials]) for c in r.lower_covers) or "-"
+        lines.append("\t".join([f"{bfcore._pack(r.canon.monomials):x}", *line.split("\t")[1:5], cov]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+# x1, then x1*x2 covered by the record at position 0, as v4 lines and as
+# the v3 lines that also held the ess, gap, block and level
+LINE_X1 = b"2\t-\n"
+V3_LINE_X1 = b"2\t1\t-\tProjection\t0\t-\n"
 
 
 def x1x2_covered_by(index):
-    return LINE_X1 + b"8\t2\t1\tProjection\t1+\t" + index + b"\n"
+    return LINE_X1 + b"8\t" + index + b"\n"
+
+
+def v3_x1x2_covered_by(index):
+    return V3_LINE_X1 + b"8\t2\t1\tProjection\t1+\t" + index + b"\n"
+
+
+# cover indices out of range (itself, or past the end), negative, or not a
+# canonical decimal
+BAD_INDICES = (b"1", b"2", b"-1", b"-0", b"+0", b"00", b" 0", b"0x0", b"0.0", b"a", b"")
 
 
 def test_cache_round_trip(tmp_path, capsys):
@@ -410,38 +457,53 @@ def test_cache_round_trip(tmp_path, capsys):
     assert cache.read_bytes() == written
     assert enumerate_classes(2, cache_path=str(cache)) == recs
     head, body = written.split(b"\n", 1)
-    assert head.startswith(b"#boolminor-classes v3 max_ess=2 count=12 crc32=")
+    assert head.startswith(b"#boolminor-classes v4 max_ess=2 count=12 crc32=")
     # a cache whose lines all parse is still stale when its body no longer
     # matches the header's checksum, or when it predates the checksum or
-    # this format; v2 is the cache as the export text wrote it
-    lines = body.decode().splitlines()
-    fields = lines[-1].split("\t")
-    level = fields[4].rstrip("+")
-    fields[4] = fields[4].replace(level, str((int(level) + 1) % 10))
-    tampered = "\n".join(lines[:-1] + ["\t".join(fields)]) + "\n"
+    # this format; v2 is the cache as the export text wrote it, v3 the
+    # vectors and covers with the ess, gap, block and level fields
+    tampered = body.rsplit(b"\t", 1)[0] + b"\t-\n"
+    assert tampered != body
+    # its lines parse: under its own checksum the tampered body reads
+    cache.write_bytes(headed(tampered))
+    assert poset._read_cache(str(cache), 2) is not None
     export_text = poset._render_records(list(recs)).encode()
     crc2 = poset._checksum(export_text).encode()
+    v3 = v3_body(recs)
+    # the v3 line of x1 + x2 + 1 with its gap 2 read as 1: under a matching
+    # CRC the v3 reader took that gap on trust
+    gap_line = b"7\t2\t2\tOne\t1+\t"
+    assert v3.count(gap_line) == 1
     for content in (
-        head + b"\n" + tampered.encode(),
+        head + b"\n" + tampered,
         b"#boolminor-classes v1 max_ess=2 count=12\n" + body,
-        head.replace(b"v3", b"v1", 1) + b"\n" + body,
+        head.replace(b"v4", b"v1", 1) + b"\n" + body,
+        head.replace(b"v4", b"v3", 1) + b"\n" + body,
         b"#boolminor-classes v2 max_ess=2 count=12 crc32=" + crc2 + b"\n" + export_text,
+        headed(v3, version=3),
+        headed(v3.replace(gap_line, b"7\t2\t1\tOne\t1+\t"), version=3),
     ):
         assert_stale(cache, content, clean, capsys)
     # foreign or malformed content is recomputed and rewritten; each
-    # malformed body also sits under a v3 header whose count and checksum
-    # match it, so it reaches the line reader
+    # malformed body also sits under a header whose count and checksum match
+    # it, so at v4 it reaches the line reader
     malformed = (
+        b"2\n",
+        b"2\t-\t-\n",
+        b"\xff\xfe\n",
+        # wider than the 4-bit vector width at max_ess 2, by value or by padding
+        b"10\t-\n",
+        b"00000002\t-\n",
+        *(x1x2_covered_by(i) for i in BAD_INDICES),
+    )
+    # the v3 lines, each refused by the v4 reader as much as by the version
+    v3_malformed = (
         b"2\t1\n",
         b"2\t1\t-\tProjection\t0\t-\t-\n",
         b"2\t1\t-\tSideways\t0\t-\n",
-        b"\xff\xfe\n",
-        # wider than the 4-bit vector width at max_ess 2, by value or by padding
         b"10\t1\t-\tProjection\t0\t-\n",
         b"00000002\t1\t-\tProjection\t0\t-\n",
-        # a cover index out of range (itself, or past the end), negative,
-        # or not a canonical decimal
-        *(x1x2_covered_by(i) for i in (b"1", b"2", b"-1", b"-0", b"+0", b"00", b" 0", b"0x0", b"0.0", b"a", b"")),
+        *(v3_x1x2_covered_by(i) for i in BAD_INDICES),
         # fields that disagree with the vector or its covers: x1 read back
         # with ess 3, gap 7 and a provisional level under a matching CRC
         b"2\t+3\t 7\tProjection\t0++\t-\n",
@@ -452,25 +514,33 @@ def test_cache_round_trip(tmp_path, capsys):
         b"2\t1\t-\tOne\t0\t-\n",
         # a gap below ess 2, none at ess 2, or one other than 1 and 2
         b"2\t1\t1\tProjection\t0\t-\n",
-        *(LINE_X1 + b"8\t2\t" + gap + b"\tProjection\t1+\t0\n" for gap in (b"-", b"0", b"3", b"01", b" 1")),
+        *(V3_LINE_X1 + b"8\t2\t" + gap + b"\tProjection\t1+\t0\n" for gap in (b"-", b"0", b"3", b"01", b" 1")),
         # a level that is not one above the deepest cover's, or whose "+"
         # does not mark ess == max_ess
         b"2\t1\t-\tProjection\t1\t-\n",
         b"2\t1\t-\tProjection\t0+\t-\n",
-        *(LINE_X1 + b"8\t2\t1\tProjection\t" + level + b"\t0\n" for level in (b"0+", b"2+", b"1", b"01+")),
+        *(V3_LINE_X1 + b"8\t2\t1\tProjection\t" + level + b"\t0\n" for level in (b"0+", b"2+", b"1", b"01+")),
+        # the well-formed v3 lines
+        V3_LINE_X1,
+        v3_x1x2_covered_by(b"0"),
     )
     for content in (
         b"#something-else\n",
-        *(b"#boolminor-classes v1 max_ess=2 count=1\n" + body for body in malformed),
-        *(v3(body) for body in malformed),
+        *(b"#boolminor-classes v1 max_ess=2 count=1\n" + body for body in malformed + v3_malformed),
+        *(headed(body, version=3) for body in malformed + v3_malformed),
+        *(headed(body) for body in malformed + v3_malformed),
     ):
         assert_stale(cache, content, clean, capsys)
-    # the cover lines read once the index is well formed
-    cache.write_bytes(v3(x1x2_covered_by(b"0")))
+    # the v4 lines read once the vector fits and the index is well formed
+    cache.write_bytes(headed(LINE_X1))
+    assert [r.canon for r in poset._read_cache(str(cache), 2)] == [poly(1, (1,))]
+    cache.write_bytes(headed(x1x2_covered_by(b"0")))
     x1, x1x2 = poset._read_cache(str(cache), 2)
     assert (x1.canon, x1x2.canon, x1x2.lower_covers) == (poly(1, (1,)), poly(2, (1, 2)), (x1.canon,))
     # past the 2-bit width at max_ess 1, though within one hex digit
-    assert_stale(cache, v3(b"4\t1\t-\tProjection\t0\t-\n", 1), clean_run(tmp_path, capsys, 1), capsys)
+    clean1 = clean_run(tmp_path, capsys, 1)
+    for content in (headed(b"4\t-\n", 1), headed(b"4\t1\t-\tProjection\t0\t-\n", 1, version=3)):
+        assert_stale(cache, content, clean1, capsys)
 
 
 def test_a_vector_that_is_not_its_own_rendering_is_stale(classes4, tmp_path, capsys):
@@ -483,47 +553,57 @@ def test_a_vector_that_is_not_its_own_rendering_is_stale(classes4, tmp_path, cap
     body = cache.read_bytes().split(b"\n", 1)[1]
     assert body.startswith(b"0\t")  # the zero function's record
     for spelling in spellings:
-        cache.write_bytes(v3(spelling + body[1:], 4))
+        cache.write_bytes(headed(spelling + body[1:], 4))
         assert poset._read_cache(str(cache), 4) is None
     # at max_ess 3 the lowercase rendering reads, and each other spelling is
-    # recomputed and rewritten
-    rest = b"\t3\t1\tOne\t0+\t-\n"
-    cache.write_bytes(v3(b"1f" + rest, 3))
+    # recomputed and rewritten; so is each spelling in a v3 line, whose
+    # lowercase rendering is stale too
+    rest, v3_rest = b"\t-\n", b"\t3\t1\tOne\t0+\t-\n"
+    cache.write_bytes(headed(b"1f" + rest, 3))
     assert [r.canon for r in poset._read_cache(str(cache), 3)] == [Zhegalkin(3, frozenset(range(5)))]
     clean = clean_run(tmp_path, capsys, 3)
     for spelling in spellings:
-        assert_stale(cache, v3(spelling + rest, 3), clean, capsys)
+        assert_stale(cache, headed(spelling + rest, 3), clean, capsys)
+    for spelling in (b"1f", *spellings):
+        for version in (3, 4):
+            assert_stale(cache, headed(spelling + v3_rest, 3, version), clean, capsys)
 
 
 def test_a_hex_run_at_the_byte_bound_is_refused_by_length(tmp_path, capsys, monkeypatch):
     clean = clean_run(tmp_path, capsys, 2)
-    rest = b"\t1\t-\tProjection\t0\t-\n"
-    head = len(v3(rest))
-    content = v3(b"f" * (poset._CACHE_MAX_BYTES - head) + rest)
-    assert len(content) == poset._CACHE_MAX_BYTES
     cache = tmp_path / "classes.tsv"
-    cache.write_bytes(content)
     parsed = []
     monkeypatch.setattr(poset, "int", lambda text, *base: parsed.append(text) or int(text, *base), raising=False)
-    start = time.perf_counter()
-    assert poset._read_cache(str(cache), 2) is None
-    assert time.perf_counter() - start < 1
-    # the run never reached int()
-    assert parsed == []
-    assert_stale(cache, content, clean, capsys)
+    # one digit within the width reaches int() and reads
+    cache.write_bytes(headed(b"f\t-\n"))
+    assert [r.ess for r in poset._read_cache(str(cache), 2)] == [2]
+    assert parsed == ["f"]
+    # the v4 line, and the v3 line under either header
+    for rest, version in ((b"\t-\n", 4), (b"\t1\t-\tProjection\t0\t-\n", 3), (b"\t1\t-\tProjection\t0\t-\n", 4)):
+        head = len(headed(rest, version=version))
+        content = headed(b"f" * (poset._CACHE_MAX_BYTES - head) + rest, version=version)
+        assert len(content) == poset._CACHE_MAX_BYTES
+        cache.write_bytes(content)
+        parsed.clear()
+        start = time.perf_counter()
+        assert poset._read_cache(str(cache), 2) is None
+        assert time.perf_counter() - start < 1
+        # the run never reached int()
+        assert parsed == []
+        assert_stale(cache, content, clean, capsys)
 
 
 def test_a_cache_written_at_another_max_ess_is_stale(tmp_path, capsys):
     # header, CRC and every line are valid, but they hold the classes of ess <= 2
     cache = tmp_path / "classes.tsv"
     assert cli.main(["poset", "--max-ess", "2", "--cache", str(cache)]) == 0
-    assert cache.read_text().startswith("#boolminor-classes v3 max_ess=2 count=12 crc32=")
+    assert cache.read_text().startswith("#boolminor-classes v4 max_ess=2 count=12 crc32=")
     capsys.readouterr()
     assert cli.main(["poset", "--max-ess", "3", "--cache", str(cache), "--export-format", "structured"]) == 0
     out = capsys.readouterr().out
     assert out == poset.export(enumerate_classes(3), format="structured")
     assert len(out.splitlines()) == 80
-    assert cache.read_text().startswith("#boolminor-classes v3 max_ess=3 count=80 crc32=")
+    assert cache.read_text().startswith("#boolminor-classes v4 max_ess=3 count=80 crc32=")
 
 
 def test_enumeration_reproducible():
