@@ -10,6 +10,12 @@ private bodies over the neighborhood masks alone (``_classify_join_irreducible``
 ``_satisfies_property_p``, ``_classify_property_p``); the public functions are
 one-line wrappers that pass a graph's ``_nb``.  So the sweep can step one
 neighborhood list from graph to graph and build no ``Graph`` per graph.
+
+A ``Graph`` checks its edges by decoding them: the lookup of each edge in the
+pair table of its vertex count refuses every mask that is not a pair of
+vertices in range, so a valid graph is checked and decoded in one pass.  The
+hypergraph check runs only after a refusal, to word it: a negative or
+out-of-range mask keeps the hypergraph's message and precedence.
 """
 
 from __future__ import annotations
@@ -20,8 +26,8 @@ from enum import Enum
 from functools import lru_cache
 from typing import Optional
 
-from .bfcore import _identify_masks, bits_of, fold, mask_of, support_mask
-from .hypergraph import Hypergraph, is_isomorphic, support_reduce
+from .bfcore import _identify_masks, _reduce_masks, bits_of, fold, mask_of, support_mask
+from .hypergraph import MAX_VERTICES, Hypergraph, is_isomorphic
 
 
 @lru_cache(maxsize=None)
@@ -38,23 +44,35 @@ class Graph(Hypergraph):
 
     Construction decodes the open neighborhoods once into the read-only
     tuple ``_nb`` (index 0 = vertex 1), looking each edge up in the pair
-    table of its vertex count.  Every classifier reads ``_nb`` only: the
-    public ones hand it to their private bodies.  It is not a dataclass
+    table of its vertex count.  That lookup is the edge check: the
+    hypergraph check (``Hypergraph.__post_init__``) runs only to word a
+    refusal, never on a valid graph.  Every classifier reads ``_nb`` only:
+    the public ones hand it to their private bodies.  It is not a dataclass
     field, so equality, hashing and ``repr`` ignore it.
     """
 
     def __post_init__(self) -> None:
-        super().__post_init__()
-        ends = _pair_ends(self.vertex_count)
-        nb = [0] * self.vertex_count
+        n = self.vertex_count
+        # tested inline, as one graph is built per labeled mask; a count that is
+        # not an int in range goes through the hypergraph check, which words a refusal
+        if n.__class__ is not int or not 0 <= n <= MAX_VERTICES:
+            super().__post_init__()
+        edges = frozenset(self.edges)
+        object.__setattr__(self, "edges", edges)
+        ends = _pair_ends(n)
+        nb = [0] * n
         try:
-            for e in self.edges:
+            for e in edges:
                 a, bit_b, b, bit_a = ends[e]
                 nb[a] |= bit_b
                 nb[b] |= bit_a
         except KeyError:
-            raise ValueError("graph edges must join exactly two distinct vertices") from None
-        object.__setattr__(self, "_nb", tuple(nb))
+            pass  # refused below, outside the handler, so no KeyError is chained
+        else:
+            object.__setattr__(self, "_nb", tuple(nb))
+            return
+        super().__post_init__()  # a negative or out-of-range mask keeps its message
+        raise ValueError("graph edges must join exactly two distinct vertices")
 
     @classmethod
     def from_pairs(cls, n: int, pairs) -> "Graph":
@@ -62,7 +80,7 @@ class Graph(Hypergraph):
 
     def edge_pairs(self) -> list[tuple[int, int]]:
         out = []
-        for e in sorted(self.edges):
+        for e in self.edges:
             a, b = bits_of(e)
             out.append((a + 1, b + 1))
         return sorted(out)
@@ -158,9 +176,10 @@ def is_connected(g: Graph) -> bool:
 
 
 def reduce_isolated(g: Graph) -> Graph:
-    """Delete degree-0 vertices; may return the graph on zero vertices."""
-    reduced = support_reduce(g)
-    return Graph(reduced.vertex_count, reduced.edges)
+    """Delete degree-0 vertices; may return the graph on zero vertices.
+    A graph without one is returned as it is."""
+    edges, ess = _reduce_masks(g.edges)
+    return g if ess == g.vertex_count else Graph(ess, edges)
 
 
 # ---------------------------------------------------------------------------

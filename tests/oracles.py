@@ -217,6 +217,29 @@ def oracle_classify_gap(f: Zhegalkin) -> GapClass:
     return GapClass(GapTag.GAP_ONE)
 
 
+def two_pass_graph(n, edges):
+    """``graphs.Graph(n, edges)`` as it was built before its pair-table
+    decode became the edge check: the hypergraph check first (the vertex
+    count, then every mask in range), then the decode, which refuses a
+    non-pair.  Kept as the oracle for the one-pass constructor's graphs and
+    refusals; the result is a ``Graph``, so it compares with one directly."""
+    g = object.__new__(graphs.Graph)
+    object.__setattr__(g, "vertex_count", n)
+    object.__setattr__(g, "edges", edges)
+    hg.Hypergraph.__post_init__(g)
+    ends = graphs._pair_ends(g.vertex_count)
+    nb = [0] * g.vertex_count
+    try:
+        for e in g.edges:
+            a, bit_b, b, bit_a = ends[e]
+            nb[a] |= bit_b
+            nb[b] |= bit_a
+    except KeyError:
+        raise ValueError("graph edges must join exactly two distinct vertices") from None
+    object.__setattr__(g, "_nb", tuple(nb))
+    return g
+
+
 def oracle_multipartite_parts(nb, within):
     """Sorted part sizes when the vertices ``within`` induce a complete
     multipartite graph, else None: every vertex's non-neighbors (itself

@@ -5,8 +5,12 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import two_pass_graph
 
 from boolminor import bfcore, graphs
+from boolminor import hypergraph as hg
 from boolminor.bfcore import bits_of, support_mask
 from boolminor.graphs import (
     Graph,
@@ -72,6 +76,106 @@ def test_graph_validation():
         Graph.from_sets(3, [(1, 2, 3)])
     with pytest.raises(ValueError):
         Graph.from_sets(3, [()])
+
+
+@st.composite
+def vertex_counts_and_masks(draw):
+    """An int vertex count (0..10 or 63) and a mask set that mixes valid
+    pairs with empty, one-bit and three-bit masks, masks beyond the count
+    and negative masks, in a container of any kind."""
+    n = draw(st.sampled_from([*range(11), 63]))
+    inside = st.integers(0, max(n - 1, 0))
+    beyond = st.integers(n, n + 3)
+
+    def distinct_bits(k, bits=inside):
+        return st.lists(bits, min_size=k, max_size=k, unique=True).map(lambda vs: sum(1 << v for v in vs))
+
+    pair = distinct_bits(2) if n >= 2 else st.just(0)
+    masks = st.one_of(
+        pair,
+        st.just(0),
+        distinct_bits(1),
+        distinct_bits(3, st.integers(0, max(n, 3) - 1)),
+        st.tuples(inside, beyond).map(lambda vs: 1 << vs[0] | 1 << vs[1]),
+        distinct_bits(1, beyond),
+        st.integers(-(1 << 70), -1),
+    )
+    # valid pairs weigh half, so that many draws are graphs
+    edges = draw(st.lists(st.one_of(pair, masks), max_size=8))
+    container = draw(st.sampled_from([frozenset, set, list, tuple]))
+    return n, container(edges)
+
+
+def built(build, n, edges):
+    """The graph, or the refusal's type, message and whether its traceback
+    shows an exception it was raised while handling."""
+    try:
+        return build(n, edges)
+    except Exception as exc:
+        return type(exc), str(exc), exc.__context__ is not None and not exc.__suppress_context__
+
+
+def assert_same_graph_or_refusal(n, edges):
+    new, old = built(Graph, n, edges), built(two_pass_graph, n, edges)
+    if isinstance(old, tuple):
+        assert new == old
+        return
+    assert isinstance(new, Graph)
+    assert new._nb == old._nb
+    assert new == old and hash(new) == hash(old) and repr(new) == repr(old)
+
+
+@settings(max_examples=200)
+@given(vertex_counts_and_masks())
+def test_one_pass_constructor_matches_the_two_pass_oracle(case):
+    assert_same_graph_or_refusal(*case)
+
+
+@pytest.mark.parametrize("n", [-1, 64, 1 << 70, 2.0, 2.5, float("nan"), True])
+def test_one_pass_constructor_refuses_an_odd_count_as_the_oracle(n):
+    for edges in (frozenset(), frozenset({3}), frozenset({7}), frozenset({1 << 70})):
+        assert_same_graph_or_refusal(n, edges)
+
+
+def test_an_out_of_range_mask_is_reported_before_a_non_pair():
+    # the pair decode meets the non-pair first or not; the message is the same
+    for edges in ({0b111, 1 << 5}, {0b011, 0, 1 << 5}, {1 << 5, 0b001}):
+        with pytest.raises(ValueError, match="^edge names vertex 6, beyond 3$"):
+            Graph(3, frozenset(edges))
+    with pytest.raises(ValueError, match="^a mask must be nonnegative, got -1$"):
+        Graph(3, frozenset({0b111, 1 << 5, -1}))
+    with pytest.raises(ValueError, match="^graph edges must join exactly two distinct vertices$"):
+        Graph(3, frozenset({0b011, 0b111}))
+
+
+def test_the_hypergraph_check_runs_only_to_word_a_refusal(monkeypatch):
+    calls = []
+    check = hg.Hypergraph.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        check(self)
+
+    monkeypatch.setattr(hg.Hypergraph, "__post_init__", counted)
+    for n, edges in ((0, set()), (3, {0b011, 0b110}), (7, graphs._pair_ends(7)), (63, {1 << 62 | 1})):
+        Graph(n, frozenset(edges))
+    assert not calls
+    for n, edges in ((3, {0b111}), (3, {0}), (3, {1 << 5}), (3, {-1}), (64, set())):
+        with pytest.raises(ValueError):
+            Graph(n, frozenset(edges))
+        assert len(calls) == 1
+        calls.clear()
+    # a derived graph is built once, as a Graph, with no intermediate Hypergraph
+    assert reduce_isolated(disjoint_union(complete(3), empty(2))) == complete(3)
+    assert not calls
+
+
+def test_reduce_isolated_keeps_a_graph_without_isolated_vertices():
+    for g in (cycle(5), complete(2), Graph(0, frozenset())):
+        assert reduce_isolated(g) is g
+    g = Graph(4, frozenset({0b1001}))
+    r = reduce_isolated(g)
+    assert r == Graph(2, frozenset({0b11})) and r._nb == (2, 1)
 
 
 def test_reduce_isolated():
